@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race bench bench-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
+.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test Go line count (bench/ and testdata excluded),
+# the size figure the project tracks from change to change.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v /testdata/ | grep -v '^bench/' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -41,7 +41,7 @@ func Figure17(s Suite) (*Table, error) {
 	runs, err := parMap(s, len(bases), func(mi int) (modelRun, error) {
 		model := bases[mi].Scaled(ExperimentScale)
 		// Derive matched tile sizes from the tiling sweep.
-		static, dyn, err := scenario.TilingSweep(s, model, batch, []int{8, 16, 32, 64}, -1)
+		static, dyn, err := scenario.TilingSweep(s, model, batch, []int{8, 16, 32, 64})
 		if err != nil {
 			return modelRun{}, err
 		}

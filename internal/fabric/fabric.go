@@ -64,7 +64,7 @@ type Lease struct {
 }
 
 // Result is the worker-to-coordinator half: the raw JSON-encoded point
-// result (scenario.RunPoint's Raw), or the error the point died with.
+// result scenario.RunPoint returns, or the error the point died with.
 type Result struct {
 	Point int             `json:"point"`
 	Raw   json.RawMessage `json:"raw,omitempty"`

@@ -314,8 +314,8 @@ func TestRunWorkerExecutesRealPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, want.Raw) {
-			t.Fatalf("point %d: worker shipped %s, local RunPoint produced %s", point, raw, want.Raw)
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("point %d: worker shipped %s, local RunPoint produced %s", point, raw, want)
 		}
 	}
 	cancel()

@@ -182,11 +182,7 @@ func (w *worker) runPoint(ls Lease) ([]byte, error) {
 		Workers:    w.opts.Workers,
 		SimWorkers: w.opts.SimWorkers,
 	}
-	pr, err := scenario.RunPoint(sp, s, ls.Point)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Raw, nil
+	return scenario.RunPoint(sp, s, ls.Point)
 }
 
 // heartbeatLoop extends the lease at a third of its TTL until canceled.

@@ -3,12 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"strings"
-	"sync/atomic"
 
 	"step/internal/graph"
 	"step/internal/harness"
-	"step/internal/trace"
 	"step/internal/workloads"
 )
 
@@ -20,40 +17,19 @@ type attnResult struct {
 	KVBytes int64  `json:"kv_bytes"` // total KV-cache footprint of the batch
 }
 
-// runAttention compiles an attention spec: the cross product of models,
-// batch sizes (or a heterogeneous request-group mix), KV-length means,
-// GQA KV-head counts, and parallelization strategies, each point one
-// self-contained decode-attention simulation. Plain sweeps stream one
-// row per point; Compare sweeps pivot the strategy axis into columns,
-// so a row streams when the last of its nS strategy points lands.
-func runAttention(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
-	s = s.EnsurePool()
+// attentionPlan compiles an attention spec: the cross product of
+// models, batch sizes (or a heterogeneous request-group mix), KV-length
+// means, GQA KV-head counts, and parallelization strategies, strategy
+// innermost, each point one self-contained decode-attention simulation.
+// Plain sweeps render one row per point; Compare sweeps pivot the nS
+// strategy points of a row into columns.
+func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 	models, err := sp.resolveModels()
 	if err != nil {
-		return nil, err
+		return plan[attnResult]{}, err
 	}
-
 	// Resolve axes, collapsing empty ones onto the fixed parameters.
-	batches := sp.Batches
-	mixLabel := ""
-	var groupLens []int
-	if len(sp.Groups) > 0 {
-		var parts []string
-		for _, g := range sp.Groups {
-			for i := 0; i < g.Count; i++ {
-				groupLens = append(groupLens, g.KVLen)
-			}
-			parts = append(parts, fmt.Sprintf("%dx%d", g.Count, g.KVLen))
-		}
-		mixLabel = strings.Join(parts, "+")
-		batches = []int{len(groupLens)}
-	} else if len(batches) == 0 {
-		b := sp.Batch
-		if b == 0 {
-			b = defaultBatch
-		}
-		batches = []int{b}
-	}
+	ba := sp.batchAxis()
 	kvMeans := sp.KVMeans
 	if len(kvMeans) == 0 {
 		kv := sp.KVMean
@@ -73,7 +49,7 @@ func runAttention(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.T
 	}
 	variance, err := parseVariance(sp.KVVariance)
 	if err != nil {
-		return nil, err
+		return plan[attnResult]{}, err
 	}
 	regions := sp.Regions
 	if regions == 0 {
@@ -84,14 +60,18 @@ func runAttention(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.T
 		kvChunk = defaultKVChunk
 	}
 
-	nM, nB, nK, nH, nS := len(models), len(batches), len(kvMeans), len(kvHeads), len(strategies)
+	nM, nB, nK, nH, nS := len(models), len(ba.sizes), len(kvMeans), len(kvHeads), len(strategies)
+	// axes decodes a flat point index, strategy innermost.
+	axes := func(idx int) (mi, bi, ki, hi, si int) {
+		return idx / (nS * nH * nK * nB), idx / (nS * nH * nK) % nB, idx / (nS * nH) % nK, idx / nS % nH, idx % nS
+	}
 
 	// The column set mirrors the active axes.
 	showModel := nM > 1
-	showBatch := nB > 1 || mixLabel != ""
+	showBatch := nB > 1 || ba.mix != ""
 	showKVMean := nK > 1
 	showStrategy := nS > 1 && !sp.Compare
-	showKVBytes := showKVMean || hasGQA || mixLabel != ""
+	showKVBytes := showKVMean || hasGQA || ba.mix != ""
 	var header []string
 	if showModel {
 		header = append(header, "Model")
@@ -119,133 +99,59 @@ func runAttention(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.T
 			header = append(header, "KVCacheBytes")
 		}
 	}
-	t := &harness.Table{ID: sp.ID, Title: sp.Title, Header: header}
-	if err := overrideHeader(sp, t); err != nil {
-		return nil, err
-	}
 
-	// labelsFor renders the axis-label cells shared by a (model, batch,
-	// kv-mean, kv-heads) row prefix; coordsFor names the same position.
-	labelsFor := func(mi, bi, ki, hi int) []any {
-		labels := make([]any, 0, len(header))
+	// labels renders the axis-label cells of a point's row prefix and
+	// names the same position as coordinates.
+	labels := func(idx int) ([]any, map[string]string) {
+		mi, bi, ki, hi, si := axes(idx)
+		cells := make([]any, 0, len(header))
+		coords := map[string]string{"model": models[mi].Name}
 		if showModel {
-			labels = append(labels, models[mi].Name)
+			cells = append(cells, models[mi].Name)
+		}
+		if ba.mix != "" {
+			coords["mix"] = ba.mix
+		} else {
+			coords["batch"] = fmt.Sprint(ba.sizes[bi])
 		}
 		if showBatch {
-			if mixLabel != "" {
-				labels = append(labels, mixLabel)
+			if ba.mix != "" {
+				cells = append(cells, ba.mix)
 			} else {
-				labels = append(labels, batches[bi])
+				cells = append(cells, ba.sizes[bi])
 			}
 		}
+		coords["kv_mean"] = fmt.Sprint(meanLabel(kvMeans[ki]))
 		if showKVMean {
-			labels = append(labels, meanLabel(kvMeans[ki]))
+			cells = append(cells, meanLabel(kvMeans[ki]))
 		}
 		if hasGQA {
 			gm := models[mi]
 			gm.KVHeads = kvHeads[hi]
-			labels = append(labels, kvHeads[hi],
+			cells = append(cells, kvHeads[hi],
 				float64(models[mi].QHeads)/float64(kvHeads[hi]), gm.KVBytesPerToken())
-		}
-		return labels
-	}
-	coordsFor := func(mi, bi, ki, hi, si int) map[string]string {
-		coords := map[string]string{"model": models[mi].Name}
-		if mixLabel != "" {
-			coords["mix"] = mixLabel
-		} else {
-			coords["batch"] = fmt.Sprint(batches[bi])
-		}
-		coords["kv_mean"] = fmt.Sprint(meanLabel(kvMeans[ki]))
-		if hasGQA {
 			coords["kv_heads"] = fmt.Sprint(kvHeads[hi])
 		}
-		if si >= 0 && !sp.Compare {
-			coords["strategy"] = strategies[si]
-		}
-		return coords
-	}
-
-	nRows := nM * nB * nK * nH
-	if !sp.Compare {
-		nRows *= nS
-	}
-	ss.start(t, nRows)
-	// Compare mode pivots the nS strategy points of one row into
-	// columns: each landing point parks its result and decrements the
-	// row's countdown; the point that lands last renders the row. The
-	// atomic decrement chain orders every parked write before the read
-	// below, so the render sees all nS results.
-	var (
-		parked    []attnResult
-		remaining []int32
-	)
-	if sp.Compare {
-		parked = make([]attnResult, nM*nB*nK*nH*nS)
-		remaining = make([]int32, nRows)
-		for i := range remaining {
-			remaining[i] = int32(nS)
-		}
-	}
-	run := chainOnPoint(s, func(ev harness.PointEvent) {
-		if ev.Err != nil {
-			return
-		}
-		r := ev.Row.(attnResult)
-		idx := ev.Index
-		si := idx % nS
-		hi := idx / nS % nH
-		ki := idx / (nS * nH) % nK
-		bi := idx / (nS * nH * nK) % nB
-		mi := idx / (nS * nH * nK * nB)
 		if !sp.Compare {
-			row := labelsFor(mi, bi, ki, hi)
+			coords["strategy"] = strategies[si]
 			if showStrategy {
-				row = append(row, strategies[si])
+				cells = append(cells, strategies[si])
 			}
-			row = append(row, r.Cycles)
-			if showKVBytes {
-				row = append(row, r.KVBytes)
-			}
-			ss.row(idx, harness.FormatRow(row...), coordsFor(mi, bi, ki, hi, si), ev.Duration)
-			return
 		}
-		parked[idx] = r
-		rowIdx := idx / nS
-		if atomic.AddInt32(&remaining[rowIdx], -1) != 0 {
-			return
-		}
-		row := labelsFor(mi, bi, ki, hi)
-		for sj := 0; sj < nS; sj++ {
-			row = append(row, parked[rowIdx*nS+sj].Cycles)
-		}
-		first := parked[rowIdx*nS].Cycles
-		last := parked[rowIdx*nS+nS-1].Cycles
-		row = append(row, float64(first)/float64(last))
-		ss.row(rowIdx, harness.FormatRow(row...), coordsFor(mi, bi, ki, hi, -1), ev.Duration)
-	})
+		return cells, coords
+	}
 
-	// Flattened grid, strategy innermost; row indices walk the same
-	// order, so tables are identical at any worker count.
-	results, err := mapPoints(run, ex, nM*nB*nK*nH*nS, func(idx int) (attnResult, error) {
-		si := idx % nS
-		hi := idx / nS % nH
-		ki := idx / (nS * nH) % nK
-		bi := idx / (nS * nH * nK) % nB
-		mi := idx / (nS * nH * nK * nB)
+	p := plan[attnResult]{header: header, points: nM * nB * nK * nH * nS, group: 1}
+	if sp.Compare {
+		p.group = nS
+	}
+	p.point = func(idx int) (attnResult, error) {
+		mi, bi, ki, hi, si := axes(idx)
 		model := models[mi]
 		if hasGQA {
 			model.KVHeads = kvHeads[hi]
 		}
-		b := batches[bi]
-		kvLens := groupLens
-		if kvLens == nil {
-			seed := s.Seed
-			if sp.SeedPerBatch {
-				seed += uint64(b)
-			}
-			kvLens = trace.SampleKVLengths(b, kvMeans[ki], variance, seed)
-		}
+		kvLens := ba.kvLens(ba.sizes[bi], kvMeans[ki], variance, s.Seed)
 		strat, err := parseStrategy(strategies[si])
 		if err != nil {
 			return attnResult{}, err
@@ -265,50 +171,52 @@ func runAttention(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.T
 		if err != nil {
 			return attnResult{}, err
 		}
-		res := sess.Result
 		var total int64
 		for _, l := range kvLens {
 			total += int64(l)
 		}
-		return attnResult{Cycles: uint64(res.Cycles), KVBytes: total * model.KVBytesPerToken()}, nil
-	})
-	if err != nil {
-		return nil, err
+		return attnResult{Cycles: uint64(sess.Result.Cycles), KVBytes: total * model.KVBytesPerToken()}, nil
 	}
-	at := func(mi, bi, ki, hi, si int) attnResult {
-		return results[(((mi*nB+bi)*nK+ki)*nH+hi)*nS+si]
-	}
-	t.Rows = ss.take()
-	if ex.only >= 0 {
-		// Single-point mode (a worker running one lease): the rest of
-		// the results slice is zero-valued, so the endpoint-ratio notes
-		// below are not computable — and not needed; the coordinator
-		// renders notes from the full decoded result set.
-		return t, nil
-	}
-
-	// Computed headline notes for the beyond-the-paper axes: endpoint
-	// ratios at the first batch/KV-mean/strategy combo.
-	if hasGQA && nH > 1 {
-		for mi, model := range models {
-			lo, hi := at(mi, 0, 0, 0, 0), at(mi, 0, 0, nH-1, 0)
-			t.Notef("%s: KVHeads %d vs %d: KV-cache bytes %.3gx, cycles %.3gx",
-				model.Name, kvHeads[0], kvHeads[nH-1],
-				float64(lo.KVBytes)/float64(hi.KVBytes),
-				float64(lo.Cycles)/float64(hi.Cycles))
+	p.row = func(r int, group []attnResult) ([]any, map[string]string) {
+		cells, coords := labels(r * p.group)
+		if sp.Compare {
+			for _, g := range group {
+				cells = append(cells, g.Cycles)
+			}
+			return append(cells, float64(group[0].Cycles)/float64(group[nS-1].Cycles)), coords
 		}
-	}
-	if nK > 1 {
-		for mi, model := range models {
-			lo, hi := at(mi, 0, 0, 0, 0), at(mi, 0, nK-1, 0, 0)
-			t.Notef("%s: KV mean %v -> %v: cycles %.2fx, KV-cache bytes %.2fx",
-				model.Name, meanLabel(kvMeans[0]), meanLabel(kvMeans[nK-1]),
-				float64(hi.Cycles)/float64(lo.Cycles),
-				float64(hi.KVBytes)/float64(lo.KVBytes))
+		cells = append(cells, group[0].Cycles)
+		if showKVBytes {
+			cells = append(cells, group[0].KVBytes)
 		}
+		return cells, coords
 	}
-	t.Notes = append(t.Notes, sp.Notes...)
-	return t, nil
+	// Headline notes for the beyond-the-paper axes: endpoint ratios at
+	// the first batch/KV-mean/strategy combo.
+	p.notes = func(all []attnResult) ([]string, error) {
+		at := func(mi, ki, hi int) attnResult { return all[((mi*nB*nK+ki)*nH+hi)*nS] }
+		var notes []string
+		if hasGQA && nH > 1 {
+			for mi, model := range models {
+				lo, hi := at(mi, 0, 0), at(mi, 0, nH-1)
+				notes = append(notes, fmt.Sprintf("%s: KVHeads %d vs %d: KV-cache bytes %.3gx, cycles %.3gx",
+					model.Name, kvHeads[0], kvHeads[nH-1],
+					float64(lo.KVBytes)/float64(hi.KVBytes),
+					float64(lo.Cycles)/float64(hi.Cycles)))
+			}
+		}
+		if nK > 1 {
+			for mi, model := range models {
+				lo, hi := at(mi, 0, 0), at(mi, nK-1, 0)
+				notes = append(notes, fmt.Sprintf("%s: KV mean %v -> %v: cycles %.2fx, KV-cache bytes %.2fx",
+					model.Name, meanLabel(kvMeans[0]), meanLabel(kvMeans[nK-1]),
+					float64(hi.Cycles)/float64(lo.Cycles),
+					float64(hi.KVBytes)/float64(lo.KVBytes)))
+			}
+		}
+		return notes, nil
+	}
+	return p, nil
 }
 
 // meanLabel renders a KV-mean axis value: integral means print as

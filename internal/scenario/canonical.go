@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"step/internal/harness"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
@@ -229,60 +230,14 @@ func (sp Spec) Hash() (string, error) {
 // PointCount returns the number of sweep points Run will execute for a
 // valid spec under the given quick setting — exactly the number of
 // successful Suite.OnPoint events a full run fires, so services can
-// report done/total progress. Every kind sweeps one flat grid of
-// self-contained leaf simulations (the unit the fabric leases out),
-// and each cell of a declared Workers x SimWorkers verification matrix
-// re-runs the grid.
+// report done/total progress. It reads the grid size from the same plan
+// the driver runs (building one simulates nothing), and each cell of a
+// declared Workers x SimWorkers verification matrix re-runs the grid.
+// An invalid spec has no points.
 func (sp Spec) PointCount(quick bool) int {
-	matrix := 1
-	if len(sp.WorkersAxis) > 0 || len(sp.SimWorkersAxis) > 0 {
-		w, sw := len(sp.WorkersAxis), len(sp.SimWorkersAxis)
-		if w == 0 {
-			w = 1
-		}
-		if sw == 0 {
-			sw = 1
-		}
-		matrix = w * sw
+	p, err := sp.plan(harness.Suite{Quick: quick})
+	if err != nil {
+		return 0
 	}
-	nM := len(sp.Models)
-	axis := func(n int) int {
-		if len(sp.Groups) > 0 || n == 0 {
-			return 1
-		}
-		return n
-	}
-	switch sp.Kind {
-	case KindMoETiling:
-		tiles := len(sp.Tiles)
-		if quick && len(sp.QuickTiles) > 0 {
-			tiles = len(sp.QuickTiles)
-		}
-		// Static tiles + the dynamic point: the sweep is one flat
-		// nM x (tiles+1) grid, one point per table row.
-		return matrix * nM * (tiles + 1)
-	case KindAttention:
-		nS := len(sp.Strategies)
-		if nS == 0 {
-			nS = 1
-		}
-		nH := len(sp.KVHeads)
-		if nH == 0 {
-			nH = 1
-		}
-		return matrix * nM * axis(len(sp.Batches)) * axis(len(sp.KVMeans)) * nH * nS
-	case KindDecoder:
-		nS := len(sp.Strategies)
-		if nS == 0 {
-			nS = 1
-		}
-		return matrix * nM * axis(len(sp.Batches)) * nS
-	case KindProgram:
-		nD := len(sp.Depths)
-		if nD == 0 {
-			nD = 1
-		}
-		return matrix * nD
-	}
-	return 0
+	return max(len(sp.WorkersAxis), 1) * max(len(sp.SimWorkersAxis), 1) * p.size()
 }

@@ -198,8 +198,9 @@ func TestMoETilingRejectsSkew(t *testing.T) {
 }
 
 // TestPointCountMatchesProgress: PointCount must equal the number of
-// successful OnPoint events an actual run fires, per kind and with a
-// verification matrix.
+// successful OnPoint events an actual run fires — per kind, for a
+// Compare sweep (points outnumber rows), for quick-dependent tiles in
+// both modes, and with a verification matrix.
 func TestPointCountMatchesProgress(t *testing.T) {
 	decoder, err := Parse([]byte(`{
 		"id": "pc-dec", "kind": "decoder", "models": ["qwen"], "scale": 8,
@@ -207,25 +208,76 @@ func TestPointCountMatchesProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tiling, err := Parse([]byte(`{
+		"id": "pc-tiling", "kind": "moe-tiling", "models": ["qwen"], "scale": 8,
+		"batch": 16, "tiles": [8, 16, 32], "quick_tiles": [16]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	matrix := GQARatio()
 	matrix.WorkersAxis = []int{1, 2}
-	for _, sp := range []Spec{Fig9(), GQARatio(), MixedServing(), decoder, matrix} {
-		sp := sp
-		t.Run(sp.ID, func(t *testing.T) {
+	cases := []struct {
+		sp    Spec
+		quick bool
+	}{
+		{Fig9(), true}, {GQARatio(), true}, {MixedServing(), true}, {decoder, true},
+		{matrix, true}, {programSpec(t), true}, {Fig15(), true},
+		{tiling, true}, {tiling, false},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.sp.ID, func(t *testing.T) {
 			t.Parallel()
 			var done atomic.Int64
-			s := harness.Suite{Seed: 7, Quick: true, OnPoint: func(ev harness.PointEvent) {
+			s := harness.Suite{Seed: 7, Quick: c.quick, OnPoint: func(ev harness.PointEvent) {
 				if ev.Err == nil {
 					done.Add(1)
 				}
 			}}
-			if _, err := Run(sp, s); err != nil {
+			if _, err := Run(c.sp, s); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := int(done.Load()), sp.PointCount(true); got != want {
-				t.Errorf("%s: %d point events, PointCount says %d", sp.ID, got, want)
+			if got, want := int(done.Load()), c.sp.PointCount(c.quick); got != want {
+				t.Errorf("%d point events, PointCount says %d", got, want)
 			}
 		})
+	}
+	if a, b := tiling.PointCount(true), tiling.PointCount(false); a == b {
+		t.Errorf("quick_tiles did not change the point count (%d)", a)
+	}
+	if rows := len(Fig15().Batches); Fig15().PointCount(true) <= rows {
+		t.Errorf("Compare sweep: %d points for %d rows", Fig15().PointCount(true), rows)
+	}
+}
+
+// TestCompareRowStreamsWhenGroupLands: a Compare row streams the moment
+// the last point of its strategy group lands, not when the sweep ends.
+// With one worker the points land in index order, so row r must arrive
+// right after point (r+1)*nS-1.
+func TestCompareRowStreamsWhenGroupLands(t *testing.T) {
+	sp := Fig15()
+	nS := len(sp.Strategies)
+	var done atomic.Int64
+	var rows int
+	s := harness.Suite{Seed: 7, Quick: true, Workers: 1, OnPoint: func(ev harness.PointEvent) {
+		if ev.Err == nil {
+			done.Add(1)
+		}
+	}}
+	_, err := RunStream(sp, s, Sink{Row: func(p PointResult) {
+		if p.Index != rows {
+			t.Errorf("row %d streamed out of order (want %d)", p.Index, rows)
+		}
+		if got, want := int(done.Load()), (p.Index+1)*nS; got != want {
+			t.Errorf("row %d streamed after %d points landed, want %d", p.Index, got, want)
+		}
+		rows++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != len(sp.Batches) {
+		t.Fatalf("%d rows streamed, want %d", rows, len(sp.Batches))
 	}
 }
 

@@ -1,10 +1,10 @@
 package scenario
 
 import (
+	"fmt"
 	"strconv"
 
 	"step/internal/harness"
-	"step/internal/trace"
 	"step/internal/workloads"
 )
 
@@ -18,32 +18,16 @@ type decoderResult struct {
 	AllocBW int64  `json:"alloc_bw"`
 }
 
-// runDecoder compiles a decoder spec: models x batch sizes x schedules
-// through workloads.RunDecoder, reporting end-to-end latency, on-chip
-// footprint, off-chip traffic, and allocated compute. One point is one
-// table row, rendered and streamed as it lands.
-func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
-	s = s.EnsurePool()
+// decoderPlan compiles a decoder spec: models x batch sizes x
+// schedules through workloads.RunDecoder, reporting end-to-end latency,
+// on-chip footprint, off-chip traffic, and allocated compute. One point
+// is one table row.
+func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 	models, err := sp.resolveModels()
 	if err != nil {
-		return nil, err
+		return plan[decoderResult]{}, err
 	}
-	batches := sp.Batches
-	var groupLens []int
-	if len(sp.Groups) > 0 {
-		for _, g := range sp.Groups {
-			for i := 0; i < g.Count; i++ {
-				groupLens = append(groupLens, g.KVLen)
-			}
-		}
-		batches = []int{len(groupLens)}
-	} else if len(batches) == 0 {
-		b := sp.Batch
-		if b == 0 {
-			b = defaultBatch
-		}
-		batches = []int{b}
-	}
+	ba := sp.batchAxis()
 	schedules := sp.Strategies
 	if len(schedules) == 0 {
 		schedules = []string{defaultStrategy}
@@ -54,11 +38,11 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 	}
 	variance, err := parseVariance(sp.KVVariance)
 	if err != nil {
-		return nil, err
+		return plan[decoderResult]{}, err
 	}
 	skew, err := parseSkew(sp.Skew)
 	if err != nil {
-		return nil, err
+		return plan[decoderResult]{}, err
 	}
 	sampleLayers := sp.SampleLayers
 	if sampleLayers == 0 {
@@ -68,7 +52,8 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 		}
 	}
 
-	nM, nB, nS := len(models), len(batches), len(schedules)
+	nM, nB, nS := len(models), len(ba.sizes), len(schedules)
+	axes := func(idx int) (mi, bi, si int) { return idx / (nS * nB), idx / nS % nB, idx % nS }
 	showModel := nM > 1
 	showBatch := nB > 1
 	var header []string
@@ -79,96 +64,73 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 		header = append(header, "Batch")
 	}
 	header = append(header, "Schedule", "CyclesTotal", "OnchipBytes", "TrafficBytes", "AllocComputeFLOPs/cyc")
-	t := &harness.Table{ID: sp.ID, Title: sp.Title, Header: header}
-	if err := overrideHeader(sp, t); err != nil {
-		return nil, err
-	}
-	ss.start(t, nM*nB*nS)
-	run := chainOnPoint(s, func(ev harness.PointEvent) {
-		if ev.Err != nil {
-			return
-		}
-		r := ev.Row.(decoderResult)
-		idx := ev.Index
-		si := idx % nS
-		bi := idx / nS % nB
-		mi := idx / (nS * nB)
-		row := make([]any, 0, len(header))
-		if showModel {
-			row = append(row, models[mi].Name)
-		}
-		if showBatch {
-			row = append(row, batches[bi])
-		}
-		row = append(row, schedules[si], r.Cycles, r.Onchip, r.Traffic, r.AllocBW)
-		ss.row(idx, harness.FormatRow(row...), map[string]string{
-			"model":    models[mi].Name,
-			"batch":    strconv.Itoa(batches[bi]),
-			"schedule": schedules[si],
-		}, ev.Duration)
-	})
-	results, err := mapPoints(run, ex, nM*nB*nS, func(idx int) (decoderResult, error) {
-		si := idx % nS
-		bi := idx / nS % nB
-		mi := idx / (nS * nB)
-		model := models[mi]
-		b := batches[bi]
-		sched, err := parseSchedule(schedules[si])
-		if err != nil {
-			return decoderResult{}, err
-		}
-		kvLens := groupLens
-		if kvLens == nil {
-			seed := s.Seed
-			if sp.SeedPerBatch {
-				seed += uint64(b)
+	return plan[decoderResult]{
+		header: header,
+		points: nM * nB * nS,
+		group:  1,
+		point: func(idx int) (decoderResult, error) {
+			mi, bi, si := axes(idx)
+			b := ba.sizes[bi]
+			sched, err := parseSchedule(schedules[si])
+			if err != nil {
+				return decoderResult{}, err
 			}
-			kvLens = trace.SampleKVLengths(b, kvMean, variance, seed)
-		}
-		res, err := workloads.RunDecoder(workloads.DecoderConfig{
-			Model:        model,
-			Batch:        b,
-			KVLens:       kvLens,
-			MoETile:      sched.moeTile,
-			MoEDynamic:   sched.moeDynamic,
-			MoERegions:   sp.MoERegions,
-			AttnStrategy: sched.attn,
-			AttnRegions:  sp.Regions,
-			SampleLayers: sampleLayers,
-			Skew:         skew,
-			Seed:         s.Seed,
-		}, s.GraphConfig())
-		if err != nil {
-			return decoderResult{}, err
-		}
-		return decoderResult{
-			Cycles:  uint64(res.CyclesTotal),
-			Onchip:  res.OnchipBytes,
-			Traffic: res.TrafficBytes,
-			AllocBW: res.AllocatedComputeBW,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = ss.take()
-	if ex.only >= 0 {
-		// Single-point mode: the speedup notes need every schedule's
-		// result; the coordinator computes them from the full set.
-		return t, nil
-	}
-	at := func(mi, bi, si int) decoderResult { return results[(mi*nB+bi)*nS+si] }
-	for mi, model := range models {
-		for bi, b := range batches {
-			if nS > 1 {
-				first, last := at(mi, bi, 0), at(mi, bi, nS-1)
-				t.Notef("%s b=%d: %s vs %s speedup %.2fx, onchip %.2fx",
-					model.Name, b, schedules[nS-1], schedules[0],
-					float64(first.Cycles)/float64(last.Cycles),
-					float64(first.Onchip)/float64(last.Onchip))
+			res, err := workloads.RunDecoder(workloads.DecoderConfig{
+				Model:        models[mi],
+				Batch:        b,
+				KVLens:       ba.kvLens(b, kvMean, variance, s.Seed),
+				MoETile:      sched.moeTile,
+				MoEDynamic:   sched.moeDynamic,
+				MoERegions:   sp.MoERegions,
+				AttnStrategy: sched.attn,
+				AttnRegions:  sp.Regions,
+				SampleLayers: sampleLayers,
+				Skew:         skew,
+				Seed:         s.Seed,
+			}, s.GraphConfig())
+			if err != nil {
+				return decoderResult{}, err
 			}
-		}
-	}
-	t.Notes = append(t.Notes, sp.Notes...)
-	return t, nil
+			return decoderResult{
+				Cycles:  uint64(res.CyclesTotal),
+				Onchip:  res.OnchipBytes,
+				Traffic: res.TrafficBytes,
+				AllocBW: res.AllocatedComputeBW,
+			}, nil
+		},
+		row: func(idx int, group []decoderResult) ([]any, map[string]string) {
+			mi, bi, si := axes(idx)
+			r := group[0]
+			cells := make([]any, 0, len(header))
+			if showModel {
+				cells = append(cells, models[mi].Name)
+			}
+			if showBatch {
+				cells = append(cells, ba.sizes[bi])
+			}
+			cells = append(cells, schedules[si], r.Cycles, r.Onchip, r.Traffic, r.AllocBW)
+			return cells, map[string]string{
+				"model":    models[mi].Name,
+				"batch":    strconv.Itoa(ba.sizes[bi]),
+				"schedule": schedules[si],
+			}
+		},
+		// Last schedule vs first, per (model, batch).
+		notes: func(all []decoderResult) ([]string, error) {
+			if nS < 2 {
+				return nil, nil
+			}
+			var notes []string
+			for mi, model := range models {
+				for bi, b := range ba.sizes {
+					first, last := all[(mi*nB+bi)*nS], all[(mi*nB+bi)*nS+nS-1]
+					notes = append(notes, fmt.Sprintf("%s b=%d: %s vs %s speedup %.2fx, onchip %.2fx",
+						model.Name, b, schedules[nS-1], schedules[0],
+						float64(first.Cycles)/float64(last.Cycles),
+						float64(first.Onchip)/float64(last.Onchip)))
+				}
+			}
+			return notes, nil
+		},
+	}, nil
 }

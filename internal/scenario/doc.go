@@ -40,4 +40,12 @@
 //     streamed cells and the finished table are identical bytes by
 //     construction. Under a WorkersAxis/SimWorkersAxis matrix only the
 //     first cell streams; the rest verify silently.
+//   - Adding a kind: a kind is a plan (run.go) — a header, a point
+//     count, a row group size, a self-contained point function, and
+//     its row and note arithmetic — built by one case of Spec.plan.
+//     Building a plan resolves axes only (PointCount builds one on the
+//     service submit path). The generic driver alone owns streaming,
+//     single-point mode (RunPoint), remote dispatch, the header
+//     override, and the Compare pivot, so a new kind inherits all of
+//     them and Spec.PointCount stays exact without a per-kind case.
 package scenario

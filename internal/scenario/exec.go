@@ -2,26 +2,14 @@ package scenario
 
 // The execution seam that makes sweep points remotely dispatchable. A
 // sweep point is fully determined by (canonical spec, seed, quick,
-// point index): every kind compiles its grid deterministically from the
-// spec, and every point simulation is self-contained. Distribution
-// therefore needs exactly two primitives:
-//
-//   - RunPoint executes one grid point and returns the kind's raw
-//     result encoded as JSON — the worker side of a lease.
-//   - RunStreamExec runs a sweep whose per-point results may be sourced
-//     from a remote dispatcher instead of the local pool — the
-//     coordinator side. Rows, notes, and the final table always render
-//     locally from the decoded raw results, so a distributed sweep is
-//     byte-identical to a local one by construction.
-//
-// The decoded result feeds the same OnPoint render hooks as local
-// execution; where a point ran never touches the rendered bytes.
+// point index), so distribution needs two primitives: RunPoint (the
+// worker side of a lease) returns one point's raw JSON result, and
+// RunStreamExec (the coordinator side) feeds such results to the same
+// render hooks as local execution. Rows and notes always render
+// locally, so where a point ran never touches the rendered bytes.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"time"
 
 	"step/internal/harness"
 )
@@ -44,99 +32,19 @@ type Exec struct {
 	Remote func(idx int) ([]byte, error)
 }
 
-// exec is the internal form threaded through the kind compilers.
-type exec struct {
-	remote func(int) ([]byte, error)
-	only   int     // >= 0: execute exactly this grid point
-	raw    *[]byte // only-mode: receives the JSON-encoded result
-}
-
-// localExec runs every point locally — the classic RunStream behavior.
-var localExec = exec{only: -1}
-
-// mapPoints is the kinds' ParMap: local by default, a single inline
-// point in only-mode (RunPoint), or remote-first with per-point local
-// fallback when a dispatcher is attached. All three modes fire the
-// suite's OnPoint chain per executed point, so row rendering and
-// progress accounting are mode-agnostic.
-func mapPoints[T any](s harness.Suite, ex exec, n int, fn func(int) (T, error)) ([]T, error) {
-	if ex.only >= 0 {
-		if ex.only >= n {
-			return nil, fmt.Errorf("scenario: point %d outside sweep of %d points", ex.only, n)
-		}
-		out := make([]T, n)
-		//lint:allow determinism wall-clock point duration is reporting metadata; it never reaches simulated state
-		start := time.Now()
-		v, err := fn(ex.only)
-		if err != nil {
-			return nil, err
-		}
-		if ex.raw != nil {
-			b, err := json.Marshal(v)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: encode point %d: %w", ex.only, err)
-			}
-			*ex.raw = b
-		}
-		out[ex.only] = v
-		if s.OnPoint != nil {
-			//lint:allow determinism wall-clock point duration is reporting metadata; it never reaches simulated state
-			s.OnPoint(harness.PointEvent{Index: ex.only, Row: v, Duration: time.Since(start)})
-		}
-		return out, nil
-	}
-	if ex.remote == nil {
-		return harness.ParMap(s, n, fn)
-	}
-	return harness.ParMap(s, n, func(i int) (T, error) {
-		var v T
-		b, err := ex.remote(i)
-		if err != nil {
-			if errors.Is(err, ErrLocalPoint) {
-				return fn(i)
-			}
-			return v, err
-		}
-		if err := json.Unmarshal(b, &v); err != nil {
-			return v, fmt.Errorf("scenario: decode remote point %d: %w", i, err)
-		}
-		return v, nil
-	})
-}
-
-// PointRun is the product of executing one sweep point in isolation —
-// what a fabric worker posts back for a lease.
-type PointRun struct {
-	// Raw is the kind's point result encoded as JSON, the unit the
-	// coordinator decodes and renders from. Feeding it through
-	// RunStreamExec reproduces the local table byte for byte.
-	Raw []byte
-	// Row is set (HasRow true) when this point alone rendered a table
-	// row. Points that only contribute to a pivoted row (attention
-	// Compare mode renders a row when the last of its strategy points
-	// lands) carry no row of their own.
-	Row    PointResult
-	HasRow bool
-}
-
 // RunPoint executes exactly one point of the spec's sweep grid — index
 // idx in the same flattened order RunStream dispatches — and returns
-// its raw encoded result. The verification matrix is ignored: a matrix
-// cell re-runs the same grid, so its points are these points. The
-// result depends only on (spec, seed, quick, idx); Workers and
+// its raw JSON-encoded result. The verification matrix is ignored: a
+// matrix cell re-runs the same grid, so its points are these points.
+// The result depends only on (spec, seed, quick, idx); Workers and
 // SimWorkers choices never change it.
-func RunPoint(sp Spec, s harness.Suite, idx int) (PointRun, error) {
+func RunPoint(sp Spec, s harness.Suite, idx int) ([]byte, error) {
 	if err := sp.Validate(); err != nil {
-		return PointRun{}, err
+		return nil, err
 	}
-	if idx < 0 {
-		return PointRun{}, fmt.Errorf("scenario %s: negative point index %d", sp.ID, idx)
+	p, err := sp.plan(s)
+	if err != nil {
+		return nil, err
 	}
-	var pr PointRun
-	sink := Sink{Row: func(p PointResult) { pr.Row, pr.HasRow = p, true }}
-	ex := exec{only: idx, raw: &pr.Raw}
-	if _, err := runKind(sp, s, newStreamSink(sink, sp.PointCount(s.Quick)), ex); err != nil {
-		return PointRun{}, err
-	}
-	return pr, nil
+	return p.raw(idx)
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -53,12 +52,12 @@ func TestRunPointFeedsByteIdenticalTables(t *testing.T) {
 			var remote atomic.Int64
 			got, err := RunStreamExec(sp, local, Sink{}, Exec{
 				Remote: func(idx int) ([]byte, error) {
-					pr, err := RunPoint(sp, worker, idx)
+					raw, err := RunPoint(sp, worker, idx)
 					if err != nil {
 						return nil, err
 					}
 					remote.Add(1)
-					return pr.Raw, nil
+					return raw, nil
 				},
 			})
 			if err != nil {
@@ -95,12 +94,12 @@ func TestRunStreamExecMixedFallback(t *testing.T) {
 				fellBack.Add(1)
 				return nil, ErrLocalPoint
 			}
-			pr, err := RunPoint(sp, harness.Suite{Seed: 7, Quick: true, Workers: 1}, idx)
+			raw, err := RunPoint(sp, harness.Suite{Seed: 7, Quick: true, Workers: 1}, idx)
 			if err != nil {
 				return nil, err
 			}
 			remote.Add(1)
-			return pr.Raw, nil
+			return raw, nil
 		},
 	})
 	if err != nil {
@@ -111,51 +110,6 @@ func TestRunStreamExecMixedFallback(t *testing.T) {
 	}
 	if remote.Load() == 0 || fellBack.Load() == 0 {
 		t.Fatalf("want both paths exercised, got remote=%d fallback=%d", remote.Load(), fellBack.Load())
-	}
-}
-
-// TestRunPointRowRendering: points that render a row by themselves
-// report it (HasRow with the same cells the full sweep streams), and
-// Compare-mode points — which only contribute to a pivoted row — ship
-// a raw result without claiming a row.
-func TestRunPointRowRendering(t *testing.T) {
-	sp := Fig9()
-	s := harness.Suite{Seed: 7, Quick: true}
-	var rows []PointResult
-	if _, err := RunStream(sp, s, Sink{Row: func(p PointResult) { rows = append(rows, p) }}); err != nil {
-		t.Fatal(err)
-	}
-	byIdx := make(map[int]PointResult, len(rows))
-	for _, r := range rows {
-		byIdx[r.Index] = r
-	}
-	for idx := 0; idx < sp.PointCount(true); idx++ {
-		pr, err := RunPoint(sp, s, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pr.Raw) == 0 {
-			t.Fatalf("point %d shipped no raw result", idx)
-		}
-		if !pr.HasRow {
-			t.Fatalf("point %d rendered no row; moe-tiling points are one row each", idx)
-		}
-		if want := byIdx[idx]; strings.Join(pr.Row.Cells, "|") != strings.Join(want.Cells, "|") {
-			t.Fatalf("point %d row %v, full sweep streamed %v", idx, pr.Row.Cells, want.Cells)
-		}
-	}
-
-	// Compare mode: a lone point cannot render its pivoted row.
-	cmp := Fig15()
-	pr, err := RunPoint(cmp, s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.HasRow {
-		t.Fatal("a single Compare-mode point claimed a full pivoted row")
-	}
-	if len(pr.Raw) == 0 {
-		t.Fatal("Compare-mode point shipped no raw result")
 	}
 }
 

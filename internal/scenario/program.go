@@ -141,71 +141,54 @@ type programPoint struct {
 	FLOPs   int64  `json:"flops"`
 }
 
-// runProgram compiles the embedded IR once and instantiates it fresh
-// per depth-axis point. One point is one table row, rendered and
-// streamed as it lands.
-func runProgram(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
-	s = s.EnsurePool()
+// programPlan instantiates the compiled IR fresh per depth-axis point.
+// One point is one table row.
+func programPlan(sp Spec, s harness.Suite) (plan[programPoint], error) {
 	prog, err := sp.compileProgram()
 	if err != nil {
-		return nil, err
+		return plan[programPoint]{}, err
 	}
 	depths := sp.Depths
 	if len(depths) == 0 {
 		depths = []int{defaultChannelDepth}
 	}
-	t := &harness.Table{
-		ID:     sp.ID,
-		Title:  sp.Title,
-		Header: []string{"Depth", "Cycles", "TrafficBytes", "PeakOnchipBytes", "FLOPs"},
-	}
-	if err := overrideHeader(sp, t); err != nil {
-		return nil, err
-	}
-	ss.start(t, len(depths))
-	run := chainOnPoint(s, func(ev harness.PointEvent) {
-		if ev.Err != nil {
-			return
-		}
-		r := ev.Row.(programPoint)
-		d := depths[ev.Index]
-		ss.row(ev.Index,
-			harness.FormatRow(d, r.Cycles, r.Traffic, r.Onchip, r.FLOPs),
-			map[string]string{"depth": strconv.Itoa(d)}, ev.Duration)
-	})
-	_, err = mapPoints(run, ex, len(depths), func(i int) (programPoint, error) {
-		sess, err := prog.Run(
-			graph.WithConfig(s.GraphConfig()),
-			graph.WithSeed(s.Seed),
-			graph.WithChannelDepth(depths[i]),
-		)
-		if err != nil {
-			return programPoint{}, fmt.Errorf("scenario %s: depth %d: %w", sp.ID, depths[i], err)
-		}
-		res := sess.Result
-		return programPoint{
-			Cycles:  uint64(res.Cycles),
-			Traffic: res.OffchipTrafficBytes,
-			Onchip:  res.PeakOnchipBytes,
-			FLOPs:   res.TotalFLOPs,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = ss.take()
-	if ex.only >= 0 {
-		return t, nil
-	}
-	hash, err := prog.Hash()
-	if err != nil {
-		return nil, err
-	}
-	name := prog.Name()
-	if name == "" {
-		name = "(unnamed)"
-	}
-	t.Notef("program %s: %d nodes, %d streams, ir %s", name, prog.NodeCount(), prog.StreamCount(), hash[:12])
-	t.Notes = append(t.Notes, sp.Notes...)
-	return t, nil
+	return plan[programPoint]{
+		header: []string{"Depth", "Cycles", "TrafficBytes", "PeakOnchipBytes", "FLOPs"},
+		points: len(depths),
+		group:  1,
+		point: func(i int) (programPoint, error) {
+			sess, err := prog.Run(
+				graph.WithConfig(s.GraphConfig()),
+				graph.WithSeed(s.Seed),
+				graph.WithChannelDepth(depths[i]),
+			)
+			if err != nil {
+				return programPoint{}, fmt.Errorf("scenario %s: depth %d: %w", sp.ID, depths[i], err)
+			}
+			res := sess.Result
+			return programPoint{
+				Cycles:  uint64(res.Cycles),
+				Traffic: res.OffchipTrafficBytes,
+				Onchip:  res.PeakOnchipBytes,
+				FLOPs:   res.TotalFLOPs,
+			}, nil
+		},
+		row: func(i int, group []programPoint) ([]any, map[string]string) {
+			r := group[0]
+			return []any{depths[i], r.Cycles, r.Traffic, r.Onchip, r.FLOPs},
+				map[string]string{"depth": strconv.Itoa(depths[i])}
+		},
+		notes: func([]programPoint) ([]string, error) {
+			hash, err := prog.Hash()
+			if err != nil {
+				return nil, err
+			}
+			name := prog.Name()
+			if name == "" {
+				name = "(unnamed)"
+			}
+			return []string{fmt.Sprintf("program %s: %d nodes, %d streams, ir %s",
+				name, prog.NodeCount(), prog.StreamCount(), hash[:12])}, nil
+		},
+	}, nil
 }

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"step/internal/harness"
 )
@@ -36,11 +39,16 @@ func RunStreamExec(sp Spec, s harness.Suite, sink Sink, x Exec) (*harness.Table,
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	ex := localExec
-	ex.remote = x.Remote
 	points := sp.PointCount(s.Quick)
+	runCell := func(s harness.Suite, sink Sink) (*harness.Table, error) {
+		p, err := sp.plan(s)
+		if err != nil {
+			return nil, err
+		}
+		return p.run(sp, s, newStreamSink(sink, points), x.Remote)
+	}
 	if len(sp.WorkersAxis) == 0 && len(sp.SimWorkersAxis) == 0 {
-		return runKind(sp, s, newStreamSink(sink, points), ex)
+		return runCell(s, sink)
 	}
 	wAxis, swAxis := sp.WorkersAxis, sp.SimWorkersAxis
 	if len(wAxis) == 0 {
@@ -69,7 +77,7 @@ func RunStreamExec(sp Spec, s harness.Suite, sink Sink, x Exec) (*harness.Table,
 			if base == nil {
 				cell = sink // only the first cell streams rows
 			}
-			tb, err := runKind(sp, sub, newStreamSink(cell, points), ex)
+			tb, err := runCell(sub, cell)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: Workers=%d SimWorkers=%d: %w", sp.ID, w, sw, err)
 			}
@@ -87,19 +95,146 @@ func RunStreamExec(sp Spec, s harness.Suite, sink Sink, x Exec) (*harness.Table,
 	return base, nil
 }
 
-// runKind dispatches one sweep execution to the kind's compiler.
-func runKind(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
+// plan is one kind's sweep grid stated as data: everything a kind
+// knows — its axes, its simulation call, its cell and note arithmetic —
+// and nothing about how points are scheduled, streamed, or dispatched.
+// Building a plan resolves axes only; it simulates and samples nothing,
+// so PointCount can afford one on the submit path.
+type plan[R any] struct {
+	header []string
+	// points is the flat grid size; group consecutive points render one
+	// row (the strategies of a Compare row), so the table has
+	// points/group rows.
+	points, group int
+	// point simulates grid point i. It must be self-contained: the
+	// result depends only on the spec, the suite's seed, quick flag and
+	// engine, and i.
+	point func(i int) (R, error)
+	// row renders row r from its group's results, returning the cells
+	// and the row's axis coordinates.
+	row func(r int, group []R) (cells []any, coords map[string]string)
+	// notes, when non-nil, computes headline notes from every result.
+	notes func(all []R) ([]string, error)
+}
+
+// sweep is a plan with its result type erased, so the kind switch can
+// hand any kind's plan to the driver.
+type sweep interface {
+	size() int
+	run(sp Spec, s harness.Suite, ss *streamSink, remote func(int) ([]byte, error)) (*harness.Table, error)
+	raw(i int) ([]byte, error)
+}
+
+// plan builds the spec's sweep plan under suite s (seed, quick flag and
+// DES engine are baked into the point function).
+func (sp Spec) plan(s harness.Suite) (sweep, error) {
 	switch sp.Kind {
 	case KindMoETiling:
-		return runMoETiling(sp, s, ss, ex)
+		return moeTilingPlan(sp, s)
 	case KindAttention:
-		return runAttention(sp, s, ss, ex)
+		return attentionPlan(sp, s)
 	case KindDecoder:
-		return runDecoder(sp, s, ss, ex)
+		return decoderPlan(sp, s)
 	case KindProgram:
-		return runProgram(sp, s, ss, ex)
+		return programPlan(sp, s)
 	}
 	return nil, fmt.Errorf("scenario %s: unknown kind %q", sp.ID, sp.Kind)
+}
+
+func (p plan[R]) size() int { return p.points }
+
+// run is the one sweep driver every kind shares. It applies the header
+// override, announces the table, and fans the grid out on the suite's
+// pool — each point simulated locally or fetched raw from remote (which
+// may hand it back with ErrLocalPoint). Rows render in the OnPoint hook
+// as points land: row r renders the moment the last point of its group
+// lands, so streaming never waits for the sweep to end. The table is
+// assembled from the streamed rows, then the computed and the spec's
+// notes are appended.
+func (p plan[R]) run(sp Spec, s harness.Suite, ss *streamSink, remote func(int) ([]byte, error)) (*harness.Table, error) {
+	t := &harness.Table{ID: sp.ID, Title: sp.Title, Header: p.header}
+	if err := overrideHeader(sp, t); err != nil {
+		return nil, err
+	}
+	ss.start(t, p.points/p.group)
+	// Landing points park their results; in multi-point groups the
+	// point that brings its row's countdown to zero renders the row.
+	// The atomic decrement chain orders every parked write of a group
+	// before that render's reads.
+	parked := make([]R, p.points)
+	var left []atomic.Int32
+	if p.group > 1 {
+		left = make([]atomic.Int32, p.points/p.group)
+		for i := range left {
+			left[i].Store(int32(p.group))
+		}
+	}
+	// The caller's own hook (services count live progress through it)
+	// still sees every event first.
+	prev := s.OnPoint
+	s = s.EnsurePool()
+	s.OnPoint = func(ev harness.PointEvent) {
+		if prev != nil {
+			prev(ev)
+		}
+		if ev.Err != nil {
+			return
+		}
+		parked[ev.Index] = ev.Row.(R)
+		r := ev.Index / p.group
+		if left != nil && left[r].Add(-1) != 0 {
+			return
+		}
+		cells, coords := p.row(r, parked[r*p.group:(r+1)*p.group])
+		ss.row(r, harness.FormatRow(cells...), coords, ev.Duration)
+	}
+	point := p.point
+	if remote != nil {
+		point = func(i int) (R, error) {
+			var v R
+			b, err := remote(i)
+			if errors.Is(err, ErrLocalPoint) {
+				return p.point(i)
+			}
+			if err != nil {
+				return v, err
+			}
+			if err := json.Unmarshal(b, &v); err != nil {
+				return v, fmt.Errorf("scenario: decode remote point %d: %w", i, err)
+			}
+			return v, nil
+		}
+	}
+	results, err := harness.ParMap(s, p.points, point)
+	if err != nil {
+		return nil, err
+	}
+	t.Rows = ss.take()
+	if p.notes != nil {
+		notes, err := p.notes(results)
+		if err != nil {
+			return nil, err
+		}
+		t.Notes = append(t.Notes, notes...)
+	}
+	t.Notes = append(t.Notes, sp.Notes...)
+	return t, nil
+}
+
+// raw simulates point i alone and returns its JSON-encoded result.
+func (p plan[R]) raw(i int) ([]byte, error) {
+	if i < 0 || i >= p.points {
+		return nil, fmt.Errorf("scenario: point %d outside sweep of %d points", i, p.points)
+	}
+	v, err := p.point(i)
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: encode point %d: %w", i, err)
+	}
+	return b, nil
 }
 
 // overrideHeader applies the spec's Header override, enforcing that the

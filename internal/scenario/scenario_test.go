@@ -123,6 +123,31 @@ func TestParseSpecRejections(t *testing.T) {
 	}
 }
 
+// TestNegativeFieldsRejected: each non-negative fixed parameter fails
+// validation with an error naming the field, on a kind that reads it.
+func TestNegativeFieldsRejected(t *testing.T) {
+	const (
+		attn    = `"kind": "attention", "models": ["qwen"], "scale": 8`
+		decoder = `"kind": "decoder", "models": ["qwen"], "scale": 8, "batch": 16`
+		tiling  = `"kind": "moe-tiling", "models": ["qwen"], "scale": 8, "batch": 64, "tiles": [8]`
+	)
+	cases := []struct{ field, raw string }{
+		{"scale", `{"id": "x", "kind": "decoder", "models": ["qwen"], "scale": -8}`},
+		{"regions", `{"id": "x", ` + attn + `, "regions": -4}`},
+		{"kv_chunk", `{"id": "x", ` + attn + `, "kv_chunk": -5}`},
+		{"coarse_block", `{"id": "x", ` + attn + `, "coarse_block": -1}`},
+		{"dynamic_cap", `{"id": "x", ` + tiling + `, "dynamic_cap": -128}`},
+		{"sample_layers", `{"id": "x", ` + decoder + `, "sample_layers": -1}`},
+		{"moe_regions", `{"id": "x", ` + decoder + `, "moe_regions": -2}`},
+	}
+	for _, c := range cases {
+		_, err := Parse([]byte(c.raw))
+		if err == nil || !strings.Contains(err.Error(), "negative "+c.field) {
+			t.Errorf("%s: want an error naming the negative field, got %v", c.field, err)
+		}
+	}
+}
+
 func TestHeaderOverrideLengthChecked(t *testing.T) {
 	sp := GQARatio()
 	sp.Header = []string{"just-one"}

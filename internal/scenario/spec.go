@@ -291,11 +291,73 @@ func (sp Spec) resolveModels() ([]workloads.ModelConfig, error) {
 	return out, nil
 }
 
+// batchAxis is the resolved batch axis of the attention and decoder
+// kinds. A groups spec is one batch whose KV lengths are exactly the
+// groups' (mix labels it, e.g. "2x512+2x1024"); otherwise it is the
+// batches axis, or the fixed batch (default 64), with KV lengths
+// sampled per point.
+type batchAxis struct {
+	sizes        []int
+	groupLens    []int
+	mix          string
+	seedPerBatch bool
+}
+
+func (sp Spec) batchAxis() batchAxis {
+	a := batchAxis{sizes: sp.Batches, seedPerBatch: sp.SeedPerBatch}
+	switch {
+	case len(sp.Groups) > 0:
+		var parts []string
+		for _, g := range sp.Groups {
+			for i := 0; i < g.Count; i++ {
+				a.groupLens = append(a.groupLens, g.KVLen)
+			}
+			parts = append(parts, fmt.Sprintf("%dx%d", g.Count, g.KVLen))
+		}
+		a.mix = strings.Join(parts, "+")
+		a.sizes = []int{len(a.groupLens)}
+	case len(a.sizes) == 0:
+		b := sp.Batch
+		if b == 0 {
+			b = defaultBatch
+		}
+		a.sizes = []int{b}
+	}
+	return a
+}
+
+// kvLens returns the KV-cache lengths of batch b: the groups' exact
+// lengths, or a trace sampled at mean and variance — seeded per batch
+// under SeedPerBatch, so each batch-axis point draws its own trace.
+func (a batchAxis) kvLens(b int, mean float64, v trace.VarianceClass, seed uint64) []int {
+	if a.groupLens != nil {
+		return a.groupLens
+	}
+	if a.seedPerBatch {
+		seed += uint64(b)
+	}
+	return trace.SampleKVLengths(b, mean, v, seed)
+}
+
 // Validate checks the spec's structure: kind, models (scaled dimensions
 // included), axis values, and strategy names.
 func (sp Spec) Validate() error {
 	if sp.ID == "" {
 		return fmt.Errorf("scenario: spec needs an id")
+	}
+	// Zero means "default" for these; a negative value means nothing
+	// and must not reach a compiler (or split a cache address).
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"scale", sp.Scale}, {"regions", sp.Regions}, {"kv_chunk", sp.KVChunk},
+		{"coarse_block", sp.CoarseBlock}, {"dynamic_cap", sp.DynamicCap},
+		{"sample_layers", sp.SampleLayers}, {"moe_regions", sp.MoERegions},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scenario %s: negative %s %d", sp.ID, f.name, f.v)
+		}
 	}
 	if sp.Kind == KindProgram {
 		return sp.validateProgram()

@@ -11,8 +11,8 @@ import (
 // lands: the table identity, its final header (spec overrides already
 // applied), how many rows the sweep renders, and how many harness
 // points it executes (Spec.PointCount — points outnumber rows for
-// kinds with sub-sweeps or pivoted rows, and include every cell of a
-// declared verification matrix).
+// Compare sweeps, which pivot a group of points into one row, and
+// include every cell of a declared verification matrix).
 type StreamStart struct {
 	TableID string
 	Title   string
@@ -96,19 +96,4 @@ func (ss *streamSink) take() [][]string {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return ss.rows
-}
-
-// chainOnPoint returns a suite whose OnPoint hook first forwards to
-// whatever the caller installed (services count live progress through
-// it) and then invokes emit — the seam through which each kind's
-// compiler turns completed harness points into streamed rows.
-func chainOnPoint(s harness.Suite, emit func(harness.PointEvent)) harness.Suite {
-	prev := s.OnPoint
-	s.OnPoint = func(ev harness.PointEvent) {
-		if prev != nil {
-			prev(ev)
-		}
-		emit(ev)
-	}
-	return s
 }

@@ -20,164 +20,120 @@ type TilingPoint struct {
 	Traffic int64
 }
 
-// runTilingPoint simulates one tiling design point: a static tile size
-// (dynamic false) or the dynamic-tiling point (dynamic true, tileSize
-// ignored). Each call is a self-contained simulation — routing, layer
-// build, and DES run derive only from the arguments — so a point can
-// execute on any worker, local or remote, with identical results.
-func runTilingPoint(s harness.Suite, model workloads.ModelConfig, batch, tileSize int, dynamic bool, dynCap int, routing trace.ExpertRouting) (TilingPoint, error) {
-	l, err := workloads.BuildMoELayer(workloads.MoELayerConfig{
-		Model: model, Batch: batch,
-		TileSize: tileSize, Dynamic: dynamic, DynamicCap: dynCap,
-		Routing: routing, Seed: s.Seed,
-	})
-	if err != nil {
-		return TilingPoint{}, err
-	}
-	sess, err := l.Program.Run(graph.WithConfig(s.GraphConfig()), graph.WithSeed(s.Seed))
-	if err != nil {
-		return TilingPoint{}, err
-	}
-	res := sess.Result
-	oc, err := l.OnchipBytes()
-	if err != nil {
-		return TilingPoint{}, err
-	}
-	label := fmt.Sprintf("tile=%d", tileSize)
-	if dynamic {
-		label = "dynamic"
-	}
-	return TilingPoint{
-		Label: label, Tile: tileSize,
-		Cycles: uint64(res.Cycles), Onchip: oc, Traffic: res.OffchipTrafficBytes,
-	}, nil
-}
-
 // TilingSweep measures static tile sizes plus dynamic tiling for one
-// model and batch size. dynCap bounds dynamic tile rows; a negative
-// value selects the historical default — 128 rows for batches above
-// 256, so experts emit tiles while the batch still routes (see
-// MoELayerConfig.DynamicCap). Shared by the scenario compiler and the
-// Fig. 17 matched-tile derivation.
-func TilingSweep(s harness.Suite, model workloads.ModelConfig, batch int, tiles []int, dynCap int) ([]TilingPoint, TilingPoint, error) {
-	routing, err := trace.SampleExpertRouting(batch, model.NumExperts, model.TopK, trace.SkewHeavy, s.Seed)
+// model and batch size — a one-model moe-tiling sweep under the
+// auto dynamic cap, run on the suite's pool. Feeds the Fig. 17
+// matched-tile derivation.
+func TilingSweep(s harness.Suite, model workloads.ModelConfig, batch int, tiles []int) ([]TilingPoint, TilingPoint, error) {
+	p, err := moeTilingPlan(Spec{
+		ID: "tiling-sweep", Kind: KindMoETiling,
+		Models: []ModelSpec{{Config: &model}}, Batch: batch, Tiles: tiles,
+	}, s)
 	if err != nil {
 		return nil, TilingPoint{}, err
 	}
-	if dynCap < 0 {
-		dynCap = autoDynamicCap(batch)
-	}
-	// Every sweep point is an independent simulation: fan the static
-	// tiles plus the dynamic point (the last index) out on the pool.
-	pts, err := harness.ParMap(s, len(tiles)+1, func(i int) (TilingPoint, error) {
-		if i == len(tiles) {
-			return runTilingPoint(s, model, batch, 0, true, dynCap, routing)
-		}
-		return runTilingPoint(s, model, batch, tiles[i], false, dynCap, routing)
-	})
+	pts, err := harness.ParMap(s, p.points, p.point)
 	if err != nil {
 		return nil, TilingPoint{}, err
 	}
 	return pts[:len(tiles)], pts[len(tiles)], nil
 }
 
-// runMoETiling compiles a moe-tiling spec as one flat grid: row
-// i*(tiles+1)+j is point j of model i — the static tiles in spec
-// order, the dynamic point last. One point is one table row, streamed
-// as its simulation lands, and every point re-derives its expert
-// routing from (batch, model, seed), so points are self-contained and
-// individually dispatchable to fabric workers. Pareto headline notes
-// render from the collected results.
-func runMoETiling(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
-	s = s.EnsurePool()
-	t := &harness.Table{
-		ID:     sp.ID,
-		Title:  sp.Title,
-		Header: []string{"Model", "Schedule", "Cycles", "OnchipBytes", "TrafficBytes"},
-	}
-	if err := overrideHeader(sp, t); err != nil {
-		return nil, err
-	}
+// moeTilingPlan compiles a moe-tiling spec as one flat grid: point
+// i*(tiles+1)+j is point j of model i — the static tiles in spec order,
+// the dynamic point last. One point is one table row, and every point
+// re-derives its expert routing from (batch, model, seed), so points
+// are self-contained and individually dispatchable to fabric workers.
+// Pareto headline notes render from the collected results.
+func moeTilingPlan(sp Spec, s harness.Suite) (plan[TilingPoint], error) {
 	models, err := sp.resolveModels()
 	if err != nil {
-		return nil, err
+		return plan[TilingPoint]{}, err
 	}
 	tiles := sp.Tiles
 	if s.Quick && len(sp.QuickTiles) > 0 {
 		tiles = sp.QuickTiles
 	}
 	dynCap := sp.DynamicCap
-	if dynCap <= 0 {
+	if dynCap == 0 {
 		dynCap = autoDynamicCap(sp.Batch)
 	}
-	rowsPerModel := len(tiles) + 1
-	n := len(models) * rowsPerModel
-	ss.start(t, n)
-	run := chainOnPoint(s, func(ev harness.PointEvent) {
-		if ev.Err != nil {
-			return
-		}
-		p := ev.Row.(TilingPoint)
-		mi := ev.Index / rowsPerModel
-		ss.row(ev.Index,
-			harness.FormatRow(models[mi].Name, p.Label, p.Cycles, p.Onchip, p.Traffic),
-			map[string]string{"model": models[mi].Name, "schedule": p.Label},
-			ev.Duration)
-	})
-	results, err := mapPoints(run, ex, n, func(idx int) (TilingPoint, error) {
-		mi, j := idx/rowsPerModel, idx%rowsPerModel
-		// Routing is deterministic in (batch, experts, topK, skew, seed):
-		// re-sampling per point yields the identical trace a shared
-		// sample would, at the cost the harness already amortizes.
-		routing, err := trace.SampleExpertRouting(sp.Batch, models[mi].NumExperts, models[mi].TopK, trace.SkewHeavy, s.Seed)
-		if err != nil {
-			return TilingPoint{}, err
-		}
-		if j == len(tiles) {
-			return runTilingPoint(s, models[mi], sp.Batch, 0, true, dynCap, routing)
-		}
-		return runTilingPoint(s, models[mi], sp.Batch, tiles[j], false, dynCap, routing)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = ss.take()
-	if ex.only >= 0 {
-		// Single-point mode: the Pareto notes need every point of a
-		// model; the coordinator computes them from the full result set.
-		return t, nil
-	}
-	for mi, model := range models {
-		static := results[mi*rowsPerModel : mi*rowsPerModel+len(tiles)]
-		dyn := results[mi*rowsPerModel+len(tiles)]
-		var base []sched.Point
-		for _, p := range static {
-			y := float64(p.Cycles)
-			if sp.UseTraffic {
-				y = float64(p.Traffic)
+	perModel := len(tiles) + 1
+	return plan[TilingPoint]{
+		header: []string{"Model", "Schedule", "Cycles", "OnchipBytes", "TrafficBytes"},
+		points: len(models) * perModel,
+		group:  1,
+		point: func(idx int) (TilingPoint, error) {
+			model, j := models[idx/perModel], idx%perModel
+			// Routing is deterministic in (batch, experts, topK, skew,
+			// seed): re-sampling per point yields the identical trace a
+			// shared sample would.
+			routing, err := trace.SampleExpertRouting(sp.Batch, model.NumExperts, model.TopK, trace.SkewHeavy, s.Seed)
+			if err != nil {
+				return TilingPoint{}, err
 			}
-			base = append(base, sched.Point{Label: p.Label, Cycles: y, Mem: float64(p.Onchip)})
-		}
-		y := float64(dyn.Cycles)
-		if sp.UseTraffic {
-			y = float64(dyn.Traffic)
-		}
-		dp := sched.Point{Label: "dynamic", Cycles: y, Mem: float64(dyn.Onchip)}
-		pid, err := sched.PID(dp, base)
-		if err != nil {
-			return nil, err
-		}
-		sped, ms, err := sched.ImprovementVsClosest(dp, base)
-		if err != nil {
-			return nil, err
-		}
-		metric := "speedup"
-		if sp.UseTraffic {
-			metric = "traffic saving"
-		}
-		t.Notef("%s: PID=%.2fx; %s vs memory-matched static %.2fx; memory saving vs perf-matched static %.2fx",
-			model.Name, pid, metric, sped, ms)
-	}
-	t.Notes = append(t.Notes, sp.Notes...)
-	return t, nil
+			cfg := workloads.MoELayerConfig{
+				Model: model, Batch: sp.Batch, Dynamic: j == len(tiles), DynamicCap: dynCap,
+				Routing: routing, Seed: s.Seed,
+			}
+			label := "dynamic"
+			if !cfg.Dynamic {
+				cfg.TileSize = tiles[j]
+				label = fmt.Sprintf("tile=%d", cfg.TileSize)
+			}
+			l, err := workloads.BuildMoELayer(cfg)
+			if err != nil {
+				return TilingPoint{}, err
+			}
+			sess, err := l.Program.Run(graph.WithConfig(s.GraphConfig()), graph.WithSeed(s.Seed))
+			if err != nil {
+				return TilingPoint{}, err
+			}
+			oc, err := l.OnchipBytes()
+			if err != nil {
+				return TilingPoint{}, err
+			}
+			return TilingPoint{
+				Label: label, Tile: cfg.TileSize,
+				Cycles: uint64(sess.Result.Cycles), Onchip: oc, Traffic: sess.Result.OffchipTrafficBytes,
+			}, nil
+		},
+		row: func(idx int, group []TilingPoint) ([]any, map[string]string) {
+			name, p := models[idx/perModel].Name, group[0]
+			return []any{name, p.Label, p.Cycles, p.Onchip, p.Traffic},
+				map[string]string{"model": name, "schedule": p.Label}
+		},
+		notes: func(all []TilingPoint) ([]string, error) {
+			metric := "speedup"
+			if sp.UseTraffic {
+				metric = "traffic saving"
+			}
+			pareto := func(p TilingPoint) sched.Point {
+				y := float64(p.Cycles)
+				if sp.UseTraffic {
+					y = float64(p.Traffic)
+				}
+				return sched.Point{Label: p.Label, Cycles: y, Mem: float64(p.Onchip)}
+			}
+			var notes []string
+			for mi, model := range models {
+				var base []sched.Point
+				for _, p := range all[mi*perModel : mi*perModel+len(tiles)] {
+					base = append(base, pareto(p))
+				}
+				dp := pareto(all[mi*perModel+len(tiles)])
+				pid, err := sched.PID(dp, base)
+				if err != nil {
+					return nil, err
+				}
+				sped, ms, err := sched.ImprovementVsClosest(dp, base)
+				if err != nil {
+					return nil, err
+				}
+				notes = append(notes, fmt.Sprintf("%s: PID=%.2fx; %s vs memory-matched static %.2fx; memory saving vs perf-matched static %.2fx",
+					model.Name, pid, metric, sped, ms))
+			}
+			return notes, nil
+		},
+	}, nil
 }
