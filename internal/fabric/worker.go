@@ -146,12 +146,12 @@ func (w *worker) run(ctx context.Context, ls Lease) {
 	go w.heartbeatLoop(hbCtx, ls.ID)
 
 	res := Result{Point: ls.Point}
-	pr, err := w.runPoint(ls)
+	raw, err := w.runPoint(ls)
 	if err != nil {
 		res.Error = err.Error()
 		w.logf("worker %s: point %d: %v", w.id, ls.Point, err)
 	} else {
-		res.Raw = json.RawMessage(pr)
+		res.Raw = json.RawMessage(raw)
 	}
 	stopHB()
 

@@ -178,7 +178,7 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 		return attnResult{Cycles: uint64(sess.Result.Cycles), KVBytes: total * model.KVBytesPerToken()}, nil
 	}
 	p.row = func(r int, group []attnResult) ([]any, map[string]string) {
-		cells, coords := labels(r * p.group)
+		cells, coords := labels(r * len(group))
 		if sp.Compare {
 			for _, g := range group {
 				cells = append(cells, g.Cycles)

@@ -506,7 +506,7 @@ func (sp Spec) rejectIgnoredFields() error {
 			{"kv_chunk", sp.KVChunk != 0},
 			{"regions", sp.Regions != 0},
 			{"kv_variance", sp.KVVariance != ""},
-			// TilingSweep fixes the routing trace to the heavy skew; a
+			// The moe-tiling plan fixes the routing trace to the heavy skew; a
 			// skew field here would silently do nothing (and split the
 			// result-cache address of otherwise-equal specs).
 			{"skew", sp.Skew != ""},
