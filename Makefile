@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
+.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-module-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
 
 all: check
 
@@ -59,6 +59,14 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -compare BENCH_core.json < bench-smoke.out
 	@rm -f bench-smoke.out
 	$(GO) test -run TestSchedStatsGate -v .
+
+# bench-module-smoke runs the end-to-end benchmark module's own tests
+# (bench/ is a separate Go module, so `go test ./...` at the root skips
+# it). They re-render every table the benchmark checks and compare it
+# with the pinned bench/testdata/*.sha256, so an engine change that moves
+# a single output byte fails here (about 10 s).
+bench-module-smoke:
+	cd bench && $(GO) test ./...
 
 # bench-sched profiles the scheduler's coordination cost: the engine
 # comparison matrix under a CPU profile, so `go tool pprof sched.pprof`
@@ -129,4 +137,4 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-check: build vet fmt-check lint test race bench-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke
+check: build vet fmt-check lint test race bench-smoke bench-module-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke

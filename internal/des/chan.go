@@ -180,21 +180,22 @@ func NewChanFn[T any](sim *Simulation, nameFn func() string, capacity int, laten
 	return c
 }
 
-// NewChanOn is NewChanFn with caller-provided backing storage: ready, deq,
-// and vals must each have length capacity. A session that runs many
-// channels carves them all out of a few pooled slabs and frees the lot
-// wholesale when the run ends, instead of allocating three slices per
-// channel. The caller owns the slabs and must not recycle them until every
-// process of the simulation has finished (i.e. after Run returns); values
-// are the caller's to clear before reuse.
-func NewChanOn[T any](sim *Simulation, nameFn func() string, capacity int, latency Time, ready, deq []Time, vals []T) *Chan[T] {
+// InitOn (re)initializes c in place as a fresh, lazily named channel of
+// sim on caller-provided backing storage: ready, deq, and vals must each
+// have length capacity. A caller that runs many channels carves the Chan
+// structs from one []Chan[T] and their rings from a few pooled slabs,
+// reusing both across simulations, instead of allocating a struct and
+// three slices per channel. The caller owns the storage and must not
+// reuse c or recycle the slabs until every process of the simulation has
+// finished (i.e. after Run returns); values are the caller's to clear
+// before reuse. cap must be >= 1.
+func (c *Chan[T]) InitOn(sim *Simulation, nameFn func() string, capacity int, latency Time, ready, deq []Time, vals []T) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("des: channel %q capacity must be >= 1", nameFn()))
 	}
-	c := &Chan[T]{vals: vals}
+	*c = Chan[T]{vals: vals}
 	c.core.initOn(sim, "", capacity, latency, ready, deq)
 	c.core.nameFn = nameFn
-	return c
 }
 
 // Name returns the channel name.

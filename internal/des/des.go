@@ -16,7 +16,7 @@ const timeInf = ^Time(0)
 var errAborted = errors.New("des: simulation aborted")
 
 // Process is the handle a dataflow block uses to interact with virtual
-// time. All methods must be called from the process's own goroutine.
+// time. All methods must be called from the process's own body.
 type Process struct {
 	sim    *Simulation
 	id     int
@@ -27,7 +27,7 @@ type Process struct {
 
 	// selScratch is the reusable core-pointer buffer behind Select, so a
 	// Select in a loop does not allocate per call. Only the process's own
-	// goroutine touches it.
+	// body touches it.
 	selScratch []*chanCore
 
 	seq seqProc // sequential-engine state
@@ -99,14 +99,17 @@ type engine interface {
 	closeChan(c *chanCore, p *Process)
 	sel(p *Process, cores []*chanCore) int
 
-	// schedStats reports the engine's scheduler-contention counters for
-	// the completed run (all zeroes for the sequential engine).
+	// schedStats reports the engine's scheduler counters for the
+	// completed run.
 	schedStats() SchedStats
 }
 
 // Simulation owns the processes and the engine executing them.
 type Simulation struct {
-	procs   []*Process
+	procs []*Process
+	// slab is the chunk Spawn carves processes from. A full chunk is
+	// replaced, never grown, so handed-out *Process pointers stay valid.
+	slab    []Process
 	eng     engine
 	workers int
 	started bool
@@ -146,11 +149,8 @@ func (s *Simulation) Parallel() bool { return s.workers > 1 }
 // Spawn registers a process. The function runs when Run is called; its
 // returned error aborts the simulation. Spawn must not be called after Run.
 func (s *Simulation) Spawn(name string, fn func(p *Process) error) *Process {
-	if s.started {
-		panic("des: Spawn after Run")
-	}
-	p := &Process{sim: s, id: len(s.procs), name: name, fn: fn}
-	s.procs = append(s.procs, p)
+	p := s.newProc(fn)
+	p.name = name
 	return p
 }
 
@@ -158,10 +158,23 @@ func (s *Simulation) Spawn(name string, fn func(p *Process) error) *Process {
 // only when diagnostics (deadlock reports, process errors) need the name,
 // so spawning thousands of processes per run costs no string formatting.
 func (s *Simulation) SpawnFn(nameFn func() string, fn func(p *Process) error) *Process {
+	p := s.newProc(fn)
+	p.nameFn = nameFn
+	return p
+}
+
+// newProc carves the next process from the slab, starting a new chunk
+// (sized to the processes spawned so far, 4 to 256) when it is full.
+func (s *Simulation) newProc(fn func(p *Process) error) *Process {
 	if s.started {
 		panic("des: Spawn after Run")
 	}
-	p := &Process{sim: s, id: len(s.procs), nameFn: nameFn, fn: fn}
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]Process, 0, min(max(len(s.procs), 4), 256))
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	p := &s.slab[len(s.slab)-1]
+	p.sim, p.id, p.fn = s, len(s.procs), fn
 	s.procs = append(s.procs, p)
 	return p
 }
@@ -179,10 +192,11 @@ func (s *Simulation) Run() (Time, error) {
 	return finish, err
 }
 
-// SchedStats returns the engine's scheduler-contention counters for the
-// completed run. The sequential engine has no wake-up machinery and
-// reports all zeroes; the parallel engine fills the counters when Run
-// returns. See SchedStats for the glossary.
+// SchedStats returns the engine's scheduler counters for the completed
+// run. The parallel engine fills all of them; the sequential engine has
+// no wake-up scans and fills only its dispatch counters (Lifts,
+// LiftFastPath, Woken, Grants, GrantFastPath). See SchedStats for the
+// glossary.
 func (s *Simulation) SchedStats() SchedStats { return s.eng.schedStats() }
 
 // Now returns the final virtual time after Run (and, for the sequential

@@ -9,12 +9,15 @@
 // Two engines implement the same virtual-time semantics:
 //
 //   - The sequential engine (New, or NewWithWorkers(n) with n <= 1) runs
-//     exactly one process at a time; a central scheduler dispatches wake
-//     events in (time, sequence) order. This is the reference engine.
-//     Control moves by direct handoff: there is a single control token,
-//     and a blocking process resumes its successor as its own last
-//     action, so a scheduling step is one channel send, not a round trip
-//     through a scheduler goroutine.
+//     exactly one process at a time; a dispatch loop pops wake events in
+//     (time, sequence) order. This is the reference engine. Each process
+//     body runs as a coroutine (iter.Pull): the loop resumes the
+//     process's coroutine, which runs until it blocks and yields back, so
+//     a process switch is two coroutine switches and never goes through
+//     the Go scheduler. Because the body runs on the coroutine that Run's
+//     caller resumes, a process that calls runtime.Goexit ends Run's
+//     caller too (Run does not return; the other processes are still
+//     unwound).
 //
 //   - The parallel engine (NewWithWorkers(n) with n >= 2) is DAM-style
 //     conservative parallel simulation: every process owns a *local* clock
@@ -59,17 +62,18 @@
 // # Ownership and lifecycle
 //
 // Processes are plain Go functions; all Process methods must be called
-// from the process's own goroutine, between the start of its body and
-// its return. Run returns only after every process goroutine has exited
-// (normally, by error, or via the abort sweep after a failure), which is
-// what makes external storage recycling safe — see below.
+// from the process's own body, between its start and its return. Run
+// returns only after every process body has returned (normally, by
+// error, or unwound by the abort sweep after a failure) and its
+// goroutine or coroutine has exited, which is what makes external
+// storage recycling safe — see below.
 //
 // Channel ring storage is normally engine-allocated (NewChan), but a
-// caller may supply its own backing slices via NewChanOn to carve many
-// channels' rings from one arena slab. The engine only ever indexes
-// those slices; it does not grow, alias, or retain them past Run. The
-// caller in turn must not touch or recycle the slabs until Run has
-// returned. The engine's own recycling is limited to storage with no
+// caller may initialize channels in place with Chan.InitOn, carving the
+// Chan structs from one slice and their rings from one arena slab. The
+// engine only ever indexes those slices; it does not grow, alias, or
+// retain them past Run. The caller in turn must not touch or recycle the
+// slabs until Run has returned. The engine's own recycling is limited to storage with no
 // user-visible identity: pooled event-heap backing arrays (pointer
 // slots cleared before returning them to the pool) and the per-process
 // Select scratch buffer. Elements themselves are never recycled by this

@@ -21,11 +21,14 @@ const (
 type seqProc struct {
 	state   procState
 	episode uint64 // wait-episode counter; stale wake events are dropped
-	// resume carries the control token. It is buffered so the handoff
-	// never blocks the granting goroutine: at most one token exists in
-	// the whole simulation (whoever holds it is the only goroutine
-	// touching engine state).
-	resume  chan struct{}
+	// next and stop drive the process body's coroutine (iter.Pull),
+	// created on the process's first dispatch: next resumes it until it
+	// yields or returns, stop unwinds a parked one. yield is the
+	// coroutine's side of the switch, returning false once stop has
+	// been called.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	aborted bool
 	serSeq  uint64
 	// blockedVerb/blockedCh describe what the process is waiting for.
@@ -168,13 +171,13 @@ func (h *serHeap) popReq() serReq {
 // (time, sequence) order so simulations are bit-for-bit reproducible
 // regardless of goroutine scheduling.
 //
-// Control moves by direct handoff: the goroutine that finishes a step
-// selects the next event itself and resumes that process directly, so a
-// process switch costs one channel operation instead of a round-trip
-// through a central scheduler goroutine. Exactly one control token exists;
-// whoever holds it (a process goroutine, or run during startup/teardown)
-// is the only goroutine reading or writing engine state, which preserves
-// the one-at-a-time discipline without any locks.
+// Each process body is a coroutine. run is the dispatch loop: it pops the
+// next event or Serialized request, resumes that process's coroutine, and
+// takes control back when the process blocks (yield) or returns. A process
+// switch is therefore two coroutine switches and never passes through the
+// Go scheduler. Only the running coroutine or the loop touches engine
+// state, never both at once, so the one-at-a-time discipline needs no
+// locks.
 type seqEngine struct {
 	sim      *Simulation
 	nowT     Time
@@ -184,14 +187,11 @@ type seqEngine struct {
 	live     int
 	finish   Time
 	firstErr error
-	aborting bool
-	// done returns control to run (simulation complete, first error, or
-	// deadlock; and once per process during the abort sweep).
-	done chan struct{}
+	stats    SchedStats
 }
 
 func newSeqEngine(s *Simulation) *seqEngine {
-	return &seqEngine{sim: s, done: make(chan struct{})}
+	return &seqEngine{sim: s}
 }
 
 func (e *seqEngine) now(p *Process) Time { return e.nowT }
@@ -201,27 +201,24 @@ func (e *seqEngine) schedule(at Time, p *Process, episode uint64) {
 	e.events.pushEvent(event{at: at, seq: e.seq, proc: p, episode: episode})
 }
 
-// yield transfers control to the next runnable process and blocks until
-// resumed.
+// yield suspends the process's coroutine back to the dispatch loop until
+// a wake event (or Serialized grant) resumes it.
 func (e *seqEngine) yield(p *Process, verb string, ch *chanCore) {
 	sp := &p.seq
 	sp.episode++
 	sp.state = stateWaiting
 	sp.blockedVerb, sp.blockedCh = verb, ch
-	e.dispatch()
-	<-sp.resume
-	sp.state = stateRunning
-	sp.blockedVerb, sp.blockedCh = "", nil
-	if sp.aborted {
+	if !sp.yield(struct{}{}) {
 		panic(errAborted)
 	}
+	sp.blockedVerb, sp.blockedCh = "", nil
 }
 
-// dispatch hands the control token to the next runnable process, or back
-// to run when nothing can ever progress again. The caller must not touch
-// engine state after dispatch returns (control belongs to someone else).
-func (e *seqEngine) dispatch() {
-	var next *Process
+// pick pops the next process to run: the earliest valid wake event, or
+// the first Serialized request when it is due no later. It advances the
+// clock to the dispatch time and returns nil when nothing can ever
+// progress again (deadlock).
+func (e *seqEngine) pick() *Process {
 	haveEv := e.hasValidEventAtOrBefore(timeInf)
 	switch {
 	case haveEv && (len(e.pending) == 0 || e.events[0].at <= e.pending[0].t):
@@ -229,26 +226,20 @@ func (e *seqEngine) dispatch() {
 		if ev.at > e.nowT {
 			e.nowT = ev.at
 		}
-		next = ev.proc
+		return ev.proc
 	case len(e.pending) > 0:
 		r := e.pending.popReq()
 		if r.t > e.nowT {
 			e.nowT = r.t
 		}
-		next = r.p
-	default:
-		// No runnable process: deadlock.
-		if e.firstErr == nil {
-			e.firstErr = e.deadlockError()
-		}
-		e.done <- struct{}{}
-		return
+		return r.p
 	}
-	next.seq.resume <- struct{}{}
+	return nil
 }
 
 func (e *seqEngine) advance(p *Process, d Time) {
 	nt := e.nowT + d
+	e.stats.Lifts++
 	// Fast path: when no other wake or critical section is due at or
 	// before the target time, the dispatcher would pick this process's own
 	// wake event next anyway — advance the clock inline and skip the
@@ -256,6 +247,7 @@ func (e *seqEngine) advance(p *Process, d Time) {
 	// pipeline is parked on channels (backpressured or starved), which is
 	// exactly when a lone active stage ticks through its elements.
 	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(nt) {
+		e.stats.LiftFastPath++
 		e.nowT = nt
 		return
 	}
@@ -267,7 +259,9 @@ func (e *seqEngine) advanceTo(p *Process, t Time) {
 	if t <= e.nowT {
 		return
 	}
+	e.stats.Lifts++
 	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(t) {
+		e.stats.LiftFastPath++
 		e.nowT = t
 		return
 	}
@@ -279,11 +273,13 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 	if p.seq.aborted {
 		panic(errAborted)
 	}
+	e.stats.Grants++
 	// Fast path: with no queued request and no other wake at or before the
 	// current time, this request is first in (time, pid, seq) order — no
 	// other process can act before it, so run inline. This mirrors the
 	// parallel engine's "all other local clocks have passed t" condition.
 	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(e.nowT) {
+		e.stats.GrantFastPath++
 		fn()
 		return
 	}
@@ -294,8 +290,7 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 }
 
 // hasValidEventAtOrBefore prunes stale heap tops and reports whether a
-// dispatchable event exists at or before t. Safe to call from whichever
-// goroutine holds the control token.
+// dispatchable event exists at or before t.
 func (e *seqEngine) hasValidEventAtOrBefore(t Time) bool {
 	for len(e.events) > 0 {
 		top := e.events[0]
@@ -339,54 +334,71 @@ func (e *seqEngine) run() (Time, error) {
 	}()
 	// Seed: every process starts at time 0 in spawn order.
 	for _, p := range e.sim.procs {
-		p.seq.resume = make(chan struct{}, 1)
-		e.startProc(p)
 		e.schedule(0, p, 0)
 	}
 	e.live = len(e.sim.procs)
-	if e.live == 0 {
-		return 0, nil
-	}
-	e.dispatch()
-	<-e.done
-	// Abort any processes still alive (error or deadlock path). Control
-	// is back here, so every live process is parked; resume each with the
-	// abort flag set and wait for its finish notification.
-	e.aborting = true
-	for _, p := range e.sim.procs {
-		if p.seq.state == stateFinished {
-			continue
+	// A process that calls runtime.Goexit ends this goroutine too (see
+	// iter.Pull); the deferred sweep still unwinds the parked rest.
+	defer e.abortAll()
+	for e.live > 0 && e.firstErr == nil {
+		p := e.pick()
+		if p == nil {
+			e.firstErr = e.deadlockError()
+			break
 		}
-		p.seq.aborted = true
-		p.seq.resume <- struct{}{}
-		<-e.done
+		e.resume(p)
 	}
+	e.abortAll()
 	if e.finish < e.nowT {
 		e.finish = e.nowT
 	}
 	return e.finish, e.firstErr
 }
 
-func (e *seqEngine) startProc(p *Process) {
-	go func() {
-		<-p.seq.resume
-		p.seq.state = stateRunning
-		defer func() {
-			recoverAsError(p, recover())
-			e.finishProc(p)
-		}()
-		if p.seq.aborted {
-			panic(errAborted)
-		}
-		p.err = p.fn(p)
-	}()
+// resume runs p's coroutine, starting it on first dispatch, until it
+// yields or returns.
+func (e *seqEngine) resume(p *Process) {
+	sp := &p.seq
+	if sp.next == nil {
+		sp.next, sp.stop = pull(p.seqBody)
+	}
+	sp.state = stateRunning
+	e.stats.Woken++
+	if _, more := sp.next(); !more {
+		e.finishProc(p)
+	}
 }
 
-// finishProc retires a process and passes control on: to run when the
-// simulation is over (or aborting, or this process failed), otherwise to
-// the next runnable process.
+// seqBody is a process's coroutine body.
+func (p *Process) seqBody(yield func(struct{}) bool) {
+	p.seq.yield = yield
+	defer func() { recoverAsError(p, recover()) }()
+	p.err = p.fn(p)
+}
+
+// abortAll retires every process still alive (error or deadlock path):
+// a parked coroutine is stopped, which makes its pending yield panic with
+// errAborted so the body's deferred code runs; one never dispatched has
+// no coroutine to stop. It leaves no coroutine goroutine behind.
+func (e *seqEngine) abortAll() {
+	for _, p := range e.sim.procs {
+		sp := &p.seq
+		if sp.state == stateFinished {
+			continue
+		}
+		sp.aborted = true
+		if sp.stop != nil {
+			sp.stop()
+		}
+		e.finishProc(p)
+	}
+}
+
+// finishProc retires a process whose body has returned or been unwound.
 func (e *seqEngine) finishProc(p *Process) {
-	p.seq.state = stateFinished
+	sp := &p.seq
+	sp.state = stateFinished
+	sp.next, sp.stop, sp.yield = nil, nil, nil
 	e.live--
 	if e.nowT > e.finish {
 		e.finish = e.nowT
@@ -394,11 +406,6 @@ func (e *seqEngine) finishProc(p *Process) {
 	if p.err != nil && e.firstErr == nil {
 		e.firstErr = procError(p)
 	}
-	if e.aborting || e.firstErr != nil || e.live == 0 {
-		e.done <- struct{}{}
-		return
-	}
-	e.dispatch()
 }
 
 func (e *seqEngine) deadlockError() error {
@@ -429,7 +436,7 @@ func seqBlockedOn(sp *seqProc) string {
 	return ""
 }
 
-func (e *seqEngine) schedStats() SchedStats { return SchedStats{} }
+func (e *seqEngine) schedStats() SchedStats { return e.stats }
 
 // --- channel protocol -------------------------------------------------
 

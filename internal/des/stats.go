@@ -5,13 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// SchedStats counts the parallel engine's wake-up machinery, making
-// scheduler contention observable on any hardware: the counters depend on
-// the virtual-time structure of the workload, not on core count or
+// SchedStats counts the engines' scheduling work, making scheduler
+// contention observable on any hardware: the counters depend on the
+// virtual-time structure of the workload, not on core count or
 // wall-clock interleaving, so a 1-CPU CI runner can assert the same
 // O(waiters-on-this-endpoint) bounds a 64-core box would see.
 //
-// The sequential engine reports all zeroes (it has no wake-up scans).
+// The sequential engine has no wake-up scans, so Kicks and Scanned stay
+// zero there. It counts clock-moving Advance/AdvanceTo calls as Lifts
+// (the inline ones as LiftFastPath), every coroutine resume by its
+// dispatch loop as Woken, and Serialized calls as Grants (the inline ones
+// as GrantFastPath).
 type SchedStats struct {
 	// Lifts is the number of committed local-clock lifts (Advance,
 	// channel time bridging, Select commits). Every lift must answer

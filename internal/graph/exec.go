@@ -67,8 +67,9 @@ type Result struct {
 	TotalFLOPs int64
 	// AllocatedComputeBW sums the FLOPs/cycle allocated across operators.
 	AllocatedComputeBW int64
-	// Sched reports the DES engine's scheduler-contention counters for
-	// the run (all zeroes under the sequential engine). Deliberately
+	// Sched reports the parallel DES engine's scheduler-contention
+	// counters for the run (all zeroes under the sequential engine, whose
+	// dispatch counters des.Simulation.SchedStats reports). Deliberately
 	// excluded from result equality: the counters describe how the
 	// engine coordinated, not what the simulation computed.
 	Sched des.SchedStats
@@ -133,7 +134,7 @@ type resettable interface{ ResetRunState() }
 // dequeue times) and value storage for every stream channel of a run,
 // carved from two slices and recycled through ringSlabPool. The slab may
 // only be recycled after the simulation has fully finished — every process
-// goroutine has exited — which run guarantees before releasing it.
+// has returned — which run guarantees before releasing it.
 type ringSlab struct {
 	times []des.Time
 	vals  []element.Element
@@ -220,7 +221,7 @@ func (g *Graph) run(cfg Config) (Result, error) {
 	// Channel depths are known up front, so every channel's ring storage is
 	// carved out of one pooled slab instead of three allocations per stream.
 	// The slab is released after the simulation has fully finished (all
-	// process goroutines joined inside sim.Run).
+	// processes returned inside sim.Run).
 	streamDepth := func(s *Stream) int {
 		if s.depth > 0 {
 			return s.depth
@@ -234,52 +235,38 @@ func (g *Graph) run(cfg Config) (Result, error) {
 	slab := acquireRingSlab(totalDepth)
 	defer releaseRingSlab(slab)
 
-	chans := make(map[*Stream]*Chan, len(g.streams))
+	b := g.bound
+	if b == nil {
+		b = newBinding(g)
+	}
+	defer b.unbind()
 	off := 0
-	for _, s := range g.streams {
-		s := s
+	for i, s := range g.streams {
 		depth := streamDepth(s)
 		lat := cfg.ChannelLatency
 		if s.latency >= 0 {
 			lat = des.Time(s.latency)
 		}
-		// Names are formatted only if a diagnostic (deadlock report, channel
-		// misuse panic) needs them.
-		nameFn := func() string {
-			return fmt.Sprintf("s%d:%s->%s", s.id, producerName(s), consumerName(s))
-		}
-		chans[s] = des.NewChanOn(sim, nameFn, depth, lat,
+		b.chans[i].InitOn(sim, b.chanNames[i], depth, lat,
 			slab.times[2*off:2*off+depth], slab.times[2*off+depth:2*off+2*depth],
 			slab.vals[off:off+depth])
 		off += depth
 	}
-	procs := make(map[*Node]*des.Process, len(g.nodes))
-	for _, n := range g.nodes {
-		node := n
-		ctx := &Ctx{Machine: machine, Counters: counters}
-		for _, in := range node.Inputs {
-			ctx.In = append(ctx.In, chans[in])
-		}
-		for _, out := range node.Outputs {
-			ctx.Out = append(ctx.Out, chans[out])
-		}
-		procs[node] = sim.SpawnFn(func() string {
-			return fmt.Sprintf("n%d:%s", node.ID, node.Op.Name())
-		}, func(p *des.Process) error {
-			ctx.P = p
-			return node.Op.Run(ctx)
-		})
+	for i := range g.nodes {
+		ctx := &b.ctxs[i]
+		ctx.Machine, ctx.Counters = machine, counters
+		b.procs[i] = sim.SpawnFn(b.procNames[i], b.bodies[i])
 	}
 	// Bind every channel to its producing and consuming process: the
 	// parallel engine's conservative Select and wake-bound propagation
 	// need the sender's local clock as each channel's time frontier.
-	for _, s := range g.streams {
-		ch := chans[s]
+	for i, s := range g.streams {
+		ch := &b.chans[i]
 		if s.prod != nil {
-			ch.BindSender(procs[s.prod])
+			ch.BindSender(b.procs[s.prod.ID])
 		}
 		if s.cons != nil {
-			ch.BindRecver(procs[s.cons])
+			ch.BindRecver(b.procs[s.cons.ID])
 		}
 	}
 	cycles, err := sim.Run()
@@ -295,7 +282,9 @@ func (g *Graph) run(cfg Config) (Result, error) {
 		PeakOnchipBytes:     peakOnchip,
 		TotalFLOPs:          counters.FLOPs,
 		AllocatedComputeBW:  g.AllocatedComputeBW(),
-		Sched:               sim.SchedStats(),
+	}
+	if sim.Parallel() {
+		res.Sched = sim.SchedStats()
 	}
 	if err == nil {
 		err = spadErr
@@ -304,6 +293,78 @@ func (g *Graph) run(cfg Config) (Result, error) {
 		return res, fmt.Errorf("graph: run failed: %w", err)
 	}
 	return res, nil
+}
+
+// binding is a graph's executable skeleton: one channel per stream, one
+// Ctx per node with its In/Out edge slices, and the name and body
+// closures handed to the simulation, all indexed by stream and node ID.
+// Compiling a graph builds it once (Graph.compileNamed), and each run
+// rebinds it to a fresh simulation (runs of one graph never overlap; see
+// ErrAlreadyBound); an uncompiled graph, which may still change between
+// runs, builds one per run.
+type binding struct {
+	chans     []Chan
+	ctxs      []Ctx
+	procs     []*des.Process
+	chanNames []func() string
+	procNames []func() string
+	bodies    []func(*des.Process) error
+}
+
+func newBinding(g *Graph) *binding {
+	b := &binding{
+		chans:     make([]Chan, len(g.streams)),
+		ctxs:      make([]Ctx, len(g.nodes)),
+		procs:     make([]*des.Process, len(g.nodes)),
+		chanNames: make([]func() string, len(g.streams)),
+		procNames: make([]func() string, len(g.nodes)),
+		bodies:    make([]func(*des.Process) error, len(g.nodes)),
+	}
+	for i, s := range g.streams {
+		// Names are formatted only if a diagnostic (deadlock report,
+		// channel misuse panic) needs them.
+		b.chanNames[i] = func() string {
+			return fmt.Sprintf("s%d:%s->%s", s.id, producerName(s), consumerName(s))
+		}
+	}
+	nEdges := 0
+	for _, n := range g.nodes {
+		nEdges += len(n.Inputs) + len(n.Outputs)
+	}
+	edges := make([]*Chan, nEdges)
+	carve := func(streams []*Stream) []*Chan {
+		k := len(streams)
+		out := edges[:k:k]
+		edges = edges[k:]
+		for j, s := range streams {
+			out[j] = &b.chans[s.id]
+		}
+		return out
+	}
+	for i, node := range g.nodes {
+		ctx := &b.ctxs[i]
+		ctx.In = carve(node.Inputs)
+		ctx.Out = carve(node.Outputs)
+		b.procNames[i] = func() string {
+			return fmt.Sprintf("n%d:%s", node.ID, node.Op.Name())
+		}
+		b.bodies[i] = func(p *des.Process) error {
+			ctx.P = p
+			return node.Op.Run(ctx)
+		}
+	}
+	return b
+}
+
+// unbind drops every reference a finished run left in the binding, so a
+// compiled graph does not pin its last simulation, machine or ring slab.
+func (b *binding) unbind() {
+	clear(b.chans)
+	clear(b.procs)
+	for i := range b.ctxs {
+		ctx := &b.ctxs[i]
+		ctx.P, ctx.Machine, ctx.Counters = nil, nil, nil
+	}
 }
 
 func consumerName(s *Stream) string {

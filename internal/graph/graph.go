@@ -126,6 +126,8 @@ type Graph struct {
 	// compiled marks the graph frozen: Compile succeeded and further
 	// structural mutation is a recorded construction error.
 	compiled bool
+	// bound is a compiled graph's reusable run skeleton (see binding).
+	bound *binding
 	// running guards against concurrent executions of one graph: each run
 	// binds per-run engine state, but operator instances are shared, so
 	// two overlapping runs would race (see ErrAlreadyBound).

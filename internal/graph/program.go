@@ -73,6 +73,9 @@ func (g *Graph) compileNamed(name string) (*Program, error) {
 		seen[n.Op.Name()] = true
 	}
 	g.compiled = true
+	if g.bound == nil {
+		g.bound = newBinding(g)
+	}
 	return &Program{name: name, src: g}, nil
 }
 
