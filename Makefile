@@ -40,9 +40,10 @@ test:
 
 # The race job trims the determinism matrix with -short (see
 # internal/experiments/determinism_test.go); the full matrix runs
-# under `make test`.
+# under `make test`. The root package is included so the facade's
+# Program runs (step_test.go, sched_gate_test.go) are race-checked too.
 race:
-	$(GO) test -race -short ./internal/...
+	$(GO) test -race -short . ./internal/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
@@ -97,8 +98,8 @@ sweep-smoke:
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/mixed_serving.json
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/program_pipeline.json
 
-# examples-smoke builds and runs every example program, so API-shim
-# regressions (the deprecated Graph.Run path, the Program/Session API,
+# examples-smoke builds and runs every example program, so regressions in
+# the public API (the Program/Session run path, the workload builders,
 # the program IR loader) surface in CI instead of on users.
 examples-smoke:
 	@set -e; for d in examples/*/; do \

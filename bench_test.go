@@ -190,9 +190,7 @@ func BenchmarkEngineCompare(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := DefaultConfig()
-				cfg.SimWorkers = w
-				if _, err := l.Graph.Run(cfg); err != nil {
+				if _, err := l.Program.Run(WithSimWorkers(w)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,9 +209,7 @@ func BenchmarkEngineCompare(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := DefaultConfig()
-				cfg.SimWorkers = w
-				if _, err := a.Graph.Run(cfg); err != nil {
+				if _, err := a.Program.Run(WithSimWorkers(w)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -293,7 +289,7 @@ func BenchmarkMoELayerSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := l.Graph.Run(DefaultConfig()); err != nil {
+		if _, err := l.Program.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +309,7 @@ func BenchmarkAttentionSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Graph.Run(DefaultConfig()); err != nil {
+		if _, err := a.Program.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,10 +324,11 @@ func BenchmarkSimpleMoE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := moe.Graph.Run(DefaultConfig()); err != nil {
+		sess, err := moe.Program.Run()
+		if err != nil {
 			b.Fatal(err)
 		}
-		if element.CountData(moe.Output.Elements()) == 0 {
+		if out, _ := sess.Captured(moe.Output.Name()); element.CountData(out) == 0 {
 			b.Fatal("no output")
 		}
 	}
@@ -339,8 +336,8 @@ func BenchmarkSimpleMoE(b *testing.B) {
 
 // BenchmarkCompileOnceRunMany measures the payoff of the Program API's
 // build/run split: one compiled MoE-layer program run repeatedly
-// (fresh engine state per run) against the legacy rebuild-per-point
-// shape where every run reconstructs the whole graph first.
+// (fresh engine state per run) against rebuilding the whole graph
+// before every run.
 func BenchmarkCompileOnceRunMany(b *testing.B) {
 	m := workloads.Qwen3Config().Scaled(8)
 	routing, err := trace.SampleExpertRouting(64, m.NumExperts, m.TopK, trace.SkewHeavy, 7)

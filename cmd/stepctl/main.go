@@ -584,11 +584,12 @@ func demo() error {
 	if err != nil {
 		return err
 	}
-	res, err := moe.Graph.Run(step.DefaultConfig())
+	sess, err := moe.Program.Run()
 	if err != nil {
 		return err
 	}
-	rows, err := moe.OutputRows()
+	res := sess.Result
+	rows, err := moe.OutputRows(sess)
 	if err != nil {
 		return err
 	}
@@ -602,7 +603,7 @@ func dot() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(moe.Graph.Dot("simplified-moe"))
+	fmt.Print(moe.Program.Dot("simplified-moe"))
 	return nil
 }
 
@@ -642,10 +643,11 @@ func moe(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := layer.Graph.Run(step.DefaultConfig())
+	sess, err := layer.Program.Run()
 	if err != nil {
 		return err
 	}
+	res := sess.Result
 	onchip, err := layer.OnchipBytes()
 	if err != nil {
 		return err

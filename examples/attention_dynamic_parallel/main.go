@@ -35,14 +35,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := a.Graph.Run(step.DefaultConfig())
+			sess, err := a.Program.Run()
 			if err != nil {
 				log.Fatal(err)
 			}
-			if a.CompletedRequests() != batch {
-				log.Fatalf("%v completed %d of %d", strategy, a.CompletedRequests(), batch)
+			if n := a.CompletedRequests(sess); n != batch {
+				log.Fatalf("%v completed %d of %d", strategy, n, batch)
 			}
-			return uint64(res.Cycles)
+			return uint64(sess.Result.Cycles)
 		}
 		ic := cycles(step.StaticInterleaved, 0)
 		cc := cycles(step.StaticCoarse, 16)

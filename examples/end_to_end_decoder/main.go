@@ -26,7 +26,7 @@ func main() {
 		cfg.SampleLayers = 2
 		cfg.Skew = step.SkewHeavy
 		cfg.Seed = 11
-		res, err := step.RunDecoder(cfg, step.DefaultConfig())
+		res, err := step.RunDecoder(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

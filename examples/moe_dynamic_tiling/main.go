@@ -41,10 +41,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := layer.Graph.Run(step.DefaultConfig())
+		sess, err := layer.Program.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := sess.Result
 		onchip, err := layer.OnchipBytes()
 		if err != nil {
 			log.Fatal(err)

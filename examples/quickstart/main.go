@@ -32,7 +32,7 @@ func main() {
 	}
 	res := sess.Result
 
-	rows, err := moe.OutputRows()
+	rows, err := moe.OutputRows(sess)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,14 +46,6 @@ func Figure1() *Table {
 	return t
 }
 
-// fig8Config is the validation hardware setup (§4.5): on-chip memory units
-// at 256 B/cycle.
-func fig8Config(s Suite) graph.Config {
-	cfg := s.GraphConfig()
-	cfg.Onchip = onchip.Config{BandwidthBytesPerCycle: 256}
-	return cfg
-}
-
 // Figure8 sweeps SwiGLU tile sizes and compares the STeP simulator against
 // the fine-grained physical-tile reference, reporting cycles, traffic, and
 // the Pearson correlation (the paper reports 0.99 against its HDL model).
@@ -74,10 +66,14 @@ func Figure8(s Suite) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := sw.Graph.Run(fig8Config(s))
+			// The validation hardware (§4.5): on-chip memory units at
+			// 256 B/cycle.
+			sess, err := sw.Program.Run(graph.WithSimWorkers(s.SimWorkers),
+				graph.WithOnchip(onchip.Config{BandwidthBytesPerCycle: 256}))
 			if err != nil {
 				return nil, err
 			}
+			res := sess.Result
 			ref, err := hdlsim.Simulate(hdlsim.Config{
 				Batch: 64, Hidden: 256, Inter: 512,
 				BatchTile: bt, InterTile: it,
@@ -165,18 +161,23 @@ func Figure18(s Suite) (*Table, error) {
 			}
 			out = ops.Map2(g, "atb", aS, bS, fn, ops.ComputeOpts{ComputeBW: 1024})
 		}
-		cap := ops.Capture(g, "cap", out)
-		res, err := g.Run(s.GraphConfig())
+		ops.Capture(g, "cap", out)
+		prog, err := g.Compile()
 		if err != nil {
 			return 0, nil, err
 		}
+		sess, err := prog.Run(graph.WithSimWorkers(s.SimWorkers))
+		if err != nil {
+			return 0, nil, err
+		}
+		captured, _ := sess.Captured("cap")
 		var tiles []*tile.Tile
-		for _, e := range cap.Elements() {
+		for _, e := range captured {
 			if e.IsData() {
 				tiles = append(tiles, e.Value.(element.TileVal).T)
 			}
 		}
-		return uint64(res.Cycles), tiles, nil
+		return uint64(sess.Result.Cycles), tiles, nil
 	}
 	check := func(tiles []*tile.Tile) bool {
 		if len(tiles) != tLen {

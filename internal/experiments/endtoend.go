@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 
+	"step/internal/graph"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -68,7 +69,7 @@ func Figure17(s Suite) (*Table, error) {
 			cfg.SampleLayers = sampleLayers
 			cfg.Skew = trace.SkewHeavy
 			cfg.Seed = s.Seed
-			return workloads.RunDecoder(cfg, s.GraphConfig())
+			return workloads.RunDecoder(cfg, graph.WithSimWorkers(s.SimWorkers))
 		})
 		if err != nil {
 			return modelRun{}, err

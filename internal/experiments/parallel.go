@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"step/internal/graph"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -23,11 +24,11 @@ func runAttention(s Suite, model workloads.ModelConfig, kv []int, strategy workl
 	if err != nil {
 		return 0, err
 	}
-	res, err := a.Graph.Run(s.GraphConfig())
+	sess, err := a.Program.Run(graph.WithSimWorkers(s.SimWorkers))
 	if err != nil {
 		return 0, err
 	}
-	return uint64(res.Cycles), nil
+	return uint64(sess.Result.Cycles), nil
 }
 
 // Figure14 compares dynamic parallelization against static interleaved

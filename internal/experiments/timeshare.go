@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"step/internal/graph"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
@@ -35,11 +36,11 @@ func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]ti
 		if err != nil {
 			return timesharePoint{}, err
 		}
-		cfg := s.GraphConfig()
-		res, err := l.Graph.Run(cfg)
+		sess, err := l.Program.Run(graph.WithSimWorkers(s.SimWorkers))
 		if err != nil {
 			return timesharePoint{}, err
 		}
+		res := sess.Result
 		oc, err := l.OnchipBytes()
 		if err != nil {
 			return timesharePoint{}, err
@@ -50,7 +51,7 @@ func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]ti
 			computeUtil: res.ComputeUtilization(),
 			onchip:      oc,
 			allocBW:     res.AllocatedComputeBW,
-			offchipUtil: res.OffchipBWUtilization(cfg.HBM.BandwidthBytesPerCycle),
+			offchipUtil: res.OffchipBWUtilization(sess.Config.HBM.BandwidthBytesPerCycle),
 		}, nil
 	})
 }

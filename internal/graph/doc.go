@@ -8,16 +8,22 @@
 //
 // # Execution lifecycle
 //
-// A Graph owns its operator instances; engine state (the DES simulation,
-// channels, machine model, counters) is rebuilt for every run. One graph
-// may therefore be run repeatedly, but not concurrently with itself —
-// Run returns ErrAlreadyBound on overlap. Compile a graph into a Program
-// for concurrency-safe repeated runs: each Program.Run instantiates a
-// fresh graph from the IR.
+// A graph is built, compiled, and run: Graph.Compile verifies it and
+// freezes it into its one Program, and Program.Run(opts...) is the only
+// way to execute it. Each run rebuilds the engine state (the DES
+// simulation, channels, machine model, counters) and returns a Session
+// holding the Result, the effective Config, and the captured streams.
+//
+//   - A Go-built graph owns its operator instances, so its Program
+//     serializes runs: concurrent Runs are legal and each sees a clean
+//     reset, one simulation at a time. An operator function must not run
+//     its own Program.
+//   - An IR-backed Program (CompileIR) instantiates a fresh graph per
+//     run, so its runs are fully parallel.
 //
 // Determinism: with the default channel latency (>= 1) a graph produces
 // identical Results under the sequential and the conservative-parallel
-// DES engine at any worker count (Config.SimWorkers). The experiment
+// DES engine at any worker count (WithSimWorkers). The experiment
 // harness and scenario sweeps rely on this to certify byte-identical
 // tables across the engine matrix. stepvet (make lint) certifies the
 // static half: the determinism analyzer rejects order-leaking map

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -22,7 +21,9 @@ type Machine struct {
 	ChannelLatency des.Time
 }
 
-// Config parameterizes a run.
+// Config is the effective machine and engine settings of one run, as
+// recorded in Session.Config. Callers set them with RunOptions
+// (WithSimWorkers, WithOnchip, …) on top of DefaultConfig.
 type Config struct {
 	HBM            hbm.Config
 	Onchip         onchip.Config
@@ -117,14 +118,6 @@ func (r Result) OffchipBWUtilization(peakBytesPerCycle int64) float64 {
 	return float64(r.OffchipTrafficBytes) / (float64(peakBytesPerCycle) * float64(r.Cycles))
 }
 
-// ErrAlreadyBound is returned by Run when the graph is already executing
-// on another goroutine. Engine state (channels, machine, counters) is
-// rebuilt per run, but operator instances are shared by every run of one
-// graph, so overlapping executions would race. Sequential re-runs are
-// legal: per-run operator state is reset at the start of each run.
-// Compile the graph into a Program for concurrency-safe repeated runs.
-var ErrAlreadyBound = errors.New("graph: already running (concurrent Graph.Run on one graph; compile to a Program and use Program.Run)")
-
 // resettable is implemented by operators that accumulate per-run state
 // (captures, store handles); Run resets them so a graph can be executed
 // repeatedly with well-defined semantics.
@@ -163,40 +156,12 @@ func releaseRingSlab(s *ringSlab) {
 	ringSlabPool.Put(s)
 }
 
-// Run validates the graph, maps every node to a DES process and every
-// stream to a bounded channel, and executes to completion.
-//
-// Re-run semantics: running the same graph again sequentially is legal
-// and deterministic — per-run operator state (captured streams, store
-// regions) is cleared first. A Run that overlaps another Run of the same
-// graph returns ErrAlreadyBound.
-func (g *Graph) Run(cfg Config) (Result, error) {
-	res, _, err := g.runSession(cfg, false)
-	return res, err
-}
-
-// runSession executes under the reentrancy guard and, when asked,
-// snapshots the captured streams before releasing it — a capture
-// collected after release could race with the reset of a subsequent
-// run (Program.Run's session path needs the snapshot).
-func (g *Graph) runSession(cfg Config, collect bool) (Result, map[string][]element.Element, error) {
-	if !g.running.CompareAndSwap(false, true) {
-		return Result{}, nil, ErrAlreadyBound
-	}
-	defer g.running.Store(false)
-	res, err := g.run(cfg)
-	if err != nil {
-		return res, nil, err
-	}
-	var captures map[string][]element.Element
-	if collect {
-		captures = collectCaptures(g)
-	}
-	return res, captures, nil
-}
-
-// run executes the graph without the reentrancy guard; Program.Run uses
-// it under its own serialization.
+// run validates the graph, maps every node to a DES process and every
+// stream to a bounded channel, and executes to completion. Per-run
+// operator state (captured streams, store regions) is cleared first, so
+// sequential re-runs are deterministic. Runs of one graph must not
+// overlap: operator instances are shared, and Program.Run serializes
+// them on the graph's one Program.
 func (g *Graph) run(cfg Config) (Result, error) {
 	if err := g.Finalize(); err != nil {
 		return Result{}, fmt.Errorf("graph: invalid program: %w", err)
@@ -299,9 +264,9 @@ func (g *Graph) run(cfg Config) (Result, error) {
 // Ctx per node with its In/Out edge slices, and the name and body
 // closures handed to the simulation, all indexed by stream and node ID.
 // Compiling a graph builds it once (Graph.compileNamed), and each run
-// rebinds it to a fresh simulation (runs of one graph never overlap; see
-// ErrAlreadyBound); an uncompiled graph, which may still change between
-// runs, builds one per run.
+// rebinds it to a fresh simulation (runs of one graph never overlap: its
+// Program serializes them); an IR program's per-run graph, which is never
+// compiled, builds one for its single run.
 type binding struct {
 	chans     []Chan
 	ctxs      []Ctx

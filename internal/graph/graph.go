@@ -123,15 +123,12 @@ type Graph struct {
 	nodes   []*Node
 	streams []*Stream
 	errs    []error
-	// compiled marks the graph frozen: Compile succeeded and further
-	// structural mutation is a recorded construction error.
-	compiled bool
+	// prog is the graph's one Program, set by the first successful
+	// Compile; from then on the graph is frozen and further structural
+	// mutation is a recorded construction error.
+	prog *Program
 	// bound is a compiled graph's reusable run skeleton (see binding).
 	bound *binding
-	// running guards against concurrent executions of one graph: each run
-	// binds per-run engine state, but operator instances are shared, so
-	// two overlapping runs would race (see ErrAlreadyBound).
-	running atomic.Bool
 }
 
 // New creates an empty graph.
@@ -205,7 +202,7 @@ func (g *Graph) AttachInput(n *Node, s *Stream) {
 // checkMutable records a construction error when the graph was already
 // compiled into an immutable Program.
 func (g *Graph) checkMutable(op string) {
-	if g.compiled {
+	if g.prog != nil {
 		g.Errf("graph: %s after Compile (compiled programs are immutable; build a new graph)", op)
 	}
 }

@@ -13,19 +13,21 @@ import (
 )
 
 // Program is an immutable, validated STeP program: the artifact
-// Graph.Compile produces. Compilation runs the builder's shape
-// verification (Finalize), freezes the graph against further structural
-// mutation, and precomputes the symbolic §4.2 metric equations. A
-// Program can be run many times; each Run instantiates fresh engine
-// state (channels, machine model, counters), so results are independent
-// of previous runs.
+// Graph.Compile produces, and the only way to run one. Compilation runs
+// the builder's shape verification (Finalize) and freezes the graph
+// against further structural mutation; the symbolic §4.2 metric
+// equations derive on demand. A Program can be run many times; each Run
+// instantiates fresh engine state (channels, machine model, counters),
+// so results are independent of previous runs.
 //
 // Programs loaded from the serializable IR (CompileIR) additionally
 // re-instantiate every operator per run, which makes concurrent Runs of
-// one Program fully parallel. Programs compiled from a Go-built graph
-// may close over shared operator instances (custom functions, capture
-// handles), so their runs are serialized internally — still legal from
-// any number of goroutines, just one simulation at a time.
+// one Program fully parallel. A Go-built graph has exactly one Program,
+// whose runs share the graph's operator instances (custom functions,
+// capture handles) and are therefore serialized — still legal from any
+// number of goroutines, just one simulation at a time. An operator
+// function must not run its own Program: the nested Run would wait for
+// the one it is part of.
 type Program struct {
 	name   string
 	src    *Graph
@@ -38,20 +40,18 @@ type Program struct {
 	ir     *ProgramIR
 	irErr  error
 
-	// The §4.2 metric equations also derive lazily (same rationale).
-	metricsOnce sync.Once
-	onchip      symbolic.Expr
-	traffic     symbolic.Expr
-	allocBW     int64
+	// The §4.2 metric equations also derive lazily (same rationale), and
+	// each on its own: a sweep point usually evaluates only one of them.
+	onchip, traffic func() symbolic.Expr
 
-	// mu serializes closure-bound runs (see type comment).
+	// mu serializes a Go-built graph's runs (see type comment).
 	mu sync.Mutex
 }
 
-// Compile validates the graph and freezes it into a Program. After a
+// Compile validates the graph and freezes it into its Program. After a
 // successful Compile the graph is immutable: AddNode/NewStream record
-// construction errors. The graph's deprecated Run method keeps working
-// (it executes the same frozen structure).
+// construction errors. Compiling again returns the same *Program, so
+// every run of the graph's shared operators goes through one lock.
 func (g *Graph) Compile() (*Program, error) {
 	return g.compileNamed("")
 }
@@ -59,6 +59,9 @@ func (g *Graph) Compile() (*Program, error) {
 func (g *Graph) compileNamed(name string) (*Program, error) {
 	if err := g.Finalize(); err != nil {
 		return nil, fmt.Errorf("graph: compile: %w", err)
+	}
+	if g.prog != nil {
+		return g.prog, nil
 	}
 	// Captured streams are addressed by operator name per run
 	// (Session.Captured); duplicates would silently shadow one another.
@@ -72,21 +75,14 @@ func (g *Graph) compileNamed(name string) (*Program, error) {
 		}
 		seen[n.Op.Name()] = true
 	}
-	g.compiled = true
-	if g.bound == nil {
-		g.bound = newBinding(g)
+	g.bound = newBinding(g)
+	g.prog = &Program{
+		name:    name,
+		src:     g,
+		onchip:  sync.OnceValue(g.SymbolicOnchipBytes),
+		traffic: sync.OnceValue(g.SymbolicOffchipTrafficBytes),
 	}
-	return &Program{name: name, src: g}, nil
-}
-
-// metrics computes the symbolic §4.2 equations once, on demand.
-func (p *Program) metrics() *Program {
-	p.metricsOnce.Do(func() {
-		p.onchip = p.src.SymbolicOnchipBytes()
-		p.traffic = p.src.SymbolicOffchipTrafficBytes()
-		p.allocBW = p.src.AllocatedComputeBW()
-	})
-	return p
+	return g.prog, nil
 }
 
 // CompileIR builds and compiles a program from its serializable IR.
@@ -121,14 +117,14 @@ func (p *Program) NodeCount() int { return len(p.src.nodes) }
 func (p *Program) StreamCount() int { return len(p.src.streams) }
 
 // OnchipBytesExpr is the program's symbolic on-chip requirement (§4.2).
-func (p *Program) OnchipBytesExpr() symbolic.Expr { return p.metrics().onchip }
+func (p *Program) OnchipBytesExpr() symbolic.Expr { return p.onchip() }
 
 // OffchipTrafficBytesExpr is the symbolic off-chip traffic (§4.2).
-func (p *Program) OffchipTrafficBytesExpr() symbolic.Expr { return p.metrics().traffic }
+func (p *Program) OffchipTrafficBytesExpr() symbolic.Expr { return p.traffic() }
 
 // AllocatedComputeBW sums the compute bandwidth allocated across
 // operators (FLOPs/cycle).
-func (p *Program) AllocatedComputeBW() int64 { return p.metrics().allocBW }
+func (p *Program) AllocatedComputeBW() int64 { return p.src.AllocatedComputeBW() }
 
 // Dot renders the program in Graphviz DOT format.
 func (p *Program) Dot(title string) string { return p.src.Dot(title) }
@@ -172,12 +168,6 @@ type RunOption func(*runSettings)
 type runSettings struct {
 	cfg    Config
 	params symbolic.Env
-}
-
-// WithConfig replaces the whole run configuration (the escape hatch for
-// callers holding a legacy Config).
-func WithConfig(cfg Config) RunOption {
-	return func(rs *runSettings) { rs.cfg = cfg }
 }
 
 // WithSeed sets the run seed: IR programs with seeded random content
@@ -233,7 +223,8 @@ func WithParams(env symbolic.Env) RunOption {
 type Session struct {
 	// Result summarizes the simulated run.
 	Result Result
-	// Config is the effective run configuration (after options).
+	// Config records the run's effective settings: DefaultConfig with
+	// the options applied.
 	Config Config
 
 	program  *Program
@@ -242,42 +233,32 @@ type Session struct {
 }
 
 // Run executes the compiled program with fresh engine state and returns
-// the run's session. Options default to DefaultConfig with seed 0.
+// the run's session. Options apply on top of DefaultConfig (seed 0).
 // Repeated and concurrent Runs of one Program are legal: IR-backed
-// programs instantiate a fresh operator graph per run; Go-built
-// programs share operator instances, so their runs serialize
-// internally.
+// programs instantiate a fresh operator graph per run and run fully in
+// parallel; a Go-built program's runs share operator instances and
+// serialize on the Program. The capture snapshot is taken before the
+// next run can reset the captures.
 func (p *Program) Run(opts ...RunOption) (*Session, error) {
 	rs := runSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
 		o(&rs)
 	}
-	s := &Session{Config: rs.cfg, program: p, params: rs.params}
+	g := p.src
 	if p.fromIR {
-		g, err := BuildIR(p.ir, rs.cfg.Seed)
-		if err != nil {
+		var err error
+		if g, err = BuildIR(p.ir, rs.cfg.Seed); err != nil {
 			return nil, fmt.Errorf("graph: instantiate program: %w", err)
 		}
-		s.Result, s.captures, err = g.runSession(rs.cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
+	} else {
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Go through the graph's own reentrancy guard: Program.Runs
-	// serialize on p.mu, so the only way the guard trips is an
-	// overlapping legacy Graph.Run (or another Program compiled from the
-	// same graph) — which must surface as ErrAlreadyBound, not race. The
-	// capture snapshot happens inside the guard for the same reason.
-	res, captures, err := p.src.runSession(rs.cfg, true)
+	res, err := g.run(rs.cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.Result = res
-	s.captures = captures
-	return s, nil
+	return &Session{Result: res, Config: rs.cfg, program: p, captures: collectCaptures(g), params: rs.params}, nil
 }
 
 // capturer is implemented by recording sinks (ops.CaptureOp).
@@ -319,11 +300,11 @@ func (s *Session) Program() *Program { return s.program }
 // OnchipRequirement evaluates the program's symbolic on-chip equation
 // under the session's WithParams bindings.
 func (s *Session) OnchipRequirement() (int64, error) {
-	return s.program.metrics().onchip.Eval(s.params)
+	return s.program.onchip().Eval(s.params)
 }
 
 // OffchipTrafficEq evaluates the symbolic off-chip traffic equation
 // under the session's WithParams bindings.
 func (s *Session) OffchipTrafficEq() (int64, error) {
-	return s.program.metrics().traffic.Eval(s.params)
+	return s.program.traffic().Eval(s.params)
 }

@@ -26,65 +26,72 @@ func buildDoubler(n int) (*graph.Graph, *ops.CaptureOp) {
 	return g, cap
 }
 
-// TestGraphRunTwiceDeterministic: sequential re-runs of one graph are
-// legal and identical — per-run operator state (captures) resets.
-func TestGraphRunTwiceDeterministic(t *testing.T) {
-	g, cap := buildDoubler(8)
-	r1, err := g.Run(graph.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := element.FormatStream(cap.Elements())
-	r2, err := g.Run(graph.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := element.FormatStream(cap.Elements())
-	if r1 != r2 {
-		t.Fatalf("re-run results differ: %+v vs %+v", r1, r2)
-	}
-	if c1 != c2 {
-		t.Fatalf("re-run captures differ (stale state leaked):\n %s\n %s", c1, c2)
-	}
-	if n := element.CountData(cap.Elements()); n != 8 {
-		t.Fatalf("capture has %d data elements after 2 runs, want 8", n)
-	}
-}
-
-// TestGraphRunConcurrentErrAlreadyBound: a Run overlapping another Run
-// of the same graph fails with ErrAlreadyBound. The overlap is forced
-// deterministically: an operator re-enters Run mid-simulation.
-func TestGraphRunConcurrentErrAlreadyBound(t *testing.T) {
-	g := graph.New()
-	in := ops.CountSource(g, "in", 2)
-	var inner error
-	reenter := ops.Map(g, "reenter", in, ops.MapFn{
-		Name: "reenter",
-		Apply: func(v element.Value) (element.Value, int64, error) {
-			_, inner = g.Run(graph.DefaultConfig())
-			return v, 0, nil
-		},
-	}, ops.ComputeOpts{})
-	ops.Sink(g, "drop", reenter)
-	if _, err := g.Run(graph.DefaultConfig()); err != nil {
-		t.Fatalf("outer run: %v", err)
-	}
-	if !errors.Is(inner, graph.ErrAlreadyBound) {
-		t.Fatalf("inner Run error = %v, want ErrAlreadyBound", inner)
-	}
-}
-
 // TestGraphMutationAfterCompile: structural mutation of a compiled
-// graph is a recorded construction error surfacing on the next run.
+// graph is a recorded construction error surfacing on the next run (and
+// on a repeated Compile).
 func TestGraphMutationAfterCompile(t *testing.T) {
 	g, _ := buildDoubler(2)
-	if _, err := g.Compile(); err != nil {
+	prog, err := g.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
 	extra := ops.CountSource(g, "late", 1)
 	ops.Sink(g, "latesink", extra)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := prog.Run(); err == nil {
 		t.Fatal("run succeeded after post-compile mutation")
+	}
+	if _, err := g.Compile(); err == nil {
+		t.Fatal("recompile succeeded after post-compile mutation")
+	}
+}
+
+// TestCompileReturnsOneProgram: compiling a graph twice yields the same
+// *Program, so runs through either handle serialize on one lock instead
+// of racing on the shared operator instances.
+func TestCompileReturnsOneProgram(t *testing.T) {
+	g, _ := buildDoubler(16)
+	p1, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Fatal("second Compile returned a different *Program")
+	}
+	base, err := p1.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := base.Captured("out")
+	var wg sync.WaitGroup
+	errs := make([]error, 16)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			prog := p1
+			if i%2 == 1 {
+				prog = p2
+			}
+			s, err := prog.Run(graph.WithSimWorkers(i % 3))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got, _ := s.Captured("out")
+			if !s.Result.Equal(base.Result) || element.FormatStream(got) != element.FormatStream(want) {
+				errs[i] = errors.New("mismatch")
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent run %d: %v", i, err)
+		}
 	}
 }
 
@@ -128,7 +135,7 @@ func TestProgramConcurrentRunsIR(t *testing.T) {
 
 // TestProgramConcurrentRunsClosureBound: a program holding Go closures
 // cannot re-instantiate, so its runs serialize — but stay legal and
-// deterministic from any number of goroutines.
+// deterministic, sequentially and from any number of goroutines.
 func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 	g, _ := buildDoubler(16)
 	prog, err := g.Compile()
@@ -140,6 +147,24 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := base.Captured("out")
+	// A sequential re-run is identical: per-run operator state (the
+	// capture) resets instead of accumulating, and the first session's
+	// snapshot is not disturbed.
+	again, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := again.Captured("out")
+	if again.Result != base.Result || element.FormatStream(got) != element.FormatStream(want) {
+		t.Fatalf("re-run differs: %+v %s vs %+v %s",
+			again.Result, element.FormatStream(got), base.Result, element.FormatStream(want))
+	}
+	if n := element.CountData(got); n != 16 {
+		t.Fatalf("capture has %d data elements after 2 runs, want 16", n)
+	}
+	if first, _ := base.Captured("out"); element.FormatStream(first) != element.FormatStream(want) {
+		t.Fatal("first session's capture changed after a re-run")
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := range errs {
@@ -162,28 +187,6 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concurrent run %d: %v", i, err)
 		}
-	}
-}
-
-// TestProgramRunMatchesLegacyRun: the deprecated Graph.Run and the
-// compiled Program.Run produce identical results for one configuration.
-func TestProgramRunMatchesLegacyRun(t *testing.T) {
-	g1, _ := buildDoubler(8)
-	legacy, err := g1.Run(graph.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _ := buildDoubler(8)
-	prog, err := g2.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := prog.Run(graph.WithConfig(graph.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Result.Equal(legacy) {
-		t.Fatalf("results differ: %+v vs %+v", sess.Result, legacy)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"step/internal/graph"
 )
 
 // Suite configures a run of the experiment set.
@@ -50,14 +48,6 @@ type Suite struct {
 	// nested sweeps draw from one budget so total concurrency stays
 	// bounded by Workers at any fan-out depth.
 	sem chan struct{}
-}
-
-// GraphConfig is the standard per-simulation configuration with the
-// suite's DES engine selection applied.
-func (s Suite) GraphConfig() graph.Config {
-	cfg := graph.DefaultConfig()
-	cfg.SimWorkers = s.SimWorkers
-	return cfg
 }
 
 // effectiveWorkers resolves a Suite.Workers setting to a concrete worker

@@ -59,12 +59,11 @@ func TestFigure8Correlation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := graph.DefaultConfig()
-			cfg.Onchip = onchip.Config{BandwidthBytesPerCycle: 256}
-			res, err := sw.Graph.Run(cfg)
+			sess, err := sw.Program.Run(graph.WithOnchip(onchip.Config{BandwidthBytesPerCycle: 256}))
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := sess.Result
 			href, err := Simulate(Config{
 				Batch: 64, Hidden: 256, Inter: 512,
 				BatchTile: bt, InterTile: it,
@@ -133,12 +132,18 @@ func TestTransformedMatmulMatchesDirect(t *testing.T) {
 	aS := ops.Source(g, "a", shape.OfInts(tLen), graph.StaticTile(k, m), aE)
 	bS := ops.Source(g, "b", shape.OfInts(tLen), graph.StaticTile(k, n), bE)
 	out := TransformedMatmulATB(g, aS, bS, Phys)
-	cap := ops.Capture(g, "cap", out)
-	if _, err := g.Run(graph.DefaultConfig()); err != nil {
+	ops.Capture(g, "cap", out)
+	prog, err := g.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
+	sess, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, _ := sess.Captured("cap")
 	var got []*tile.Tile
-	for _, e := range cap.Elements() {
+	for _, e := range captured {
 		if e.IsData() {
 			got = append(got, e.Value.(element.TileVal).T)
 		}

@@ -27,7 +27,7 @@ func TestTakeUnderflowErrors(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(1), graph.ScalarType{}, []element.Element{sc(1), dn})
 	tk := Take(g, "take", s, 3)
 	Capture(g, "cap", tk)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runGraph(g); err == nil {
 		t.Fatal("expected underflow error")
 	}
 }
@@ -61,7 +61,7 @@ func TestRelayUnfedErrors(t *testing.T) {
 	g := graph.New()
 	_, out := Relay(g, "lonely", graph.ScalarType{}, shape.OfInts(1))
 	Capture(g, "cap", out)
-	_, err := g.Run(graph.DefaultConfig())
+	_, err := runGraph(g)
 	if err == nil || !strings.Contains(err.Error(), "never fed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -113,7 +113,7 @@ func TestFlatMapRejectsOverRankFragment(t *testing.T) {
 	}
 	f := FlatMap(g, "fm", s, 1, fn, []shape.Dim{shape.NamedRagged("A"), shape.NamedRagged("a")})
 	Capture(g, "cap", f)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runGraph(g); err == nil {
 		t.Fatal("expected over-rank fragment error")
 	}
 }
@@ -129,7 +129,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	}
 	m := Map(g, "m", s, fn, ComputeOpts{})
 	Capture(g, "cap", m)
-	_, err := g.Run(graph.DefaultConfig())
+	_, err := runGraph(g)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}

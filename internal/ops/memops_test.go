@@ -5,6 +5,7 @@ import (
 
 	"step/internal/element"
 	"step/internal/graph"
+	"step/internal/onchip"
 	"step/internal/shape"
 	"step/internal/tile"
 )
@@ -116,7 +117,7 @@ func TestRandomOffChipLoadBadAddress(t *testing.T) {
 	addr := Source(g, "addr", shape.OfInts(1), graph.ScalarType{}, []element.Element{sc(5), dn})
 	out := RandomOffChipLoad(g, "rload", addr, table)
 	Sink(g, "sink", out)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runGraph(g); err == nil {
 		t.Fatal("expected address error")
 	}
 }
@@ -244,8 +245,7 @@ func TestScratchpadFreedAfterStreamify(t *testing.T) {
 	bufs := Bufferize(g, "buf", s, 1)
 	out := StreamifyLinear(g, "str", bufs)
 	Sink(g, "sink", out)
-	cfg := graph.DefaultConfig()
-	res, err := g.Run(cfg)
+	res, err := runGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,9 @@ func TestScratchpadCapacityExceededFails(t *testing.T) {
 	bufs := Bufferize(g, "buf", s, 1)
 	out := StreamifyLinear(g, "str", bufs)
 	Sink(g, "sink", out)
-	cfg := graph.DefaultConfig()
-	cfg.Onchip.CapacityBytes = 3 // two 2-byte tiles will not fit
-	_, err := g.Run(cfg)
+	spad := onchip.DefaultConfig()
+	spad.CapacityBytes = 3 // two 2-byte tiles will not fit
+	_, err := runGraph(g, graph.WithOnchip(spad))
 	if err == nil {
 		t.Fatal("expected capacity error")
 	}

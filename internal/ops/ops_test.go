@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"testing"
 
 	"step/internal/element"
@@ -24,10 +25,23 @@ func st(l int) element.Element { return element.StopOf(l) }
 
 var dn = element.DoneElem
 
-// run executes the graph with default config, failing the test on error.
+// runGraph compiles the graph and runs its program once with opts.
+func runGraph(g *graph.Graph, opts ...graph.RunOption) (graph.Result, error) {
+	prog, err := g.Compile()
+	if err != nil {
+		return graph.Result{}, err
+	}
+	sess, err := prog.Run(opts...)
+	if err != nil {
+		return graph.Result{}, err
+	}
+	return sess.Result, nil
+}
+
+// run executes the graph with default settings, failing the test on error.
 func run(t *testing.T, g *graph.Graph) graph.Result {
 	t.Helper()
-	res, err := g.Run(graph.DefaultConfig())
+	res, err := runGraph(g)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -64,7 +78,7 @@ func TestBroadcast(t *testing.T) {
 	outs := Broadcast(g, "bc", s, 3)
 	caps := make([]*CaptureOp, 3)
 	for i, o := range outs {
-		caps[i] = Capture(g, "cap", o)
+		caps[i] = Capture(g, fmt.Sprintf("cap%d", i), o)
 	}
 	run(t, g)
 	for i, c := range caps {
@@ -241,7 +255,7 @@ func TestZipMisalignmentFails(t *testing.T) {
 	b := Source(g, "b", shape.OfInts(2), graph.ScalarType{}, []element.Element{sc(3), st(1), dn})
 	z := Zip(g, "z", a, b)
 	Capture(g, "cap", z)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runGraph(g); err == nil {
 		t.Fatal("expected misalignment error")
 	}
 }

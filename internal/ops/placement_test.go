@@ -60,12 +60,12 @@ func TestMemoryPlacementSwap(t *testing.T) {
 	}
 
 	capOff, gOff := build(false)
-	resOff, err := gOff.Run(graph.DefaultConfig())
+	resOff, err := runGraph(gOff)
 	if err != nil {
 		t.Fatal(err)
 	}
 	capOn, gOn := build(true)
-	resOn, err := gOn.Run(graph.DefaultConfig())
+	resOn, err := runGraph(gOn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func TestEagerMergeConservation(t *testing.T) {
 		data, sel := EagerMerge(g, "m", []*graph.Stream{sA, sB})
 		capD := Capture(g, "capD", data)
 		capS := Capture(g, "capS", sel)
-		if _, err := g.Run(graph.DefaultConfig()); err != nil {
+		if _, err := runGraph(g); err != nil {
 			return false
 		}
 		nData := element.CountData(capD.Elements())
@@ -214,7 +214,7 @@ func TestQuickPartitionReassembleRoundTrip(t *testing.T) {
 		parts := Partition(g, "part", in, sels[0], 1, nExperts)
 		out := Reassemble(g, "re", parts, sels[1], 1)
 		cap := Capture(g, "cap", out)
-		if _, err := g.Run(graph.DefaultConfig()); err != nil {
+		if _, err := runGraph(g); err != nil {
 			return false
 		}
 		// Data comes back in original order (each group has one subtree),

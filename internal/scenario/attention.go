@@ -167,7 +167,7 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 		if err != nil {
 			return attnResult{}, err
 		}
-		sess, err := a.Program.Run(graph.WithConfig(s.GraphConfig()), graph.WithSeed(s.Seed))
+		sess, err := a.Program.Run(graph.WithSimWorkers(s.SimWorkers), graph.WithSeed(s.Seed))
 		if err != nil {
 			return attnResult{}, err
 		}

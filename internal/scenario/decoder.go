@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/workloads"
 )
@@ -87,7 +88,7 @@ func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 				SampleLayers: sampleLayers,
 				Skew:         skew,
 				Seed:         s.Seed,
-			}, s.GraphConfig())
+			}, graph.WithSimWorkers(s.SimWorkers))
 			if err != nil {
 				return decoderResult{}, err
 			}

@@ -158,7 +158,7 @@ func programPlan(sp Spec, s harness.Suite) (plan[programPoint], error) {
 		group:  1,
 		point: func(i int) (programPoint, error) {
 			sess, err := prog.Run(
-				graph.WithConfig(s.GraphConfig()),
+				graph.WithSimWorkers(s.SimWorkers),
 				graph.WithSeed(s.Seed),
 				graph.WithChannelDepth(depths[i]),
 			)

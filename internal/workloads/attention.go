@@ -98,8 +98,7 @@ func (c *AttentionConfig) Validate() error {
 
 // Attention is a built attention graph with inspection handles.
 type Attention struct {
-	Graph *graph.Graph
-	// Program is the compiled, immutable form of Graph.
+	// Program is the compiled attention graph.
 	Program *graph.Program
 	Cfg     AttentionConfig
 	Output  *ops.CaptureOp
@@ -152,7 +151,7 @@ func BuildAttention(cfg AttentionConfig) (*Attention, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Attention{Graph: g, Program: prog, Cfg: cfg, Output: cap}, nil
+	return &Attention{Program: prog, Cfg: cfg, Output: cap}, nil
 }
 
 // staticSelector builds the coarse or interleaved dispatch selector.
@@ -312,13 +311,8 @@ func buildAttentionRegion(g *graph.Graph, name string, cfg AttentionConfig, in *
 	return ops.Accum(g, name+".reduce", partials, 1, combine, ops.ComputeOpts{ComputeBW: 64})
 }
 
-// CompletedRequests counts the output rows captured.
-func (a *Attention) CompletedRequests() int {
-	n := 0
-	for _, e := range a.Output.Elements() {
-		if e.IsData() {
-			n++
-		}
-	}
-	return n
+// CompletedRequests counts the output rows the run captured.
+func (a *Attention) CompletedRequests(sess *graph.Session) int {
+	es, _ := sess.Captured(a.Output.Name())
+	return element.CountData(es)
 }

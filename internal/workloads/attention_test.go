@@ -17,27 +17,27 @@ func attnConfig(strategy ParallelStrategy, kvLens []int) AttentionConfig {
 	}
 }
 
-func runAttention(t *testing.T, cfg AttentionConfig) (*Attention, graph.Result) {
+func runAttention(t *testing.T, cfg AttentionConfig) (*Attention, *graph.Session) {
 	t.Helper()
 	a, err := BuildAttention(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Graph.Run(graph.DefaultConfig())
+	sess, err := a.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, res
+	return a, sess
 }
 
 func TestAttentionAllStrategiesComplete(t *testing.T) {
 	kv := trace.SampleKVLengths(16, 512, trace.VarMed, 3)
 	for _, s := range []ParallelStrategy{StaticCoarse, StaticInterleaved, DynamicParallel} {
-		a, res := runAttention(t, attnConfig(s, kv))
-		if got := a.CompletedRequests(); got != 16 {
+		a, sess := runAttention(t, attnConfig(s, kv))
+		if got := a.CompletedRequests(sess); got != 16 {
 			t.Fatalf("%v: %d requests completed, want 16", s, got)
 		}
-		if res.Cycles == 0 || res.OffchipTrafficBytes == 0 {
+		if res := sess.Result; res.Cycles == 0 || res.OffchipTrafficBytes == 0 {
 			t.Fatalf("%v: empty result", s)
 		}
 	}
@@ -46,7 +46,7 @@ func TestAttentionAllStrategiesComplete(t *testing.T) {
 func TestAttentionTrafficMatchesKVBytes(t *testing.T) {
 	kv := []int{100, 200, 300, 400, 500, 600, 700, 800}
 	cfg := attnConfig(StaticInterleaved, kv)
-	_, res := runAttention(t, cfg)
+	_, sess := runAttention(t, cfg)
 	// Each request streams ceil(L/chunk) chunks of chunk×width×2 bytes.
 	width := 2 * cfg.Model.KVHeads * cfg.Model.HeadDim
 	var want int64
@@ -54,8 +54,8 @@ func TestAttentionTrafficMatchesKVBytes(t *testing.T) {
 		chunks := (l + cfg.KVChunk - 1) / cfg.KVChunk
 		want += int64(chunks) * int64(cfg.KVChunk) * int64(width) * 2
 	}
-	if res.OffchipTrafficBytes != want {
-		t.Fatalf("traffic = %d, want %d", res.OffchipTrafficBytes, want)
+	if sess.Result.OffchipTrafficBytes != want {
+		t.Fatalf("traffic = %d, want %d", sess.Result.OffchipTrafficBytes, want)
 	}
 }
 
@@ -63,20 +63,20 @@ func TestAttentionDynamicBeatsCoarseAtSmallBatch(t *testing.T) {
 	// Fig. 15: at batch 16 with 4 regions, coarse blocks leave regions
 	// idle while dynamic work-steals.
 	kv := trace.SampleKVLengths(16, 1024, trace.VarHigh, 7)
-	_, resC := runAttention(t, attnConfig(StaticCoarse, kv))
-	_, resD := runAttention(t, attnConfig(DynamicParallel, kv))
-	if resD.Cycles >= resC.Cycles {
-		t.Fatalf("dynamic %d should beat coarse %d", resD.Cycles, resC.Cycles)
+	_, sessC := runAttention(t, attnConfig(StaticCoarse, kv))
+	_, sessD := runAttention(t, attnConfig(DynamicParallel, kv))
+	if sessD.Result.Cycles >= sessC.Result.Cycles {
+		t.Fatalf("dynamic %d should beat coarse %d", sessD.Result.Cycles, sessC.Result.Cycles)
 	}
 }
 
 func TestAttentionDynamicBeatsInterleavedUnderHighVariance(t *testing.T) {
 	// Fig. 14: higher KV variance favors dynamic over interleaved.
 	kv := trace.SampleKVLengths(64, 1024, trace.VarHigh, 11)
-	_, resI := runAttention(t, attnConfig(StaticInterleaved, kv))
-	_, resD := runAttention(t, attnConfig(DynamicParallel, kv))
-	if resD.Cycles >= resI.Cycles {
-		t.Fatalf("dynamic %d should beat interleaved %d under high variance", resD.Cycles, resI.Cycles)
+	_, sessI := runAttention(t, attnConfig(StaticInterleaved, kv))
+	_, sessD := runAttention(t, attnConfig(DynamicParallel, kv))
+	if sessD.Result.Cycles >= sessI.Result.Cycles {
+		t.Fatalf("dynamic %d should beat interleaved %d under high variance", sessD.Result.Cycles, sessI.Result.Cycles)
 	}
 }
 
@@ -84,9 +84,9 @@ func TestAttentionMicrobatches(t *testing.T) {
 	kv := trace.SampleKVLengths(24, 512, trace.VarMed, 5)
 	cfg := attnConfig(StaticCoarse, kv)
 	cfg.Microbatches = []int{16, 8}
-	a, _ := runAttention(t, cfg)
-	if a.CompletedRequests() != 24 {
-		t.Fatalf("completed %d", a.CompletedRequests())
+	a, sess := runAttention(t, cfg)
+	if got := a.CompletedRequests(sess); got != 24 {
+		t.Fatalf("completed %d", got)
 	}
 	cfg.Microbatches = []int{16, 9}
 	if _, err := BuildAttention(cfg); err == nil {
@@ -119,13 +119,11 @@ func TestInterleavedNeedsDeepRegionFIFOs(t *testing.T) {
 		}
 		// Shallow pipeline channels everywhere so the region-input FIFO is
 		// the only buffering in front of each region.
-		rc := graph.DefaultConfig()
-		rc.ChannelDepth = 2
-		res, err := a.Graph.Run(rc)
+		sess, err := a.Program.Run(graph.WithChannelDepth(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return uint64(res.Cycles)
+		return uint64(sess.Result.Cycles)
 	}
 	shallow := run(2)
 	deep := run(0)

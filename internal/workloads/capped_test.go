@@ -60,11 +60,11 @@ func TestMoECapRestoresPipelining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := l.Graph.Run(graph.DefaultConfig())
+		sess, err := l.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return uint64(res.Cycles)
+		return uint64(sess.Result.Cycles)
 	}
 	uncapped := run(0)
 	capped := run(64)
@@ -84,11 +84,11 @@ func TestAttentionQKVStage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := a.Graph.Run(graph.DefaultConfig())
+		sess, err := a.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return sess.Result
 	}
 	without := build(false)
 	with := build(true)

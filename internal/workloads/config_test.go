@@ -3,8 +3,6 @@ package workloads
 import (
 	"strings"
 	"testing"
-
-	"step/internal/graph"
 )
 
 func TestModelConfigValidate(t *testing.T) {
@@ -66,7 +64,7 @@ func TestScaledOverflowFactorRejected(t *testing.T) {
 	for i := range kv {
 		kv[i] = 64
 	}
-	if _, err := RunDecoder(DecoderConfig{Model: m, Batch: 4, KVLens: kv}, graph.DefaultConfig()); err == nil {
+	if _, err := RunDecoder(DecoderConfig{Model: m, Batch: 4, KVLens: kv}); err == nil {
 		t.Error("RunDecoder accepted a zero-dimension model")
 	}
 

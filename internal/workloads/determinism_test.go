@@ -26,11 +26,11 @@ func TestMoESimulationDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := l.Graph.Run(graph.DefaultConfig())
+		sess, err := l.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return sess.Result
 	}
 	a := run()
 	for i := 0; i < 3; i++ {
@@ -54,11 +54,11 @@ func TestAttentionDynamicDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := a.Graph.Run(graph.DefaultConfig())
+		sess, err := a.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return uint64(res.Cycles)
+		return uint64(sess.Result.Cycles)
 	}
 	first := run()
 	for i := 0; i < 3; i++ {
@@ -83,12 +83,11 @@ func TestScratchpadCapacityFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := graph.DefaultConfig()
-	rc.Onchip = onchip.Config{BandwidthBytesPerCycle: 64, CapacityBytes: 1}
 	// The streaming SwiGLU allocates no scratchpad, so it succeeds even
 	// with a 1-byte capacity — demonstrating the §4.2 claim that fully
 	// streamed operators require no on-chip materialization.
-	if _, err := sw.Graph.Run(rc); err != nil {
+	tiny := onchip.Config{BandwidthBytesPerCycle: 64, CapacityBytes: 1}
+	if _, err := sw.Program.Run(graph.WithOnchip(tiny)); err != nil {
 		t.Fatalf("fully streamed schedule should fit in any capacity: %v", err)
 	}
 }

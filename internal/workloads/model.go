@@ -74,8 +74,9 @@ type DecoderResult struct {
 	TrafficBytes int64
 }
 
-// RunDecoder simulates the end-to-end decoder under the given schedule.
-func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
+// RunDecoder simulates the end-to-end decoder under the given schedule,
+// running every sampled layer's programs with opts.
+func RunDecoder(cfg DecoderConfig, opts ...graph.RunOption) (DecoderResult, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return DecoderResult{}, err
 	}
@@ -103,7 +104,7 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
-		attnRes, err := attn.Graph.Run(runCfg)
+		attnSess, err := attn.Program.Run(opts...)
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
@@ -126,11 +127,12 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
-		moeRes, err := moe.Graph.Run(runCfg)
+		moeSess, err := moe.Program.Run(opts...)
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
 
+		attnRes, moeRes := attnSess.Result, moeSess.Result
 		layerCycles := attnRes.Cycles + moeRes.Cycles
 		out.CyclesPerLayer = append(out.CyclesPerLayer, layerCycles)
 		sumCycles += layerCycles
@@ -140,14 +142,14 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 			if err != nil {
 				return out, err
 			}
-			attnOnchip, err := attn.Graph.SymbolicOnchipBytes().Eval(nil)
+			attnOnchip, err := attn.Program.OnchipBytesExpr().Eval(nil)
 			if err != nil {
 				// Attention graphs have only static dims in their
 				// equations; a symbol here is a bug.
 				return out, fmt.Errorf("workloads: attention onchip: %w", err)
 			}
 			out.OnchipBytes = moeOnchip + attnOnchip
-			out.AllocatedComputeBW = moe.Graph.AllocatedComputeBW() + attn.Graph.AllocatedComputeBW()
+			out.AllocatedComputeBW = moe.Program.AllocatedComputeBW() + attn.Program.AllocatedComputeBW()
 		}
 	}
 	layers := des.Time(cfg.Model.Layers)

@@ -75,9 +75,7 @@ func (c *MoELayerConfig) Validate() error {
 // MoELayer is a built MoE-layer graph with its symbolic environment and
 // inspection handles.
 type MoELayer struct {
-	Graph *graph.Graph
-	// Program is the compiled, immutable form of Graph: run it with
-	// Program.Run for well-defined repeated executions.
+	// Program is the compiled layer: run it with Program.Run.
 	Program *graph.Program
 	Cfg     MoELayerConfig
 	Env     symbolic.Env
@@ -94,16 +92,16 @@ type MoELayer struct {
 // ExpertCounts returns tokens per expert.
 func (l *MoELayer) ExpertCounts() []int { return l.counts }
 
-// OnchipBytes evaluates the graph's §4.2 on-chip requirement under the
+// OnchipBytes evaluates the program's §4.2 on-chip requirement under the
 // layer's symbol bindings.
 func (l *MoELayer) OnchipBytes() (int64, error) {
-	return l.Graph.SymbolicOnchipBytes().Eval(l.Env)
+	return l.Program.OnchipBytesExpr().Eval(l.Env)
 }
 
 // SymbolicTrafficBytes evaluates the §4.2 off-chip traffic equation under
 // the layer's symbol bindings.
 func (l *MoELayer) SymbolicTrafficBytes() (int64, error) {
-	return l.Graph.SymbolicOffchipTrafficBytes().Eval(l.Env)
+	return l.Program.OffchipTrafficBytesExpr().Eval(l.Env)
 }
 
 // moeBuilder carries shared build state.
@@ -189,7 +187,7 @@ func BuildMoELayer(cfg MoELayerConfig) (*MoELayer, error) {
 		return nil, err
 	}
 	return &MoELayer{
-		Graph: b.g, Program: prog, Cfg: cfg, Env: b.env, Output: cap,
+		Program: prog, Cfg: cfg, Env: b.env, Output: cap,
 		counts: b.counts, input: b.input, w1: b.w1, w3: b.w3, w2: b.w2,
 	}, nil
 }

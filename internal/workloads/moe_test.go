@@ -55,17 +55,18 @@ func runMoE(t *testing.T, cfg MoELayerConfig) (*MoELayer, graph.Result, []*tile.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Graph.Run(graph.DefaultConfig())
+	sess, err := l.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, _ := sess.Captured(l.Output.Name())
 	var rows []*tile.Tile
-	for _, e := range l.Output.Elements() {
+	for _, e := range out {
 		if e.IsData() {
 			rows = append(rows, e.Value.(element.TileVal).T)
 		}
 	}
-	return l, res, rows
+	return l, sess.Result, rows
 }
 
 func checkAgainstReference(t *testing.T, l *MoELayer, rows []*tile.Tile) {
@@ -191,9 +192,9 @@ func TestMoETimeMultiplexReducesAllocatedCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt.Graph.AllocatedComputeBW() >= lf.Graph.AllocatedComputeBW() {
+	if lt.Program.AllocatedComputeBW() >= lf.Program.AllocatedComputeBW() {
 		t.Fatalf("time-multiplexed alloc %d should be below dedicated %d",
-			lt.Graph.AllocatedComputeBW(), lf.Graph.AllocatedComputeBW())
+			lt.Program.AllocatedComputeBW(), lf.Program.AllocatedComputeBW())
 	}
 }
 

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"step/internal/graph"
 	"step/internal/trace"
 )
 
@@ -28,10 +27,11 @@ func TestParetoShapeQwenB64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := l.Graph.Run(graph.DefaultConfig())
+		sess, err := l.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := sess.Result
 		oc, err := l.OnchipBytes()
 		if err != nil {
 			t.Fatal(err)
@@ -42,10 +42,11 @@ func TestParetoShapeQwenB64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, err := ld.Graph.Run(graph.DefaultConfig())
+	sess, err := ld.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	resD := sess.Result
 	ocD, err := ld.OnchipBytes()
 	if err != nil {
 		t.Fatal(err)

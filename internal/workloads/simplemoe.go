@@ -43,8 +43,7 @@ func DefaultSimpleMoEConfig() SimpleMoEConfig {
 
 // SimpleMoE is the built graph plus handles to inspect the run.
 type SimpleMoE struct {
-	Graph *graph.Graph
-	// Program is the compiled, immutable form of Graph.
+	// Program is the compiled walkthrough graph.
 	Program *graph.Program
 	Output  *ops.CaptureOp
 	cfg     SimpleMoEConfig
@@ -106,7 +105,7 @@ func BuildSimpleMoE(cfg SimpleMoEConfig) (*SimpleMoE, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SimpleMoE{Graph: g, Program: prog, Output: cap, cfg: cfg, input: input, weights: weights}, nil
+	return &SimpleMoE{Program: prog, Output: cap, cfg: cfg, input: input, weights: weights}, nil
 }
 
 // buildSimpleExpert builds one expert's subgraph: pack rows to tiles,
@@ -196,10 +195,11 @@ func (m *SimpleMoE) Reference() *tile.Tile {
 	return out
 }
 
-// OutputRows extracts the produced rows in stream order.
-func (m *SimpleMoE) OutputRows() ([]*tile.Tile, error) {
+// OutputRows extracts the rows the run produced, in stream order.
+func (m *SimpleMoE) OutputRows(sess *graph.Session) ([]*tile.Tile, error) {
+	es, _ := sess.Captured(m.Output.Name())
 	var rows []*tile.Tile
-	for _, e := range m.Output.Elements() {
+	for _, e := range es {
 		if !e.IsData() {
 			continue
 		}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"step/internal/graph"
 	"step/internal/tile"
 )
 
@@ -13,10 +12,11 @@ func TestSimpleMoEFunctionalCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Graph.Run(graph.DefaultConfig()); err != nil {
+	sess, err := m.Program.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := m.OutputRows()
+	rows, err := m.OutputRows(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,11 @@ func TestSimpleMoEMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Graph.Run(graph.DefaultConfig())
+	sess, err := m.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	// Weight traffic: each packed tile triggers a full weight read per
 	// expert. 10 rows over 2 experts, pack 4 => between 1 and 3 packed
 	// tiles per expert; each read is 64*256*2 = 32 KiB.
@@ -73,10 +74,11 @@ func TestSimpleMoEAllExpertsOneSided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Graph.Run(graph.DefaultConfig()); err != nil {
+	sess, err := m.Program.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := m.OutputRows()
+	rows, err := m.OutputRows(sess)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,7 @@ func (c SwiGLUConfig) Validate() error {
 
 // SwiGLU is the built validation workload.
 type SwiGLU struct {
-	Graph *graph.Graph
-	// Program is the compiled, immutable form of Graph.
+	// Program is the compiled validation graph.
 	Program *graph.Program
 	Cfg     SwiGLUConfig
 	Store   *ops.StoreHandle
@@ -122,7 +121,7 @@ func BuildSwiGLU(cfg SwiGLUConfig) (*SwiGLU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SwiGLU{Graph: g, Program: prog, Cfg: cfg, Store: store, x: x, w1: w1, w3: w3, w2: w2}, nil
+	return &SwiGLU{Program: prog, Cfg: cfg, Store: store, x: x, w1: w1, w3: w3, w2: w2}, nil
 }
 
 // Reference computes the expected output at the tensor level.

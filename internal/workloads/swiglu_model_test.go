@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"step/internal/graph"
 	"step/internal/tile"
 	"step/internal/trace"
 )
@@ -18,7 +17,7 @@ func TestSwiGLUFunctionalCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Graph.Run(graph.DefaultConfig()); err != nil {
+	if _, err := sw.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sw.Output()
@@ -36,15 +35,16 @@ func TestSwiGLUTrafficExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sw.Graph.Run(graph.DefaultConfig())
+	sess, err := sw.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	if res.OffchipTrafficBytes != SwiGLUTrafficBytes(cfg) {
 		t.Fatalf("traffic %d, want %d", res.OffchipTrafficBytes, SwiGLUTrafficBytes(cfg))
 	}
 	// The symbolic frontend's traffic equation matches the measurement.
-	sym, err := sw.Graph.SymbolicOffchipTrafficBytes().Eval(nil)
+	sym, err := sw.Program.OffchipTrafficBytesExpr().Eval(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,11 @@ func TestSwiGLUSmallerTilesMoreTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sw.Graph.Run(graph.DefaultConfig())
+		sess, err := sw.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := sess.Result
 		if last >= 0 && res.OffchipTrafficBytes <= last {
 			t.Fatalf("tile %d: traffic %d should exceed %d", bt, res.OffchipTrafficBytes, last)
 		}
@@ -96,7 +97,7 @@ func TestRunDecoderVariants(t *testing.T) {
 		cfg.SampleLayers = 1
 		cfg.Skew = trace.SkewHeavy
 		cfg.Seed = 5
-		res, err := RunDecoder(cfg, graph.DefaultConfig())
+		res, err := RunDecoder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestRunDecoderVariants(t *testing.T) {
 
 func TestRunDecoderRejectsBadKV(t *testing.T) {
 	m := Qwen3Config().Scaled(8)
-	_, err := RunDecoder(DecoderConfig{Model: m, Batch: 8, KVLens: []int{1}}, graph.DefaultConfig())
+	_, err := RunDecoder(DecoderConfig{Model: m, Batch: 8, KVLens: []int{1}})
 	if err == nil {
 		t.Fatal("expected KV length mismatch error")
 	}

@@ -36,13 +36,11 @@ func TestSchedStatsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := step.DefaultConfig()
-	cfg.SimWorkers = 8
-	res, err := l.Graph.Run(cfg)
+	sess, err := l.Program.Run(step.WithSimWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Sched
+	s := sess.Result.Sched
 	t.Logf("sched: lifts=%d lift-fastpath=%d kicks=%d scanned=%d woken=%d grants=%d grant-fastpath=%d scanned/lift=%.3f",
 		s.Lifts, s.LiftFastPath, s.Kicks, s.Scanned, s.Woken, s.Grants, s.GrantFastPath, s.ScannedPerLift())
 
@@ -59,17 +57,17 @@ func TestSchedStatsGate(t *testing.T) {
 		t.Errorf("lift fast-path fraction = %.2f, want >= 0.5 (measured ~0.93)", frac)
 	}
 	// The sequential engine must stay out of the counters entirely.
-	cfgSeq := step.DefaultConfig()
 	l2, err := workloads.BuildMoELayer(workloads.MoELayerConfig{
 		Model: m, Batch: 64, Dynamic: true, Routing: routing, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSeq, err := l2.Graph.Run(cfgSeq)
+	sessSeq, err := l2.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	resSeq := sessSeq.Result
 	if resSeq.Sched != (step.SchedStats{}) {
 		t.Errorf("sequential engine reported non-zero SchedStats: %+v", resSeq.Sched)
 	}

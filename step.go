@@ -18,10 +18,12 @@
 //     configuration time-multiplexing, decode attention with three
 //     parallelization strategies, SwiGLU validation, end-to-end decoders).
 //
-// Programs are values: a graph is built once, compiled into an
-// immutable validated Program, and run any number of times — each Run
-// instantiates fresh engine state, so repeated and concurrent runs are
-// well-defined. A minimal program:
+// Programs are values: a graph is built once, compiled into its one
+// immutable, validated Program, and run any number of times with
+// Program.Run and functional options. Each Run instantiates fresh engine
+// state and returns a Session (result, effective Config, captured
+// streams), so repeated and concurrent runs are well-defined. A minimal
+// program:
 //
 //	g := step.NewGraph()
 //	in := step.CountSource(g, "n", 8)
@@ -44,11 +46,9 @@
 // Go code — flows through sweeps, content-addressed caching, and HTTP
 // serving.
 //
-// The legacy mutable API (Graph.Run(Config)) keeps working as a thin
-// shim over the same executor and is deprecated: prefer
-// Compile()/Run(options). See examples/ for the paper's simplified MoE
-// (§3.3), dynamic tiling, dynamic parallelization, an end-to-end
-// decoder layer, and a serialized program IR.
+// See examples/ for the paper's simplified MoE (§3.3), dynamic tiling,
+// dynamic parallelization, an end-to-end decoder layer, and a
+// serialized program IR.
 package step
 
 import (
@@ -70,10 +70,8 @@ import (
 // Core graph types.
 type (
 	// Graph is a STeP program under construction (a builder). Compile it
-	// into an immutable Program to run it.
+	// into its immutable Program to run it.
 	Graph = graph.Graph
-	// Builder is an alias for Graph emphasizing the build/compile split.
-	Builder = graph.Graph
 	// Program is an immutable, validated, compiled STeP program.
 	Program = graph.Program
 	// Session is the outcome of one Program run.
@@ -84,9 +82,8 @@ type (
 	ProgramIR = graph.ProgramIR
 	// Stream is a dataflow edge with a symbolic shape and data type.
 	Stream = graph.Stream
-	// Config parameterizes a simulated run.
-	//
-	// Deprecated: prefer Program.Run with functional options.
+	// Config is the effective settings one run used, recorded in
+	// Session.Config; set them with the With* run options.
 	Config = graph.Config
 	// Result summarizes a simulated run.
 	Result = graph.Result
@@ -108,7 +105,7 @@ type (
 	Element = element.Element
 	// Value is a data element's payload.
 	Value = element.Value
-	// Tile is a dense two-dimensional matrix value.
+	// TileVal is a data element carrying a Tile.
 	TileVal = element.TileVal
 	// Selector is a multi-hot routing vector.
 	Selector = element.Selector
@@ -150,9 +147,10 @@ type (
 	Tile = tile.Tile
 	// Time is the virtual clock in cycles.
 	Time = des.Time
-	// SchedStats is the DES engine's scheduler-contention counter block,
-	// reported per run in Result.Sched (all zeroes under the sequential
-	// engine).
+	// SchedStats is the DES engines' scheduler counter block. Result.Sched
+	// holds the parallel engine's counters for one run and is all zeroes
+	// under the sequential engine. The counters describe how the engine
+	// coordinated, so Result.Equal ignores them.
 	SchedStats = des.SchedStats
 	// SchedCollector aggregates SchedStats across every simulation run in
 	// the process while installed (see SetSchedCollector); tools like
@@ -168,16 +166,10 @@ var SetSchedCollector = des.SetSchedCollector
 // NewGraph creates an empty STeP program builder.
 func NewGraph() *Graph { return graph.New() }
 
-// NewBuilder is NewGraph under the build/compile naming.
-func NewBuilder() *Builder { return graph.New() }
-
-// DefaultConfig is the §5.1 machine: 64 B/cycle on-chip memory units and
-// 1024 B/cycle off-chip bandwidth.
-func DefaultConfig() Config { return graph.DefaultConfig() }
-
-// Functional run options for Program.Run (see graph package docs).
+// Functional run options for Program.Run, applied on top of the §5.1
+// machine (64 B/cycle on-chip memory units, 1024 B/cycle off-chip
+// bandwidth).
 var (
-	WithConfig         = graph.WithConfig
 	WithSeed           = graph.WithSeed
 	WithSimWorkers     = graph.WithSimWorkers
 	WithHBM            = graph.WithHBM
@@ -196,11 +188,6 @@ var (
 	CompileProgramIR = graph.CompileIR
 	RegisteredIROps  = graph.RegisteredIROps
 )
-
-// ErrAlreadyBound is returned by the deprecated Graph.Run when the same
-// graph is already executing on another goroutine. Compiled Programs do
-// not have this restriction.
-var ErrAlreadyBound = graph.ErrAlreadyBound
 
 // Graph construction helpers re-exported from the ops package. Each
 // corresponds to a STeP operator of §3.2 (see Tables 3–7).

@@ -18,15 +18,20 @@ func TestQuickstartAPI(t *testing.T) {
 			return step.Scalar{V: v.(step.Scalar).V * 2}, 1, nil
 		},
 	}, step.ComputeOpts{ComputeBW: 1})
-	out := step.Capture(g, "out", dbl)
-	res, err := g.Run(step.DefaultConfig())
+	step.Capture(g, "out", dbl)
+	prog, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 {
+	sess, err := prog.Run(step.WithSeed(7), step.WithSimWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Result.Cycles == 0 {
 		t.Fatal("no cycles simulated")
 	}
-	got := step.FormatStream(out.Elements())
+	out, _ := sess.Captured("out")
+	got := step.FormatStream(out)
 	if got != "0,2,4,6,8,10,12,14,D" {
 		t.Fatalf("captured %s", got)
 	}
@@ -39,7 +44,7 @@ func TestListingOneShapeInspection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := moe.Graph.Dot("moe")
+	dot := moe.Program.Dot("moe")
 	if !strings.Contains(dot, "Partition") && !strings.Contains(dot, "route") {
 		t.Fatalf("dot output missing nodes: %s", dot[:120])
 	}
@@ -62,7 +67,7 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := layer.Graph.Run(step.DefaultConfig()); err != nil {
+	if _, err := layer.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,11 +78,12 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attn.Graph.Run(step.DefaultConfig()); err != nil {
+	sess, err := attn.Program.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if attn.CompletedRequests() != 16 {
-		t.Fatalf("completed %d", attn.CompletedRequests())
+	if n := attn.CompletedRequests(sess); n != 16 {
+		t.Fatalf("completed %d", n)
 	}
 
 	sw, err := step.BuildSwiGLU(step.SwiGLUConfig{
@@ -86,7 +92,7 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Graph.Run(step.DefaultConfig()); err != nil {
+	if _, err := sw.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
