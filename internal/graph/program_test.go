@@ -26,6 +26,42 @@ func buildDoubler(n int) (*graph.Graph, *ops.CaptureOp) {
 	return g, cap
 }
 
+// TestGraphRunTwiceDeterministic: sequential re-runs of one compiled
+// graph are legal and identical — per-run operator state (the capture)
+// resets instead of accumulating, and the first session's snapshot is
+// not disturbed.
+func TestGraphRunTwiceDeterministic(t *testing.T) {
+	g, _ := buildDoubler(8)
+	prog, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got1, _ := s1.Captured("out")
+	c1 := element.FormatStream(got1)
+	s2, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, _ := s2.Captured("out")
+	c2 := element.FormatStream(got2)
+	if s1.Result != s2.Result {
+		t.Fatalf("re-run results differ: %+v vs %+v", s1.Result, s2.Result)
+	}
+	if c1 != c2 {
+		t.Fatalf("re-run captures differ (stale state leaked):\n %s\n %s", c1, c2)
+	}
+	if n := element.CountData(got2); n != 8 {
+		t.Fatalf("capture has %d data elements after 2 runs, want 8", n)
+	}
+	if first, _ := s1.Captured("out"); element.FormatStream(first) != c1 {
+		t.Fatal("first session's capture changed after a re-run")
+	}
+}
+
 // TestGraphMutationAfterCompile: structural mutation of a compiled
 // graph is a recorded construction error surfacing on the next run (and
 // on a repeated Compile).
@@ -135,7 +171,7 @@ func TestProgramConcurrentRunsIR(t *testing.T) {
 
 // TestProgramConcurrentRunsClosureBound: a program holding Go closures
 // cannot re-instantiate, so its runs serialize — but stay legal and
-// deterministic, sequentially and from any number of goroutines.
+// deterministic from any number of goroutines.
 func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 	g, _ := buildDoubler(16)
 	prog, err := g.Compile()
@@ -147,24 +183,6 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := base.Captured("out")
-	// A sequential re-run is identical: per-run operator state (the
-	// capture) resets instead of accumulating, and the first session's
-	// snapshot is not disturbed.
-	again, err := prog.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := again.Captured("out")
-	if again.Result != base.Result || element.FormatStream(got) != element.FormatStream(want) {
-		t.Fatalf("re-run differs: %+v %s vs %+v %s",
-			again.Result, element.FormatStream(got), base.Result, element.FormatStream(want))
-	}
-	if n := element.CountData(got); n != 16 {
-		t.Fatalf("capture has %d data elements after 2 runs, want 16", n)
-	}
-	if first, _ := base.Captured("out"); element.FormatStream(first) != element.FormatStream(want) {
-		t.Fatal("first session's capture changed after a re-run")
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := range errs {
