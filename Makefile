@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-module-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
+.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-module-smoke bench-json bench-sched exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
 
 all: check
 
@@ -88,6 +88,13 @@ bench-json:
 	@rm -f bench-json.out
 	@echo wrote BENCH_core.json
 
+# exp-smoke regenerates every paper artifact through `stepctl exp`
+# (quick, seed 7): stdout must equal the committed goldens in
+# `stepctl exp -list` order, -out must write one CSV per artifact, and
+# an unknown -fig must fail.
+exp-smoke:
+	bash examples/exp_smoke.sh
+
 # sweep-smoke runs the committed scenario specs end to end through the
 # stepctl sweep CLI. Each spec declares workers_axis [1,8] x
 # sim_workers_axis [1,8], so a passing run also certifies byte-identical
@@ -138,4 +145,4 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-check: build vet fmt-check lint test race bench-smoke bench-module-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke
+check: build vet fmt-check lint test race bench-smoke bench-module-smoke exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke

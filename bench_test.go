@@ -100,7 +100,7 @@ func BenchmarkSuiteParallel(b *testing.B) {
 }
 
 // BenchmarkRunAll measures the whole-registry fan-out behind
-// cmd/experiments: all fourteen artifacts at Workers=1 vs all cores.
+// `stepctl exp`: all fourteen artifacts at Workers=1 vs all cores.
 func BenchmarkRunAll(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -108,7 +108,7 @@ func BenchmarkRunAll(b *testing.B) {
 			s.Workers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, oc := range experiments.RunAll(s, experiments.All()) {
+				for _, oc := range experiments.RunAll(s, experiments.All(), nil) {
 					if oc.Err != nil {
 						b.Fatalf("%s: %v", oc.Runner.ID, oc.Err)
 					}

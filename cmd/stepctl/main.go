@@ -6,7 +6,7 @@
 //	stepctl dot                # print the simplified MoE graph in Graphviz DOT
 //	stepctl tables             # print the STeP operator reference (Tables 3–7)
 //	stepctl moe [flags]        # run one MoE-layer configuration
-//	stepctl exp [flags]        # run paper experiments on the parallel harness
+//	stepctl exp [flags]        # regenerate the paper's tables and figures
 //	stepctl sweep [flags]      # run a declarative scenario sweep (JSON spec)
 //	stepctl serve [flags]      # serve sweeps over HTTP with a result cache
 //	stepctl worker -join <server>
@@ -176,20 +176,14 @@ func program(args []string) error {
 func sweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		specPath   = fs.String("spec", "", "path to a scenario spec JSON file")
-		name       = fs.String("name", "", "run a built-in spec by ID instead (see -list)")
-		list       = fs.Bool("list", false, "list built-in spec IDs and exit")
-		seed       = fs.Uint64("seed", 7, "trace seed")
-		quick      = fs.Bool("quick", false, "shrink sweeps for a fast run")
-		workers    = fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU, 1 = sequential)")
-		simWorkers = fs.Int("sim-workers", 0, "DES engine per simulation: 0/1 = sequential, >=2 = conservative parallel (identical results)")
-		out        = fs.String("out", "", "directory to write a CSV result into")
-		follow     = fs.Bool("follow", false, "print rows to stderr as points land (completion order); the final table still goes to stdout")
-		cache      = fs.Bool("cache", false, "serve byte-identical repeats from the content-addressed result cache")
-		cacheDir   = fs.String("cache-dir", ".step-cache", "result cache directory (with -cache)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile (post-run, post-GC) to this file")
+		specPath = fs.String("spec", "", "path to a scenario spec JSON file")
+		name     = fs.String("name", "", "run a built-in spec by ID instead (see -list)")
+		list     = fs.Bool("list", false, "list built-in spec IDs and exit")
+		follow   = fs.Bool("follow", false, "print rows to stderr as points land (completion order); the final table still goes to stdout")
+		cache    = fs.Bool("cache", false, "serve byte-identical repeats from the content-addressed result cache")
+		cacheDir = fs.String("cache-dir", ".step-cache", "result cache directory (with -cache)")
 	)
+	rf := addRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -229,7 +223,7 @@ func sweep(args []string) error {
 		if st, err = store.Open(*cacheDir, 0); err != nil {
 			return err
 		}
-		if key, err = store.Key(sp, *seed, *quick); err != nil {
+		if key, err = store.Key(sp, rf.Seed, rf.Quick); err != nil {
 			return err
 		}
 		if e, ok, err := st.Get(key); err != nil {
@@ -237,7 +231,7 @@ func sweep(args []string) error {
 		} else if ok {
 			fmt.Fprintf(os.Stderr, "sweep: cache hit %s\n", key)
 			fmt.Println(e.Table)
-			return writeCSV(*out, e.Manifest.SpecID, e.CSV)
+			return writeCSV(rf.out, e.Manifest.SpecID, e.CSV)
 		}
 	}
 
@@ -256,16 +250,15 @@ func sweep(args []string) error {
 		}
 	}
 
-	return withProfiles(*cpuProfile, *memProfile, func() error {
-		suite := experiments.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
+	return rf.profiled(func() error {
 		start := time.Now()
-		tb, err := scenario.RunStream(sp, suite, sink)
+		tb, err := scenario.RunStream(sp, rf.Suite, sink)
 		if err != nil {
 			return err
 		}
 		fmt.Println(tb.String())
 		if st != nil {
-			entry, err := store.NewEntry(sp, *seed, *quick, tb.String(), tb.CSV(), store.GitDescribe("."), time.Since(start))
+			entry, err := store.NewEntry(sp, rf.Seed, rf.Quick, tb.String(), tb.CSV(), store.GitDescribe("."), time.Since(start))
 			if err != nil {
 				return err
 			}
@@ -274,17 +267,36 @@ func sweep(args []string) error {
 			}
 			fmt.Fprintf(os.Stderr, "sweep: cached %s\n", key)
 		}
-		return writeCSV(*out, tb.ID, tb.CSV())
+		return writeCSV(rf.out, tb.ID, tb.CSV())
 	})
 }
 
-// withProfiles brackets run with the pprof collection requested by the
+// runFlags are the flags exp and sweep share.
+type runFlags struct {
+	experiments.Suite
+	out, cpuProfile, memProfile string
+}
+
+// addRunFlags declares the shared flags on fs.
+func addRunFlags(fs *flag.FlagSet) *runFlags {
+	rf := &runFlags{}
+	fs.Uint64Var(&rf.Seed, "seed", 7, "trace seed")
+	fs.BoolVar(&rf.Quick, "quick", false, "shrink sweeps for a fast run")
+	fs.IntVar(&rf.Workers, "workers", 0, "parallel sweep workers (0 = one per CPU, 1 = sequential)")
+	fs.IntVar(&rf.SimWorkers, "sim-workers", 0, "DES engine per simulation: 0/1 = sequential, >=2 = conservative parallel (identical results)")
+	fs.StringVar(&rf.out, "out", "", "directory to write one CSV per table into")
+	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&rf.memProfile, "memprofile", "", "write a heap profile (post-run, post-GC) to this file")
+	return rf
+}
+
+// profiled brackets run with the pprof collection requested by the
 // -cpuprofile/-memprofile flags (an empty path disables either). The heap
 // profile is written after run completes, preceded by a GC, so it reflects
 // retained memory; inspect allocation volume with
 // `go tool pprof -sample_index=alloc_objects` (see PERFORMANCE.md).
-func withProfiles(cpuPath, memPath string, run func() error) error {
-	if cpuPath != "" {
+func (rf *runFlags) profiled(run func() error) error {
+	if cpuPath := rf.cpuProfile; cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
 			return err
@@ -296,7 +308,7 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 		defer pprof.StopCPUProfile()
 	}
 	err := run()
-	if memPath != "" {
+	if memPath := rf.memProfile; memPath != "" {
 		f, ferr := os.Create(memPath)
 		if ferr != nil {
 			if err == nil {
@@ -313,7 +325,8 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 	return err
 }
 
-// writeCSV writes a sweep's CSV rendering into dir (no-op when empty).
+// writeCSV writes a table's CSV rendering into dir (no-op when empty),
+// logging the path to stderr so stdout stays the table bytes.
 func writeCSV(dir, id, csv string) error {
 	if dir == "" {
 		return nil
@@ -325,7 +338,7 @@ func writeCSV(dir, id, csv string) error {
 	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
 }
 
@@ -517,21 +530,34 @@ func watchStream(r io.Reader, id string, quiet bool, out, errw io.Writer) error 
 	return fmt.Errorf("watch: stream ended without a terminal event")
 }
 
-// exp runs registered paper experiments on the parallel harness.
+// exp runs the paper's experiment registry on the parallel harness.
+// Tables print in registry order, each as soon as every earlier one has
+// printed, so stdout is exactly the committed golden bytes at any worker
+// count; per-artifact wall times go to stderr.
 func exp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
 	var (
 		fig        = fs.String("fig", "", "run a single experiment by ID (empty = all)")
-		seed       = fs.Uint64("seed", 7, "trace seed")
-		quick      = fs.Bool("quick", false, "shrink sweeps for a fast run")
-		workers    = fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU, 1 = sequential)")
-		simWorkers = fs.Int("sim-workers", 0, "DES engine per simulation: 0/1 = sequential, >=2 = conservative parallel (identical results)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile (post-run, post-GC) to this file")
+		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		schedStats = fs.Bool("schedstats", false, "print aggregated DES scheduler-contention counters after the run")
 	)
+	rf := addRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *list {
+		for _, r := range experiments.All() {
+			fmt.Printf("%-8s %s\n", r.ID, r.Desc)
+		}
+		return nil
+	}
+	runners := experiments.All()
+	if *fig != "" {
+		r, ok := experiments.Lookup(*fig)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", *fig)
+		}
+		runners = []experiments.Runner{r}
 	}
 	if *schedStats {
 		col := &step.SchedCollector{}
@@ -545,25 +571,19 @@ func exp(args []string) error {
 				s.Kicks, s.Scanned, s.Woken, s.Grants, s.GrantFastPath, s.ScannedPerLift())
 		}()
 	}
-	runners := experiments.All()
-	if *fig != "" {
-		r, ok := experiments.Lookup(*fig)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", *fig)
-		}
-		runners = []experiments.Runner{r}
-	}
-	return withProfiles(*cpuProfile, *memProfile, func() error {
-		suite := experiments.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
+	return rf.profiled(func() error {
 		failed := 0
-		for _, oc := range experiments.RunAll(suite, runners) {
+		experiments.RunAll(rf.Suite, runners, func(oc experiments.Outcome) {
+			if oc.Err == nil {
+				fmt.Println(oc.Table.String())
+				fmt.Fprintf(os.Stderr, "exp: %s (%.1fs)\n", oc.Runner.ID, oc.Elapsed.Seconds())
+				oc.Err = writeCSV(rf.out, oc.Table.ID, oc.Table.CSV())
+			}
 			if oc.Err != nil {
 				fmt.Fprintf(os.Stderr, "stepctl: %s: %v\n", oc.Runner.ID, oc.Err)
 				failed++
-				continue
 			}
-			fmt.Println(oc.Table.String())
-		}
+		})
 		if failed > 0 {
 			return fmt.Errorf("%d experiment(s) failed", failed)
 		}

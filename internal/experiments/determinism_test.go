@@ -68,8 +68,8 @@ func TestRunAllDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered per-experiment by TestWorkersDeterminism")
 	}
-	seq := RunAll(Suite{Seed: 7, Quick: true, Workers: 1}, All())
-	par := RunAll(Suite{Seed: 7, Quick: true, Workers: 8}, All())
+	seq := RunAll(Suite{Seed: 7, Quick: true, Workers: 1}, All(), nil)
+	par := RunAll(Suite{Seed: 7, Quick: true, Workers: 8}, All(), nil)
 	if len(seq) != len(par) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(seq), len(par))
 	}

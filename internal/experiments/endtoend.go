@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"step/internal/graph"
+	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -39,8 +40,8 @@ func Figure17(s Suite) (*Table, error) {
 	}
 	// Fan the models out on the pool; inside each, the tiling sweep and
 	// the three decoder schedules fan out in turn.
-	runs, err := parMap(s, len(bases), func(mi int) (modelRun, error) {
-		model := bases[mi].Scaled(ExperimentScale)
+	runs, err := harness.ParMap(s, len(bases), func(mi int) (modelRun, error) {
+		model := bases[mi].Scaled(scenario.PaperScale)
 		// Derive matched tile sizes from the tiling sweep.
 		static, dyn, err := scenario.TilingSweep(s, model, batch, []int{8, 16, 32, 64})
 		if err != nil {
@@ -61,7 +62,7 @@ func Figure17(s Suite) (*Table, error) {
 			{MoETile: perfTile, AttnStrategy: workloads.StaticInterleaved},
 			{MoEDynamic: true, MoERegions: dynRegions, AttnStrategy: workloads.DynamicParallel},
 		}
-		results, err := parMap(s, len(schedules), func(i int) (workloads.DecoderResult, error) {
+		results, err := harness.ParMap(s, len(schedules), func(i int) (workloads.DecoderResult, error) {
 			cfg := schedules[i]
 			cfg.Model = model
 			cfg.Batch = batch
@@ -84,22 +85,18 @@ func Figure17(s Suite) (*Table, error) {
 		return nil, err
 	}
 	for _, run := range runs {
-		model := run.model
-		memTile, perfTile := run.memTile, run.perfTile
-		memRes, perfRes, dynRes := run.memRes, run.perfRes, run.dynRes
-
 		add := func(name string, r workloads.DecoderResult) {
-			t.AddRow(model.Name, name, uint64(r.CyclesTotal),
-				float64(memRes.CyclesTotal)/float64(r.CyclesTotal),
+			t.AddRow(run.model.Name, name, uint64(r.CyclesTotal),
+				float64(run.memRes.CyclesTotal)/float64(r.CyclesTotal),
 				r.OnchipBytes, r.AllocatedComputeBW)
 		}
-		add("static-mem-matched(tile="+strconv.Itoa(memTile)+")", memRes)
-		add("static-perf-matched(tile="+strconv.Itoa(perfTile)+")", perfRes)
-		add("dynamic", dynRes)
+		add("static-mem-matched(tile="+strconv.Itoa(run.memTile)+")", run.memRes)
+		add("static-perf-matched(tile="+strconv.Itoa(run.perfTile)+")", run.perfRes)
+		add("dynamic", run.dynRes)
 		t.Notef("%s: dynamic speedup vs mem-matched %.2fx (paper: 1.27x Mixtral / 1.15x Qwen); onchip vs perf-matched %.0f%% smaller",
-			model.Name,
-			float64(memRes.CyclesTotal)/float64(dynRes.CyclesTotal),
-			100*(1-float64(dynRes.OnchipBytes)/float64(perfRes.OnchipBytes)))
+			run.model.Name,
+			float64(run.memRes.CyclesTotal)/float64(run.dynRes.CyclesTotal),
+			100*(1-float64(run.dynRes.OnchipBytes)/float64(run.perfRes.OnchipBytes)))
 	}
 	return t, nil
 }

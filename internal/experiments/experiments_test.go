@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"step/internal/scenario"
 )
 
 // quickSuite is the short-mode configuration used by most tests.
@@ -106,7 +108,7 @@ func fmtSscan(s string, out *float64) (int, error) {
 }
 
 func TestFigure9ParetoImprovement(t *testing.T) {
-	tb, err := Figure9(quickSuite())
+	tb, err := scenario.Run(scenario.Fig9(), quickSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestFigure14VarianceTrend(t *testing.T) {
 }
 
 func TestFigure15SmallBatchWin(t *testing.T) {
-	tb, err := Figure15(quickSuite())
+	tb, err := scenario.Run(scenario.Fig15(), quickSuite())
 	if err != nil {
 		t.Fatal(err)
 	}

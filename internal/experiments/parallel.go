@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"step/internal/graph"
+	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -40,12 +41,11 @@ func Figure14(s Suite) (*Table, error) {
 		Title:  "Dynamic parallelization vs static interleaved (batch=64)",
 		Header: []string{"KVVariance", "InterleavedCycles", "DynamicCycles", "Speedup"},
 	}
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+	model := workloads.Qwen3Config().Scaled(scenario.PaperScale)
 	classes := []trace.VarianceClass{trace.VarLow, trace.VarMed, trace.VarHigh}
-	type pair struct{ ic, dc uint64 }
 	// Each variance class needs two independent simulations: fan both
 	// strategies of every class out on the pool.
-	pairs, err := parMap(s, 2*len(classes), func(i int) (uint64, error) {
+	pairs, err := harness.ParMap(s, 2*len(classes), func(i int) (uint64, error) {
 		kv := trace.SampleKVLengths(64, 2048, classes[i/2], s.Seed)
 		strategy := workloads.StaticInterleaved
 		if i%2 == 1 {
@@ -57,20 +57,11 @@ func Figure14(s Suite) (*Table, error) {
 		return nil, err
 	}
 	for i, class := range classes {
-		p := pair{ic: pairs[2*i], dc: pairs[2*i+1]}
-		t.AddRow(class.String(), p.ic, p.dc, float64(p.ic)/float64(p.dc))
+		ic, dc := pairs[2*i], pairs[2*i+1]
+		t.AddRow(class.String(), ic, dc, float64(ic)/float64(dc))
 	}
 	t.Notef("speedups should grow with variance (paper: 1.14-1.26x low, 1.47-1.57x high)")
 	return t, nil
-}
-
-// Figure15 compares static coarse-grained parallelization with dynamic
-// across batch sizes (coarse blocks of 16 requests per region). Coarse
-// fixes 16 requests per region regardless of batch, so small batches
-// leave regions idle (§5.4). The sweep is a pure batch-by-strategy
-// grid, registered as a canned scenario spec.
-func Figure15(s Suite) (*Table, error) {
-	return scenario.Run(scenario.Fig15(), s)
 }
 
 // Figure21 is the parallelization ablation: all three strategies across
@@ -83,7 +74,7 @@ func Figure21(s Suite) (*Table, error) {
 		Title:  "Parallelization ablation (normalized cycles vs dynamic)",
 		Header: []string{"Batch", "KVVariance", "Coarse/Dyn", "Interleaved/Dyn"},
 	}
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+	model := workloads.Qwen3Config().Scaled(scenario.PaperScale)
 	type batchSpec struct {
 		name  string
 		sizes []int
@@ -98,7 +89,7 @@ func Figure21(s Suite) (*Table, error) {
 	// Each (batch composition, variance class) cell is an independent
 	// geomean over its samples: fan the cells out on the pool and render
 	// rows afterwards in grid order.
-	cells, err := parMap(s, len(specs)*len(classes), func(idx int) (cell, error) {
+	cells, err := harness.ParMap(s, len(specs)*len(classes), func(idx int) (cell, error) {
 		spec := specs[idx/len(classes)]
 		class := classes[idx%len(classes)]
 		total := 0

@@ -5,12 +5,12 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"step/internal/harness"
 )
 
 // Outcome is the result of one registered experiment run by RunAll.
 type Outcome struct {
-	// Index is the runner's position in the input slice.
-	Index   int
 	Runner  Runner
 	Table   *Table // nil when Err is set
 	Err     error
@@ -22,27 +22,30 @@ type Outcome struct {
 // when another fails — errors are reported per Outcome so a broken
 // experiment cannot mask the rest of the evaluation — and outcomes are
 // returned in input order regardless of completion order.
-func RunAll(s Suite, runners []Runner) []Outcome {
-	return RunAllProgress(s, runners, nil)
-}
-
-// RunAllProgress is RunAll with streaming: when progress is non-nil it
-// is invoked once per experiment as each finishes, in completion order,
+//
+// When progress is non-nil it streams the same outcomes in input order:
+// each is passed as soon as it and every earlier one have finished,
 // serialized so the callback needs no locking. Elapsed is wall-clock
 // time, so under a shared pool it includes contention with concurrently
 // running experiments.
-func RunAllProgress(s Suite, runners []Runner, progress func(Outcome)) []Outcome {
+func RunAll(s Suite, runners []Runner, progress func(Outcome)) []Outcome {
 	s = s.EnsurePool()
-	var reportMu sync.Mutex
-	out, err := parMap(s, len(runners), func(i int) (Outcome, error) {
+	var (
+		mu   sync.Mutex
+		done = make([]*Outcome, len(runners))
+		next int // first outcome not yet passed to progress
+	)
+	out, err := harness.ParMap(s, len(runners), func(i int) (Outcome, error) {
 		r := runners[i]
 		start := time.Now()
 		tb, err := safeRun(r, s)
-		oc := Outcome{Index: i, Runner: r, Table: tb, Err: err, Elapsed: time.Since(start)}
+		oc := Outcome{Runner: r, Table: tb, Err: err, Elapsed: time.Since(start)}
 		if progress != nil {
-			reportMu.Lock()
-			progress(oc)
-			reportMu.Unlock()
+			mu.Lock()
+			defer mu.Unlock()
+			for done[i] = &oc; next < len(done) && done[next] != nil; next++ {
+				progress(*done[next])
+			}
 		}
 		return oc, nil
 	})

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunAllReportsPerOutcome(t *testing.T) {
@@ -19,7 +22,7 @@ func TestRunAllReportsPerOutcome(t *testing.T) {
 		}},
 	}
 	for _, workers := range []int{1, 4} {
-		out := RunAll(Suite{Workers: workers}, runners)
+		out := RunAll(Suite{Workers: workers}, runners, nil)
 		if len(out) != 3 {
 			t.Fatalf("workers=%d: %d outcomes", workers, len(out))
 		}
@@ -43,7 +46,7 @@ func TestRunAllRecoversRunnerPanic(t *testing.T) {
 		{ID: "boomer", Desc: "panics", Run: func(Suite) (*Table, error) { panic("exploded") }},
 		{ID: "ok", Desc: "works", Run: func(Suite) (*Table, error) { return &Table{ID: "ok"}, nil }},
 	}
-	out := RunAll(Suite{Workers: 4}, runners)
+	out := RunAll(Suite{Workers: 4}, runners, nil)
 	if len(out) != 2 {
 		t.Fatalf("%d outcomes", len(out))
 	}
@@ -52,5 +55,29 @@ func TestRunAllRecoversRunnerPanic(t *testing.T) {
 	}
 	if out[1].Err != nil || out[1].Table.ID != "ok" {
 		t.Fatalf("panic masked sibling runner: %+v", out[1])
+	}
+}
+
+// TestRunAllProgressInInputOrder: progress streams every outcome,
+// failures included, in input order even when later runners finish
+// first.
+func TestRunAllProgressInInputOrder(t *testing.T) {
+	const n = 4
+	var runners []Runner
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("r%d", i)
+		delay := time.Duration(n-i) * 5 * time.Millisecond
+		runners = append(runners, Runner{ID: id, Run: func(Suite) (*Table, error) {
+			time.Sleep(delay)
+			if id == "r1" {
+				return nil, errors.New("boom")
+			}
+			return &Table{ID: id}, nil
+		}})
+	}
+	var got []string
+	RunAll(Suite{Workers: n}, runners, func(oc Outcome) { got = append(got, oc.Runner.ID) })
+	if want := "r0 r1 r2 r3"; strings.Join(got, " ") != want {
+		t.Fatalf("progress order %v, want %s", got, want)
 	}
 }

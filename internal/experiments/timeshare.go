@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"step/internal/graph"
+	"step/internal/harness"
+	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
@@ -19,14 +21,14 @@ type timesharePoint struct {
 // runTimeshareSweep sweeps the number of parallel regions for the Qwen MoE
 // layer at batch 64 (§5.3).
 func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]timesharePoint, error) {
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+	model := workloads.Qwen3Config().Scaled(scenario.PaperScale)
 	routing, err := trace.SampleExpertRouting(64, model.NumExperts, model.TopK, trace.SkewHeavy, s.Seed)
 	if err != nil {
 		return nil, err
 	}
 	// Region counts are independent design points: fan them out on the
 	// pool, collected in sweep order.
-	return parMap(s, len(regions), func(i int) (timesharePoint, error) {
+	return harness.ParMap(s, len(regions), func(i int) (timesharePoint, error) {
 		r := regions[i]
 		l, err := workloads.BuildMoELayer(workloads.MoELayerConfig{
 			Model: model, Batch: 64,
@@ -75,7 +77,7 @@ func Figure12(s Suite) (*Table, error) {
 		Header: []string{"Tiling", "Regions", "ExpertsPerRegion", "ComputeUtil", "Cycles"},
 	}
 	variants := []bool{false, true}
-	swept, err := parMap(s, len(variants), func(i int) ([]timesharePoint, error) {
+	swept, err := harness.ParMap(s, len(variants), func(i int) ([]timesharePoint, error) {
 		return runTimeshareSweep(s, variants[i], 32, timeshareRegions(s.Quick))
 	})
 	if err != nil {

@@ -212,11 +212,12 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 // config, and WithParams feeds the symbolic metric evaluation.
 func TestRunOptions(t *testing.T) {
 	prog := buildFamily(t, "higher")
+	env := symbolic.Env{"F": 2}
 	sess, err := prog.Run(
 		graph.WithSeed(11),
 		graph.WithSimWorkers(2),
 		graph.WithChannelDepth(5),
-		graph.WithParams(symbolic.Env{"F": 2}),
+		graph.WithParams(env),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +226,27 @@ func TestRunOptions(t *testing.T) {
 	if cfg.Seed != 11 || cfg.SimWorkers != 2 || cfg.ChannelDepth != 5 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
-	if _, err := sess.OnchipRequirement(); err != nil {
-		t.Fatalf("onchip eval: %v", err)
+	// Both session evaluations equal the program's equations under the
+	// same bindings.
+	for _, c := range []struct {
+		name string
+		eval func() (int64, error)
+		expr symbolic.Expr
+	}{
+		{"onchip", sess.OnchipRequirement, prog.OnchipBytesExpr()},
+		{"offchip", sess.OffchipTrafficEq, prog.OffchipTrafficBytesExpr()},
+	} {
+		got, err := c.eval()
+		if err != nil {
+			t.Fatalf("%s eval: %v", c.name, err)
+		}
+		want, err := c.expr.Eval(env)
+		if err != nil {
+			t.Fatalf("%s expr eval: %v", c.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: session %d, program expression %d", c.name, got, want)
+		}
 	}
 	// Depth must not change the functional outcome.
 	deep, err := prog.Run(graph.WithSeed(11), graph.WithChannelDepth(64))

@@ -2,9 +2,12 @@ package scenario
 
 // Builtin specs: the paper's pure-sweep figures expressed as data (one
 // code path serves the artifact registry and user-defined sweeps) plus
-// the beyond-the-paper scenario families. ExperimentScale mirrors
-// experiments.ExperimentScale (see ModelConfig.Scaled).
-const builtinScale = 8
+// the beyond-the-paper scenario families.
+
+// PaperScale shrinks model feature dimensions uniformly to keep
+// discrete-event counts tractable (see ModelConfig.Scaled). Every
+// registry artifact and canned spec simulates at this scale.
+const PaperScale = 8
 
 // Fig9 is the batch-64 dynamic-tiling Pareto sweep as a spec.
 func Fig9() Spec {
@@ -13,7 +16,7 @@ func Fig9() Spec {
 		Title:  "Tiling strategies, per-expert batch dim (batch=64): latency vs on-chip memory",
 		Kind:   KindMoETiling,
 		Models: []ModelSpec{{Base: "mixtral"}, {Base: "qwen"}},
-		Scale:  builtinScale,
+		Scale:  PaperScale,
 		Batch:  64,
 		Tiles:  []int{8, 16, 32, 64},
 	}
@@ -26,7 +29,7 @@ func Fig10() Spec {
 		Title:      "Tiling strategies (batch=1024): latency vs on-chip memory",
 		Kind:       KindMoETiling,
 		Models:     []ModelSpec{{Base: "mixtral"}, {Base: "qwen"}},
-		Scale:      builtinScale,
+		Scale:      PaperScale,
 		Batch:      1024,
 		Tiles:      []int{16, 64, 256, 1024},
 		QuickTiles: []int{16, 256},
@@ -59,7 +62,7 @@ func Fig15() Spec {
 		Title:        "Static coarse vs dynamic parallelization across batch sizes",
 		Kind:         KindAttention,
 		Models:       []ModelSpec{{Base: "qwen"}},
-		Scale:        builtinScale,
+		Scale:        PaperScale,
 		Batches:      []int{16, 32, 48, 64},
 		Strategies:   []string{"static-coarse", "dynamic"},
 		CoarseBlock:  16,
@@ -79,7 +82,7 @@ func GQARatio() Spec {
 		Title:      "GQA ratio sweep: KV-cache footprint vs decode-attention cycles (batch=64)",
 		Kind:       KindAttention,
 		Models:     []ModelSpec{{Base: "qwen"}},
-		Scale:      builtinScale,
+		Scale:      PaperScale,
 		Batch:      64,
 		KVHeads:    []int{1, 2, 4, 8, 16, 32},
 		Strategies: []string{"dynamic"},
@@ -95,7 +98,7 @@ func LongContext() Spec {
 		Title:      "Long-context decode: cycles vs KV-cache growth (batch=16)",
 		Kind:       KindAttention,
 		Models:     []ModelSpec{{Base: "qwen"}},
-		Scale:      builtinScale,
+		Scale:      PaperScale,
 		Batch:      16,
 		KVMeans:    []float64{256, 1024, 4096, 16384},
 		KVVariance: "med",
@@ -115,7 +118,7 @@ func MixedServing() Spec {
 		Models: []ModelSpec{
 			{Base: "qwen"},
 		},
-		Scale:       builtinScale,
+		Scale:       PaperScale,
 		Groups:      []RequestGroup{{Count: 48, KVLen: 256}, {Count: 16, KVLen: 8192}},
 		Strategies:  []string{"static-coarse", "static-interleaved", "dynamic"},
 		CoarseBlock: 16,

@@ -15,7 +15,7 @@ func decoderExecSpec() Spec {
 		Title:      "decoder exec seam",
 		Kind:       KindDecoder,
 		Models:     []ModelSpec{{Base: "qwen"}},
-		Scale:      builtinScale,
+		Scale:      PaperScale,
 		Batch:      16,
 		Strategies: []string{"static:16", "dynamic"},
 	}
