@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-module-smoke bench-json bench-sched exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
+.PHONY: all build loc vet fmt fmt-check lint test race bench bench-smoke bench-module-smoke bench-json bench-sched exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke fuzz-smoke cover check
 
 all: check
 
@@ -138,6 +138,19 @@ stream-smoke:
 fabric-smoke:
 	bash examples/fabric_smoke.sh
 
+# fuzz-smoke runs each fuzz target briefly past its seed corpus: the
+# spec loader (load -> canonicalize -> load must land on one content
+# address) and the program IR loader (parse -> canonicalize -> parse
+# must be stable). Ten seconds each, two fuzz workers. Minimizing a new
+# corpus entry is capped at 200 runs: at the default (up to 60 s per
+# entry) minimizing one large program IR takes the whole budget, and
+# the IR fuzzer otherwise makes almost no fresh executions.
+FUZZFLAGS = -run '^$$' -fuzztime 10s -fuzzminimizetime 200x -parallel 2
+
+fuzz-smoke:
+	$(GO) test ./internal/scenario $(FUZZFLAGS) -fuzz '^FuzzSpecJSON$$'
+	$(GO) test ./internal/graph $(FUZZFLAGS) -fuzz '^FuzzProgramIR$$'
+
 # cover is the full test suite run with a coverage profile plus a
 # whole-module summary; CI's test job runs it *in place of* `test`, so
 # coverage costs no second suite execution.
@@ -145,4 +158,4 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-check: build vet fmt-check lint test race bench-smoke bench-module-smoke exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke
+check: build vet fmt-check lint test race bench-smoke bench-module-smoke exp-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke fuzz-smoke

@@ -4,13 +4,12 @@
 // requirements, and enforces an optional capacity to surface schedules
 // that do not fit.
 //
-// Accounting is deterministic on both DES engines: process-attributed
-// allocations append to per-process event logs (no cross-process
-// synchronization on the hot path) and the live/peak/capacity numbers are
-// resolved after the run by replaying the merged log in (virtual time,
-// process ID, per-process order) order — the same tie rule the engines
-// use for Serialized critical sections. Calls without a process (nil)
-// take the legacy online path used by direct unit-style consumers.
+// Accounting is deterministic on both DES engines: every allocation is
+// attributed to the process making it and appends to that process's
+// event log (no cross-process synchronization on the hot path), and the
+// live/peak/capacity numbers are resolved after the run by replaying the
+// merged log in (virtual time, process ID, per-process order) order —
+// the same tie rule the engines use for Serialized critical sections.
 package onchip
 
 import (
@@ -55,18 +54,11 @@ type shard struct {
 
 // Scratchpad tracks on-chip allocations.
 type Scratchpad struct {
-	cfg Config
-
-	// Online accounting for process-less (direct) use.
-	live   int64
-	peak   int64
-	allocs int64
+	cfg    Config
 	nextID atomic.Int64
 
-	// Event-log accounting for engine-managed use.
-	mu      sync.RWMutex
-	shards  []*shard // indexed by process ID
-	nLogged atomic.Int64
+	mu     sync.RWMutex
+	shards []*shard // indexed by process ID
 }
 
 // New creates a scratchpad.
@@ -106,53 +98,34 @@ func (s *Scratchpad) log(p *des.Process, delta int64) {
 	sh := s.shardFor(p)
 	sh.events = append(sh.events, opEvent{at: p.Now(), pid: p.ID(), seq: sh.seq, delta: delta})
 	sh.seq++
-	s.nLogged.Add(1)
 }
 
 // Alloc reserves bytes at p's current virtual time and returns a buffer
-// ID. Engine-managed callers (p != nil) get deferred, deterministic
-// accounting: capacity violations surface from Err after the run, in
-// replay order, rather than aborting mid-simulation. Direct callers
-// (p == nil) keep the legacy online behavior, including an immediate
-// capacity error.
+// ID. Accounting is deferred and deterministic: a capacity violation
+// surfaces from Resolve after the run, in replay order, rather than
+// aborting mid-simulation.
 func (s *Scratchpad) Alloc(p *des.Process, bytes int64) (int, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("onchip: negative allocation %d", bytes)
-	}
-	if p == nil {
-		if s.cfg.CapacityBytes > 0 && s.live+bytes > s.cfg.CapacityBytes {
-			return 0, fmt.Errorf("onchip: allocation of %d bytes exceeds capacity (%d live of %d)",
-				bytes, s.live, s.cfg.CapacityBytes)
-		}
-		s.live += bytes
-		if s.live > s.peak {
-			s.peak = s.live
-		}
-		s.allocs++
-		return int(s.nextID.Add(1)), nil
 	}
 	s.log(p, bytes)
 	return int(s.nextID.Add(1)), nil
 }
 
-// Free releases bytes previously allocated.
+// Free releases bytes previously allocated at p's current virtual time;
+// freeing more than is live surfaces from Resolve.
 func (s *Scratchpad) Free(p *des.Process, bytes int64) {
-	if p == nil {
-		if bytes < 0 || bytes > s.live {
-			panic(fmt.Sprintf("onchip: bad free of %d (live %d)", bytes, s.live))
-		}
-		s.live -= bytes
-		return
-	}
 	if bytes < 0 {
 		panic(fmt.Sprintf("onchip: bad free of %d", bytes))
 	}
 	s.log(p, -bytes)
 }
 
-// resolved replays the merged event log. Call only when no process is
-// concurrently allocating (i.e. after Run, or from single-threaded use).
-func (s *Scratchpad) resolved() (live, peak, allocs int64, err error) {
+// Resolve replays the merged event log and returns the final live
+// bytes, the peak, and the first capacity violation or over-free in
+// replay order (nil if none). Call it only when no process is
+// concurrently allocating, i.e. after the run.
+func (s *Scratchpad) Resolve() (live, peak int64, err error) {
 	s.mu.RLock()
 	var all []opEvent
 	for _, sh := range s.shards {
@@ -171,7 +144,6 @@ func (s *Scratchpad) resolved() (live, peak, allocs int64, err error) {
 		}
 		return a.seq < b.seq
 	})
-	live, peak, allocs = s.live, s.peak, s.allocs
 	for _, ev := range all {
 		live += ev.delta
 		if live > peak {
@@ -180,64 +152,12 @@ func (s *Scratchpad) resolved() (live, peak, allocs int64, err error) {
 		if live < 0 && err == nil {
 			err = fmt.Errorf("onchip: bad free of %d at t=%d (live went negative)", -ev.delta, ev.at)
 		}
-		if ev.delta > 0 {
-			allocs++
-			if s.cfg.CapacityBytes > 0 && live > s.cfg.CapacityBytes && err == nil {
-				err = fmt.Errorf("onchip: allocation of %d bytes at t=%d exceeds capacity (%d live of %d)",
-					ev.delta, ev.at, live-ev.delta, s.cfg.CapacityBytes)
-			}
+		if ev.delta > 0 && s.cfg.CapacityBytes > 0 && live > s.cfg.CapacityBytes && err == nil {
+			err = fmt.Errorf("onchip: allocation of %d bytes at t=%d exceeds capacity (%d live of %d)",
+				ev.delta, ev.at, live-ev.delta, s.cfg.CapacityBytes)
 		}
 	}
-	return live, peak, allocs, err
-}
-
-// Resolve replays the event log once and returns the final live bytes,
-// the peak, and the first deterministic-order capacity violation (nil if
-// none). Prefer it over separate getter calls after a run: each getter
-// re-replays the log.
-func (s *Scratchpad) Resolve() (live, peak int64, err error) {
-	if s.nLogged.Load() == 0 {
-		return s.live, s.peak, nil
-	}
-	live, peak, _, err = s.resolved()
 	return live, peak, err
-}
-
-// LiveBytes returns the currently allocated bytes.
-func (s *Scratchpad) LiveBytes() int64 {
-	if s.nLogged.Load() == 0 {
-		return s.live
-	}
-	live, _, _, _ := s.resolved()
-	return live
-}
-
-// PeakBytes returns the high-water mark.
-func (s *Scratchpad) PeakBytes() int64 {
-	if s.nLogged.Load() == 0 {
-		return s.peak
-	}
-	_, peak, _, _ := s.resolved()
-	return peak
-}
-
-// Allocs returns the number of allocations performed.
-func (s *Scratchpad) Allocs() int64 {
-	if s.nLogged.Load() == 0 {
-		return s.allocs
-	}
-	_, _, allocs, _ := s.resolved()
-	return allocs
-}
-
-// Err reports the first capacity violation (or bad free) in deterministic
-// replay order, or nil. Engine-managed runs surface it from graph.Run.
-func (s *Scratchpad) Err() error {
-	if s.nLogged.Load() == 0 {
-		return nil
-	}
-	_, _, _, err := s.resolved()
-	return err
 }
 
 // AccessCycles returns the Roofline time to move bytes through one on-chip

@@ -28,15 +28,12 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 	if err != nil {
 		return plan[attnResult]{}, err
 	}
-	// Resolve axes, collapsing empty ones onto the fixed parameters.
+	// Axes of a canonical spec: an empty one collapses onto its fixed
+	// parameter.
 	ba := sp.batchAxis()
 	kvMeans := sp.KVMeans
 	if len(kvMeans) == 0 {
-		kv := sp.KVMean
-		if kv == 0 {
-			kv = defaultKVMean
-		}
-		kvMeans = []float64{kv}
+		kvMeans = []float64{sp.KVMean}
 	}
 	hasGQA := len(sp.KVHeads) > 0
 	kvHeads := sp.KVHeads
@@ -44,20 +41,9 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 		kvHeads = []int{0} // sentinel: keep the model's own KVHeads
 	}
 	strategies := sp.Strategies
-	if len(strategies) == 0 {
-		strategies = []string{defaultStrategy}
-	}
 	variance, err := parseVariance(sp.KVVariance)
 	if err != nil {
 		return plan[attnResult]{}, err
-	}
-	regions := sp.Regions
-	if regions == 0 {
-		regions = defaultRegions
-	}
-	kvChunk := sp.KVChunk
-	if kvChunk == 0 {
-		kvChunk = defaultKVChunk
 	}
 
 	nM, nB, nK, nH, nS := len(models), len(ba.sizes), len(kvMeans), len(kvHeads), len(strategies)
@@ -113,6 +99,7 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 			coords["mix"] = ba.mix
 		} else {
 			coords["batch"] = fmt.Sprint(ba.sizes[bi])
+			coords["kv_mean"] = fmt.Sprint(meanLabel(kvMeans[ki]))
 		}
 		if showBatch {
 			if ba.mix != "" {
@@ -121,7 +108,6 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 				cells = append(cells, ba.sizes[bi])
 			}
 		}
-		coords["kv_mean"] = fmt.Sprint(meanLabel(kvMeans[ki]))
 		if showKVMean {
 			cells = append(cells, meanLabel(kvMeans[ki]))
 		}
@@ -160,8 +146,8 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 			Model:       model,
 			KVLens:      kvLens,
 			Strategy:    strat,
-			Regions:     regions,
-			KVChunk:     kvChunk,
+			Regions:     sp.Regions,
+			KVChunk:     sp.KVChunk,
 			CoarseBlock: sp.CoarseBlock,
 		})
 		if err != nil {

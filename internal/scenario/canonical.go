@@ -6,29 +6,60 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
 
+// Defaults Canonicalize materializes. They live here only: every sweep
+// runs from the canonical form, so the kind plans read spec fields
+// directly and never see an unset default.
+const (
+	defaultBatch    = 64
+	defaultKVMean   = 2048
+	defaultRegions  = 4
+	defaultKVChunk  = 64
+	defaultStrategy = "dynamic"
+)
+
+// defaultChannelDepth is the engine's default stream FIFO depth, the
+// program kind's depths axis when none is declared.
+var defaultChannelDepth = graph.DefaultConfig().ChannelDepth
+
+// autoDynamicCap is the moe-tiling rule for an unset dynamic cap: no
+// bound, except 128 rows above batch 256 so experts emit tiles while
+// the batch still routes (see MoELayerConfig.DynamicCap).
+func autoDynamicCap(batch int) int {
+	if batch > 256 {
+		return 128
+	}
+	return 0
+}
+
 // Canonicalize returns the semantically-equivalent canonical form of a
-// valid spec, the serialization the content-addressed result cache
-// hashes (see Hash and internal/store). Two specs that compile to the
-// same sweep — and therefore render byte-identical tables at a given
-// seed and quick setting — canonicalize to the same value:
+// valid spec: the serialization the content-addressed result cache
+// hashes (see Hash and internal/store), and the form every sweep runs
+// from — Run, RunPoint, PointCount and TilingSweep canonicalize before
+// building a plan, so this is the one place defaults and aliases are
+// resolved. Two specs that canonicalize to the same value therefore
+// compile to the same sweep and render byte-identical tables at a given
+// seed and quick setting, by construction:
 //
 //   - models resolve to fully-materialized inline architectures with
 //     the scale factor applied ("qwen" at scale 8 collides with the
 //     equal inline config), and Scale drops to 0;
-//   - defaults the compilers apply are materialized (batch 64, KV mean
-//     2048, variance "med", skew "heavy", 4 regions, KV chunk 64,
-//     strategies ["dynamic"], the moe-tiling dynamic-cap auto rule);
+//   - defaults are materialized (batch 64, KV mean 2048, variance
+//     "med", skew "heavy", 4 regions, KV chunk 64, strategies
+//     ["dynamic"], the moe-tiling dynamic-cap auto rule, the program
+//     kind's default depth);
 //   - fixed parameters shadowed by an axis are zeroed, and a
 //     single-element batches/kv_means axis collapses onto the fixed
 //     parameter (the compiled grid is identical);
 //   - strategy, schedule, variance, and skew aliases normalize to one
 //     spelling ("coarse" -> "static-coarse", "static:016" ->
-//     "static:16", "MEDIUM" -> "med").
+//     "static:16", "MEDIUM" -> "med"), which is the spelling rows,
+//     columns and notes render.
 //
 // Quick-dependent fields (QuickTiles, an unset decoder SampleLayers)
 // stay verbatim: their meaning depends on the suite, so the cache key
@@ -52,6 +83,9 @@ func (sp Spec) Canonicalize() (Spec, error) {
 		}
 		if err := canonicalizeProgram(&c); err != nil {
 			return Spec{}, err
+		}
+		if len(c.Depths) == 0 {
+			c.Depths = []int{defaultChannelDepth}
 		}
 		return c, nil
 	}
@@ -230,11 +264,20 @@ func (sp Spec) Hash() (string, error) {
 // PointCount returns the number of sweep points Run will execute for a
 // valid spec under the given quick setting — exactly the number of
 // successful Suite.OnPoint events a full run fires, so services can
-// report done/total progress. It reads the grid size from the same plan
-// the driver runs (building one simulates nothing), and each cell of a
-// declared Workers x SimWorkers verification matrix re-runs the grid.
-// An invalid spec has no points.
+// report done/total progress. An invalid spec has no points.
 func (sp Spec) PointCount(quick bool) int {
+	c, err := sp.Canonicalize()
+	if err != nil {
+		return 0
+	}
+	return c.pointCount(quick)
+}
+
+// pointCount is PointCount of a canonical spec. It reads the grid size
+// from the same plan the driver runs (building one simulates nothing),
+// and each cell of a declared Workers x SimWorkers verification matrix
+// re-runs the grid.
+func (sp Spec) pointCount(quick bool) int {
 	p, err := sp.plan(harness.Suite{Quick: quick})
 	if err != nil {
 		return 0

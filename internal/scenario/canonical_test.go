@@ -22,7 +22,9 @@ func mustHash(t *testing.T, sp Spec) string {
 }
 
 // TestCanonicalHashCollidesEqualSpecs: every pair below compiles to the
-// same sweep, so the canonical hashes must collide.
+// same sweep, so the canonical hashes must collide — and, since the
+// store serves one spec the other's cached bytes, both must render the
+// identical table.
 func TestCanonicalHashCollidesEqualSpecs(t *testing.T) {
 	parse := func(raw string) Spec {
 		t.Helper()
@@ -61,11 +63,11 @@ func TestCanonicalHashCollidesEqualSpecs(t *testing.T) {
 			`{"id": "x", "kind": "attention", "models": ["qwen"], "scale": 8,
 			  "batches": [16, 32]}`,
 		},
-		"decoder schedule alias and skew default": {
+		"decoder schedule alias": {
 			`{"id": "x", "kind": "decoder", "models": ["qwen"], "scale": 8,
 			  "strategies": ["STATIC:016", "dynamic"]}`,
 			`{"id": "x", "kind": "decoder", "models": ["qwen"], "scale": 8,
-			  "strategies": ["static:16", "dynamic"], "skew": "heavy", "kv_variance": "medium"}`,
+			  "strategies": ["static:16", "DYNAMIC"], "skew": "heavy", "kv_variance": "medium"}`,
 		},
 		"tiling dynamic-cap auto rule": {
 			`{"id": "x", "kind": "moe-tiling", "models": ["qwen"], "scale": 8,
@@ -76,11 +78,26 @@ func TestCanonicalHashCollidesEqualSpecs(t *testing.T) {
 	}
 	for name, pair := range cases {
 		a, b := parse(pair[0]), parse(pair[1])
-		if ha, hb := mustHash(t, a), mustHash(t, b); ha != hb {
-			ja, _ := a.CanonicalJSON()
-			jb, _ := b.CanonicalJSON()
-			t.Errorf("%s: hashes differ:\n%s\n%s", name, ja, jb)
-		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if ha, hb := mustHash(t, a), mustHash(t, b); ha != hb {
+				ja, _ := a.CanonicalJSON()
+				jb, _ := b.CanonicalJSON()
+				t.Fatalf("hashes differ:\n%s\n%s", ja, jb)
+			}
+			s := harness.Suite{Seed: 7, Quick: true, Workers: 1}
+			ta, err := Run(a, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := Run(b, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ta.String() != tb.String() || ta.CSV() != tb.CSV() {
+				t.Errorf("equal hashes render different tables:\n%s\n%s", ta, tb)
+			}
+		})
 	}
 }
 

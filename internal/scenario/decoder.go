@@ -30,13 +30,6 @@ func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 	}
 	ba := sp.batchAxis()
 	schedules := sp.Strategies
-	if len(schedules) == 0 {
-		schedules = []string{defaultStrategy}
-	}
-	kvMean := sp.KVMean
-	if kvMean == 0 {
-		kvMean = defaultKVMean
-	}
 	variance, err := parseVariance(sp.KVVariance)
 	if err != nil {
 		return plan[decoderResult]{}, err
@@ -79,7 +72,7 @@ func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 			res, err := workloads.RunDecoder(workloads.DecoderConfig{
 				Model:        models[mi],
 				Batch:        b,
-				KVLens:       ba.kvLens(b, kvMean, variance, s.Seed),
+				KVLens:       ba.kvLens(b, sp.KVMean, variance, s.Seed),
 				MoETile:      sched.moeTile,
 				MoEDynamic:   sched.moeDynamic,
 				MoERegions:   sp.MoERegions,

@@ -25,11 +25,14 @@
 //     state.
 //   - Canonical identity: Canonicalize and CanonicalJSON produce a
 //     normalized, stable serialization of a spec — defaults filled,
-//     fields ordered deterministically — and those bytes are the only
-//     spec-derived input to the result-cache key (internal/store). Two
-//     specs with equal canonical bytes must simulate identically;
-//     anything that changes rendered output must change the canonical
-//     form.
+//     aliases spelled one way, fields ordered deterministically — and
+//     those bytes are the only spec-derived input to the result-cache
+//     key (internal/store). Every sweep (Run, RunPoint, PointCount,
+//     TilingSweep) runs from the canonical form, so Canonicalize is the
+//     one place defaults and aliases are resolved: two specs with equal
+//     canonical bytes simulate and render identically by construction,
+//     and anything that changes rendered output must change the
+//     canonical form.
 //   - Specs are plain values: Run does not mutate its Spec argument, so
 //     a spec loaded once may be submitted concurrently (the service
 //     layer relies on this).

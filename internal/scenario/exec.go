@@ -39,7 +39,8 @@ type Exec struct {
 // The result depends only on (spec, seed, quick, idx); Workers and
 // SimWorkers choices never change it.
 func RunPoint(sp Spec, s harness.Suite, idx int) ([]byte, error) {
-	if err := sp.Validate(); err != nil {
+	sp, err := sp.Canonicalize()
+	if err != nil {
 		return nil, err
 	}
 	p, err := sp.plan(s)

@@ -18,11 +18,6 @@ import (
 // instantiated fresh from its IR, so points are independent and tables
 // are byte-identical at any worker count, same as every other kind.
 
-// defaultChannelDepth is the engine's default stream FIFO depth; the
-// program kind materializes it into the depths axis during
-// canonicalization so equal sweeps share one cache address.
-var defaultChannelDepth = graph.DefaultConfig().ChannelDepth
-
 // validateProgram checks a program-kind spec: the field shape
 // (validateProgramFields) plus an IR that actually compiles.
 func (sp Spec) validateProgram() error {
@@ -62,19 +57,28 @@ func (sp Spec) validateProgramFields() error {
 }
 
 // progCache memoizes compiled programs by the raw bytes of the
-// embedded IR. One submission compiles the same document several times
-// on the serving path (validation, canonicalization for the cache key,
-// the sweep itself); compiled Programs are immutable and instantiate a
-// fresh graph per run, so sharing one across those callers — and
-// across concurrent jobs — is safe. The map is bounded: past the cap
-// it is dropped wholesale (entries are pure caches; losing them only
-// costs a recompile).
+// embedded IR, and — once canonicalizeProgram has derived them — under
+// the canonical bytes too, with those bytes alongside. A submission
+// compiles and serializes its document once; everything after it (the
+// cache key, the sweep, fabric workers) reads the canonical document
+// and hits. Compiled Programs are immutable and instantiate a fresh
+// graph per run, so sharing one across those callers — and across
+// concurrent jobs — is safe. The map is bounded: past the cap it is
+// dropped wholesale (entries are pure caches; losing them only costs a
+// recompile).
 var progCache struct {
 	sync.Mutex
-	m map[[sha256.Size]byte]*graph.Program
+	m map[[sha256.Size]byte]progMemo
 }
 
 const progCacheCap = 64
+
+// progMemo is one progCache entry: a compiled program and, when known,
+// its canonical IR bytes.
+type progMemo struct {
+	prog      *graph.Program
+	canonical []byte
+}
 
 // CompileProgram compiles a raw program IR document through the
 // package's memo, shared with spec validation, canonicalization, and
@@ -84,50 +88,62 @@ func CompileProgram(body []byte) (*graph.Program, error) {
 }
 
 // compileProgram parses and compiles the embedded IR, memoized on the
-// raw document bytes.
+// document bytes.
 func (sp Spec) compileProgram() (*graph.Program, error) {
+	m, err := sp.programMemo()
+	return m.prog, err
+}
+
+// programMemo returns the progCache entry of the embedded IR, compiling
+// it on a miss.
+func (sp Spec) programMemo() (progMemo, error) {
 	key := sha256.Sum256(sp.Program)
 	progCache.Lock()
-	prog, ok := progCache.m[key]
+	m, ok := progCache.m[key]
 	progCache.Unlock()
 	if ok {
-		return prog, nil
+		return m, nil
 	}
 	ir, err := graph.ParseProgramIR(sp.Program)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sp.ID, err)
+		return m, fmt.Errorf("scenario %s: %w", sp.ID, err)
 	}
-	prog, err = graph.CompileIR(ir)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sp.ID, err)
+	if m.prog, err = graph.CompileIR(ir); err != nil {
+		return m, fmt.Errorf("scenario %s: %w", sp.ID, err)
 	}
-	progCache.Lock()
-	if progCache.m == nil || len(progCache.m) >= progCacheCap {
-		progCache.m = make(map[[sha256.Size]byte]*graph.Program)
-	}
-	progCache.m[key] = prog
-	progCache.Unlock()
-	return prog, nil
+	memoProgram(sp.Program, m)
+	return m, nil
 }
 
-// canonicalizeProgram rewrites a valid program-kind spec into canonical
-// form: the IR is replayed through its constructors and re-serialized
-// with sorted keys (so formatting and field order stop mattering to the
-// cache address, while content forms like seeded random tiles are
-// preserved), and the default depths axis is materialized.
+// memoProgram records m as the entry of the document doc.
+func memoProgram(doc []byte, m progMemo) {
+	key := sha256.Sum256(doc)
+	progCache.Lock()
+	defer progCache.Unlock()
+	if progCache.m == nil || len(progCache.m) >= progCacheCap {
+		progCache.m = make(map[[sha256.Size]byte]progMemo)
+	}
+	progCache.m[key] = m
+}
+
+// canonicalizeProgram rewrites the embedded IR of a program-kind spec
+// into canonical form: the IR is replayed through its constructors and
+// re-serialized with sorted keys (so formatting and field order stop
+// mattering to the cache address, while content forms like seeded
+// random tiles are preserved).
 func canonicalizeProgram(c *Spec) error {
-	prog, err := c.compileProgram()
+	m, err := c.programMemo()
 	if err != nil {
 		return err
 	}
-	canonical, err := prog.CanonicalJSON()
-	if err != nil {
-		return fmt.Errorf("scenario %s: %w", c.ID, err)
+	if m.canonical == nil {
+		if m.canonical, err = m.prog.CanonicalJSON(); err != nil {
+			return fmt.Errorf("scenario %s: %w", c.ID, err)
+		}
+		memoProgram(c.Program, m)
+		memoProgram(m.canonical, m)
 	}
-	c.Program = canonical
-	if len(c.Depths) == 0 {
-		c.Depths = []int{defaultChannelDepth}
-	}
+	c.Program = m.canonical
 	return nil
 }
 
@@ -149,9 +165,6 @@ func programPlan(sp Spec, s harness.Suite) (plan[programPoint], error) {
 		return plan[programPoint]{}, err
 	}
 	depths := sp.Depths
-	if len(depths) == 0 {
-		depths = []int{defaultChannelDepth}
-	}
 	return plan[programPoint]{
 		header: []string{"Depth", "Cycles", "TrafficBytes", "PeakOnchipBytes", "FLOPs"},
 		points: len(depths),

@@ -123,6 +123,35 @@ func TestProgramSpecCanonicalHash(t *testing.T) {
 	}
 }
 
+// TestCanonicalProgramSharesCompile: canonicalizing a program spec
+// memoizes its compiled program under the canonical bytes too, so the
+// canonical form every later step runs (cache key, sweep, fabric
+// workers) compiles nothing more.
+func TestCanonicalProgramSharesCompile(t *testing.T) {
+	progCache.Lock()
+	progCache.m = nil // start cold: other tests compile the same document
+	progCache.Unlock()
+	sp := programSpec(t)
+	raw, err := sp.compileProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sp.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(c.Program) == string(sp.Program) {
+		t.Fatal("example IR is already canonical; the test needs a reformatted document")
+	}
+	canon, err := c.compileProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon != raw {
+		t.Fatal("the canonical IR compiled again instead of sharing the raw document's program")
+	}
+}
+
 // TestProgramKindRun: the sweep renders one row per depth, the note
 // names the program, point progress matches PointCount, and the table
 // is byte-identical across the Workers x SimWorkers matrix.

@@ -36,10 +36,11 @@ func RunStream(sp Spec, s harness.Suite, sink Sink) (*harness.Table, error) {
 // and in what mix — points executed. Every cell of a declared
 // verification matrix re-dispatches through the same executor.
 func RunStreamExec(sp Spec, s harness.Suite, sink Sink, x Exec) (*harness.Table, error) {
-	if err := sp.Validate(); err != nil {
+	sp, err := sp.Canonicalize()
+	if err != nil {
 		return nil, err
 	}
-	points := sp.PointCount(s.Quick)
+	points := sp.pointCount(s.Quick)
 	runCell := func(s harness.Suite, sink Sink) (*harness.Table, error) {
 		p, err := sp.plan(s)
 		if err != nil {
@@ -125,8 +126,10 @@ type sweep interface {
 	raw(i int) ([]byte, error)
 }
 
-// plan builds the spec's sweep plan under suite s (seed, quick flag and
-// DES engine are baked into the point function).
+// plan builds the sweep plan of a canonical spec under suite s (seed,
+// quick flag and DES engine are baked into the point function). The
+// kind plans read spec fields as Canonicalize left them: defaults
+// materialized, aliases in their one spelling.
 func (sp Spec) plan(s harness.Suite) (sweep, error) {
 	switch sp.Kind {
 	case KindMoETiling:

@@ -12,28 +12,6 @@ import (
 	"step/internal/workloads"
 )
 
-// Compiler defaults, shared by the kind compilers and Canonicalize so
-// the cache address materializes exactly what the compilers run: a
-// default tweaked in only one place would either split equal specs
-// across addresses or serve one spec another spec's cached table.
-const (
-	defaultBatch    = 64
-	defaultKVMean   = 2048
-	defaultRegions  = 4
-	defaultKVChunk  = 64
-	defaultStrategy = "dynamic"
-)
-
-// autoDynamicCap is the moe-tiling rule for an unset dynamic cap: no
-// bound, except 128 rows above batch 256 so experts emit tiles while
-// the batch still routes (see MoELayerConfig.DynamicCap).
-func autoDynamicCap(batch int) int {
-	if batch > 256 {
-		return 128
-	}
-	return 0
-}
-
 // Spec kinds.
 const (
 	// KindMoETiling sweeps static MoE tile sizes plus dynamic tiling for
@@ -291,11 +269,10 @@ func (sp Spec) resolveModels() ([]workloads.ModelConfig, error) {
 	return out, nil
 }
 
-// batchAxis is the resolved batch axis of the attention and decoder
-// kinds. A groups spec is one batch whose KV lengths are exactly the
-// groups' (mix labels it, e.g. "2x512+2x1024"); otherwise it is the
-// batches axis, or the fixed batch (default 64), with KV lengths
-// sampled per point.
+// batchAxis is the batch axis of a canonical attention or decoder spec.
+// A groups spec is one batch whose KV lengths are exactly the groups'
+// (mix labels it, e.g. "2x512+2x1024"); otherwise it is the batches
+// axis, or the fixed batch, with KV lengths sampled per point.
 type batchAxis struct {
 	sizes        []int
 	groupLens    []int
@@ -317,11 +294,7 @@ func (sp Spec) batchAxis() batchAxis {
 		a.mix = strings.Join(parts, "+")
 		a.sizes = []int{len(a.groupLens)}
 	case len(a.sizes) == 0:
-		b := sp.Batch
-		if b == 0 {
-			b = defaultBatch
-		}
-		a.sizes = []int{b}
+		a.sizes = []int{sp.Batch}
 	}
 	return a
 }

@@ -25,10 +25,14 @@ type TilingPoint struct {
 // auto dynamic cap, run on the suite's pool. Feeds the Fig. 17
 // matched-tile derivation.
 func TilingSweep(s harness.Suite, model workloads.ModelConfig, batch int, tiles []int) ([]TilingPoint, TilingPoint, error) {
-	p, err := moeTilingPlan(Spec{
+	sp, err := Spec{
 		ID: "tiling-sweep", Kind: KindMoETiling,
 		Models: []ModelSpec{{Config: &model}}, Batch: batch, Tiles: tiles,
-	}, s)
+	}.Canonicalize()
+	if err != nil {
+		return nil, TilingPoint{}, err
+	}
+	p, err := moeTilingPlan(sp, s)
 	if err != nil {
 		return nil, TilingPoint{}, err
 	}
@@ -54,10 +58,6 @@ func moeTilingPlan(sp Spec, s harness.Suite) (plan[TilingPoint], error) {
 	if s.Quick && len(sp.QuickTiles) > 0 {
 		tiles = sp.QuickTiles
 	}
-	dynCap := sp.DynamicCap
-	if dynCap == 0 {
-		dynCap = autoDynamicCap(sp.Batch)
-	}
 	perModel := len(tiles) + 1
 	return plan[TilingPoint]{
 		header: []string{"Model", "Schedule", "Cycles", "OnchipBytes", "TrafficBytes"},
@@ -73,7 +73,7 @@ func moeTilingPlan(sp Spec, s harness.Suite) (plan[TilingPoint], error) {
 				return TilingPoint{}, err
 			}
 			cfg := workloads.MoELayerConfig{
-				Model: model, Batch: sp.Batch, Dynamic: j == len(tiles), DynamicCap: dynCap,
+				Model: model, Batch: sp.Batch, Dynamic: j == len(tiles), DynamicCap: sp.DynamicCap,
 				Routing: routing, Seed: s.Seed,
 			}
 			label := "dynamic"

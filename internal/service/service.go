@@ -88,12 +88,15 @@ type Job struct {
 
 // job is the mutable record behind a Job snapshot.
 type job struct {
-	id    string
-	key   string
-	spec  scenario.Spec
-	seed  uint64
-	quick bool
-	total int
+	id   string
+	key  string
+	spec scenario.Spec // canonical: the sweep, key and manifest all read it
+	// specJSON is spec's canonical serialization, the self-contained
+	// payload of every fabric lease.
+	specJSON []byte
+	seed     uint64
+	quick    bool
+	total    int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -245,17 +248,26 @@ var ErrQueueFull = errors.New("service: job queue is full")
 // ErrClosed is returned by Submit once the service is shutting down.
 var ErrClosed = errors.New("service: closed")
 
-// Submit validates the spec, addresses it, and enqueues a job. A
-// store hit is answered immediately with a cached job; otherwise the
-// job starts queued and an executor picks it up.
+// Submit canonicalizes (and so validates) the spec, addresses it, and
+// enqueues a job that runs the canonical form. A store hit is answered
+// immediately with a cached job; otherwise the job starts queued and an
+// executor picks it up.
 func (s *Service) Submit(sp scenario.Spec, seed uint64, quick bool) (Job, error) {
-	key, err := store.Key(sp, seed, quick) // validates via canonicalization
+	sp, err := sp.Canonicalize() // validates
+	if err != nil {
+		return Job{}, err
+	}
+	key, err := store.Key(sp, seed, quick)
+	if err != nil {
+		return Job{}, err
+	}
+	cj, err := sp.CanonicalJSON()
 	if err != nil {
 		return Job{}, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		key: key, spec: sp, seed: seed, quick: quick,
+		key: key, spec: sp, specJSON: cj, seed: seed, quick: quick,
 		total: sp.PointCount(quick),
 		ctx:   ctx, cancel: cancel,
 		bc:       newBroadcast(),
@@ -467,17 +479,14 @@ func (s *Service) execute(j *job) {
 	// empty fleet Dispatch answers ErrNoWorkers immediately and the
 	// point runs on this executor instead. The canonical spec ships in
 	// every lease, so a work unit is self-contained.
-	var x scenario.Exec
-	if cj, err := j.spec.CanonicalJSON(); err == nil {
-		work := fabric.Work{Key: j.key, Spec: cj, Seed: j.seed, Quick: j.quick}
-		x.Remote = func(idx int) ([]byte, error) {
-			raw, err := s.fab.Dispatch(j.ctx, work, idx)
-			if errors.Is(err, fabric.ErrNoWorkers) {
-				return nil, scenario.ErrLocalPoint
-			}
-			return raw, err
+	work := fabric.Work{Key: j.key, Spec: j.specJSON, Seed: j.seed, Quick: j.quick}
+	x := scenario.Exec{Remote: func(idx int) ([]byte, error) {
+		raw, err := s.fab.Dispatch(j.ctx, work, idx)
+		if errors.Is(err, fabric.ErrNoWorkers) {
+			return nil, scenario.ErrLocalPoint
 		}
-	}
+		return raw, err
+	}}
 
 	start := time.Now()
 	tb, err := scenario.RunStreamExec(j.spec, suite, sink, x)
