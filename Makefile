@@ -126,8 +126,9 @@ serve-smoke:
 	bash examples/serve_smoke.sh
 
 # stream-smoke drives the per-point result pipeline end to end: batch
-# vs -follow sweeps, `stepctl watch` tailing a live served job, and the
-# journal replay of a cache hit — all four must render identical bytes.
+# vs -follow sweeps, `stepctl watch` tailing a live served job, the
+# journal replay of a cache hit, and the server's replay of an entry
+# `stepctl sweep -cache` wrote — all must render identical bytes.
 stream-smoke:
 	bash examples/stream_smoke.sh
 

@@ -217,6 +217,7 @@ func sweep(args []string) error {
 	var (
 		st  *store.Store
 		key string
+		jn  *store.Journal
 	)
 	if *cache {
 		var err error
@@ -232,6 +233,9 @@ func sweep(args []string) error {
 			fmt.Fprintf(os.Stderr, "sweep: cache hit %s\n", key)
 			fmt.Println(e.Table)
 			return writeCSV(rf.out, e.Manifest.SpecID, e.CSV)
+		}
+		if jn, err = st.BeginJournal(key); err != nil {
+			return err
 		}
 	}
 
@@ -249,6 +253,11 @@ func sweep(args []string) error {
 			},
 		}
 	}
+	if jn != nil {
+		// The cached entry carries the row journal, so a server sharing
+		// the cache replays the same stream the service would have.
+		sink = jn.Sink(sp.ID, sink)
+	}
 
 	return rf.profiled(func() error {
 		start := time.Now()
@@ -257,12 +266,13 @@ func sweep(args []string) error {
 			return err
 		}
 		fmt.Println(tb.String())
-		if st != nil {
+		if jn != nil {
 			entry, err := store.NewEntry(sp, rf.Seed, rf.Quick, tb.String(), tb.CSV(), store.GitDescribe("."), time.Since(start))
 			if err != nil {
 				return err
 			}
-			if err := st.Put(entry); err != nil {
+			jn.Finish(tb.Notes)
+			if err := st.CommitJournal(jn, entry); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "sweep: cached %s\n", key)

@@ -8,7 +8,10 @@
 #   2. `stepctl watch` tailing a live `stepctl serve` job over the
 #      GET /sweeps/{id}/stream NDJSON feed,
 #   3. `stepctl watch` of a cache-hit job, replayed from the stored
-#      rows.ndjson journal instead of a live sweep.
+#      rows.ndjson journal instead of a live sweep,
+#   4. `stepctl watch` of a job served from an entry that
+#      `stepctl sweep -cache` wrote into the server's cache directory:
+#      the CLI journals the same rows, coordinates included.
 # Run from anywhere; `make stream-smoke` runs it in CI.
 #
 # Usage: examples/stream_smoke.sh [spec-id]   (default: gqa-ratio)
@@ -59,4 +62,17 @@ curl -sf "$BASE/sweeps/$JOB2/stream" >"$WORK/stream.ndjson"
 head -1 "$WORK/stream.ndjson" | grep -q '"type":"start"' || { echo "stream does not open with a start event" >&2; exit 1; }
 tail -1 "$WORK/stream.ndjson" | grep -q '"type":"done"' || { echo "stream does not end with a done event" >&2; exit 1; }
 
-echo "stream smoke OK: $SPEC byte-identical across batch, -follow, live watch, and journal replay"
+echo "== CLI-cached entry: the server replays the CLI's journal =="
+"$WORK/stepctl" sweep -name "$SPEC" -quick -seed 9 -cache -cache-dir "$WORK/cache" >"$WORK/cli9.txt" 2>/dev/null
+curl -sf -X POST "$BASE/sweeps?name=$SPEC&seed=9&quick=1" >"$WORK/job3.json"
+grep -q '"state": "cached"' "$WORK/job3.json" || { echo "CLI-cached entry was not served from the cache" >&2; exit 1; }
+JOB3=$(sed -n 's/.*"id": "\(job-[0-9]*\)".*/\1/p' "$WORK/job3.json")
+"$WORK/stepctl" watch "$ADDR" "$JOB3" >"$WORK/watch3.txt" 2>/dev/null
+diff "$WORK/cli9.txt" "$WORK/watch3.txt"
+curl -sf "$BASE/sweeps/$JOB3/stream" >"$WORK/stream3.ndjson"
+grep -q '"type":"row"' "$WORK/stream3.ndjson" || { echo "CLI-cached replay has no rows" >&2; exit 1; }
+if grep '"type":"row"' "$WORK/stream3.ndjson" | grep -qv '"coords":'; then
+  echo "CLI-cached replay dropped row coords" >&2; exit 1
+fi
+
+echo "stream smoke OK: $SPEC byte-identical across batch, -follow, live watch, journal replay, and CLI-cached replay"

@@ -2,7 +2,9 @@
 // bounded queue of executors runs submitted specs on one shared
 // harness worker pool, results land in a content-addressed store
 // (internal/store), and repeated submissions of a semantically-equal
-// spec are served from the cache without re-simulation. The HTTP
+// spec are served from the cache without re-simulation. Rows are
+// journaled in memory as they land and commit with the table; a store
+// error fails the job rather than caching a partial entry. The HTTP
 // surface over the same queue lives in http.go; `stepctl serve` and
 // `stepctl sweep -cache` are thin wrappers.
 //
@@ -37,8 +39,10 @@
 // observes the same event sequence: events buffer per job, late
 // subscribers replay the buffered prefix and then follow live. Jobs
 // that finished without broadcasting rows — cached submissions,
-// single-flight followers — synthesize their replay from the store's
-// row journal (or, for journal-less entries, the stored CSV).
+// single-flight followers — replay the store's row journal, which
+// every entry carries whether the service or `stepctl sweep -cache`
+// wrote it. There is no fallback to the rendered CSV: an entry whose
+// journal cannot be read ends its stream with a failed done event.
 //
 // Invariants:
 //

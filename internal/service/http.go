@@ -101,26 +101,26 @@ func queryBool(r *http.Request, name string) (bool, error) {
 }
 
 // awaitJob blocks until the job finishes or the wait budget (from the
-// ?wait query parameter, capped at 10 minutes) runs out. Without a
-// wait parameter it returns immediately.
-func (s *Service) awaitJob(r *http.Request, id string) error {
+// ?wait query parameter, capped at 10 minutes) runs out, and reports
+// whether it waited. Without a wait parameter it returns immediately.
+func (s *Service) awaitJob(r *http.Request, id string) (bool, error) {
 	raw := r.URL.Query().Get("wait")
 	if raw == "" {
-		return nil
+		return false, nil
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil {
-		return fmt.Errorf("bad wait %q", raw)
+		return false, fmt.Errorf("bad wait %q", raw)
 	}
 	if d <= 0 {
-		return nil
+		return false, nil
 	}
 	if d > 10*time.Minute {
 		d = 10 * time.Minute
 	}
 	ch, ok := s.Finished(id)
 	if !ok {
-		return nil // unknown id surfaces from the caller's lookup
+		return false, nil // unknown id surfaces from the caller's lookup
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -129,7 +129,7 @@ func (s *Service) awaitJob(r *http.Request, id string) error {
 	case <-t.C:
 	case <-r.Context().Done():
 	}
-	return nil
+	return true, nil
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -265,17 +265,23 @@ func (s *Service) submitAndRespond(w http.ResponseWriter, r *http.Request, sp sc
 		httpError(w, code, "%v", err)
 		return
 	}
-	if err := s.awaitJob(r, job.ID); err != nil {
+	waited, err := s.awaitJob(r, job.ID)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if refreshed, ok := s.Get(job.ID); ok {
+	// Without a wait, answer from Submit's snapshot (queued -> 202,
+	// cached -> 200): re-reading could race a fast job to done.
+	if waited {
+		refreshed, ok := s.Get(job.ID)
+		if !ok {
+			// Finished and already pruned from history during the wait;
+			// the result (if any) is in the store — a re-POST answers
+			// cached.
+			httpError(w, http.StatusGone, "job %s finished but its record was pruned; re-submit to read the cached result", job.ID)
+			return
+		}
 		job = refreshed
-	} else {
-		// Finished and already pruned from history during the wait; the
-		// result (if any) is in the store — a re-POST answers cached.
-		httpError(w, http.StatusGone, "job %s finished but its record was pruned; re-submit to read the cached result", job.ID)
-		return
 	}
 	code := http.StatusAccepted
 	if job.State.Terminal() {
@@ -290,7 +296,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.awaitJob(r, id); err != nil {
+	if _, err := s.awaitJob(r, id); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -304,7 +310,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.awaitJob(r, id); err != nil {
+	if _, err := s.awaitJob(r, id); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

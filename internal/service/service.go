@@ -411,9 +411,7 @@ func (s *Service) pruneLocked() {
 
 // execute runs the sweep for a claimed key, streaming rows into the
 // job's broadcast and the store's journal as they land. On success the
-// journal commits into the cache entry; journaling failures (disk
-// trouble mid-run) degrade to a plain Put of the finished artifacts,
-// never to a failed sweep.
+// journal commits into the cache entry; a store error fails the job.
 func (s *Service) execute(j *job) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -422,6 +420,12 @@ func (s *Service) execute(j *job) {
 	}
 	j.state, j.started = StateRunning, time.Now()
 	j.mu.Unlock()
+
+	jn, err := s.st.BeginJournal(j.key)
+	if err != nil {
+		j.finish(StateFailed, err.Error())
+		return
+	}
 
 	suite := s.suite
 	suite.Seed = j.seed
@@ -433,47 +437,18 @@ func (s *Service) execute(j *job) {
 		}
 	}
 
-	jn, jerr := s.st.BeginJournal(j.key)
-	if jerr != nil {
-		jn = nil
-	}
-	var jmu sync.Mutex // guards jn against the concurrent record/commit/abort below
-	record := func(ev StreamEvent) {
-		jmu.Lock()
-		defer jmu.Unlock()
-		if jn == nil {
-			return
-		}
-		if err := jn.Append(journalRecord(ev)); err != nil {
-			jn.Abort()
-			jn = nil
-		}
-	}
-	abort := func() {
-		jmu.Lock()
-		defer jmu.Unlock()
-		if jn != nil {
-			jn.Abort()
-			jn = nil
-		}
-	}
-
-	sink := scenario.Sink{
+	sink := jn.Sink(j.spec.ID, scenario.Sink{
 		Start: func(st scenario.StreamStart) {
-			ev := StreamEvent{
+			j.bc.publish(StreamEvent{
 				Type: EventStart, JobID: j.id, SpecID: j.spec.ID, Key: j.key,
 				Title: st.Title, Header: st.Header,
 				RowsTotal: st.Rows, PointsTotal: st.Points,
-			}
-			record(ev)
-			j.bc.publish(ev)
+			})
 		},
 		Row: func(p scenario.PointResult) {
-			ev := StreamEvent{Type: EventRow, Index: p.Index, Cells: p.Cells, Coords: p.Coords}
-			record(ev)
-			j.bc.publish(ev)
+			j.bc.publish(StreamEvent{Type: EventRow, Index: p.Index, Cells: p.Cells, Coords: p.Coords})
 		},
-	}
+	})
 
 	// Offer points to the worker fabric when workers are joined; with an
 	// empty fleet Dispatch answers ErrNoWorkers immediately and the
@@ -491,7 +466,7 @@ func (s *Service) execute(j *job) {
 	start := time.Now()
 	tb, err := scenario.RunStreamExec(j.spec, suite, sink, x)
 	if err != nil {
-		abort()
+		jn.Abort()
 		if j.ctx.Err() != nil {
 			j.finish(StateCanceled, context.Cause(j.ctx).Error())
 		} else {
@@ -503,28 +478,14 @@ func (s *Service) execute(j *job) {
 	j.notes = tb.Notes
 	j.mu.Unlock()
 	entry, err := store.NewEntry(j.spec, j.seed, j.quick, tb.String(), tb.CSV(), s.opts.GitDescribe, time.Since(start))
+	if err == nil {
+		jn.Finish(tb.Notes)
+		err = s.st.CommitJournal(jn, entry)
+	}
 	if err != nil {
-		abort()
+		jn.Abort()
 		j.finish(StateFailed, err.Error())
 		return
-	}
-	record(StreamEvent{Type: EventDone, Notes: tb.Notes})
-	stored := false
-	jmu.Lock()
-	if jn != nil {
-		if err := s.st.CommitJournal(jn, entry); err != nil {
-			jn.Abort()
-		} else {
-			stored = true
-		}
-		jn = nil
-	}
-	jmu.Unlock()
-	if !stored {
-		if err := s.st.Put(entry); err != nil {
-			j.finish(StateFailed, err.Error())
-			return
-		}
 	}
 	j.finish(StateDone, "")
 }

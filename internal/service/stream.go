@@ -2,13 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
-
-	"step/internal/store"
 )
 
 // Stream event types, in the order a successful stream delivers them:
@@ -169,114 +165,37 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // replayStream synthesizes the start/row sequence of a successful job
-// whose broadcast buffered no rows, then writes the terminal event.
-// Entries committed through a journal replay exactly the original
-// stream (coords included); entries written by a plain Put fall back
-// to the stored CSV and table text.
+// whose broadcast buffered no rows from the entry's journal — exactly
+// the original stream, coords included — then writes the terminal
+// event. A journal that cannot be read turns the terminal event into a
+// failure naming the store's error.
 func (s *Service) replayStream(write func(StreamEvent) bool, j *job, terminal StreamEvent) {
-	recs, ok, err := s.st.ReadRows(j.key)
-	if err == nil && ok {
-		for _, rec := range recs {
-			switch rec.Type {
-			case "start":
-				if !write(StreamEvent{
-					Type: EventStart, JobID: j.id, SpecID: rec.SpecID, Key: j.key,
-					Title: rec.Title, Header: rec.Header,
-					RowsTotal: rec.Rows, PointsTotal: rec.Points,
-				}) {
-					return
-				}
-			case "row":
-				if !write(StreamEvent{Type: EventRow, Index: rec.Index, Cells: rec.Cells, Coords: rec.Coords}) {
-					return
-				}
-			case "done":
-				if len(terminal.Notes) == 0 {
-					terminal.Notes = rec.Notes
-				}
+	recs, err := s.st.ReadRows(j.key)
+	if err != nil {
+		terminal.State = string(StateFailed)
+		terminal.Error = err.Error()
+		write(terminal)
+		return
+	}
+	for _, rec := range recs {
+		switch rec.Type {
+		case "start":
+			if !write(StreamEvent{
+				Type: EventStart, JobID: j.id, SpecID: rec.SpecID, Key: j.key,
+				Title: rec.Title, Header: rec.Header,
+				RowsTotal: rec.Rows, PointsTotal: rec.Points,
+			}) {
+				return
+			}
+		case "row":
+			if !write(StreamEvent{Type: EventRow, Index: rec.Index, Cells: rec.Cells, Coords: rec.Coords}) {
+				return
+			}
+		case "done":
+			if len(terminal.Notes) == 0 {
+				terminal.Notes = rec.Notes
 			}
 		}
-		write(terminal)
-		return
-	}
-	entry, ok, err := s.st.Get(j.key)
-	if err != nil || !ok {
-		terminal.State = string(StateFailed)
-		terminal.Error = "result evicted from store"
-		write(terminal)
-		return
-	}
-	header, rows, rerr := parseCSVTable(entry.CSV)
-	if rerr != nil {
-		terminal.State = string(StateFailed)
-		terminal.Error = rerr.Error()
-		write(terminal)
-		return
-	}
-	title, notes := parseTableText(entry.Table)
-	if !write(StreamEvent{
-		Type: EventStart, JobID: j.id, SpecID: entry.Manifest.SpecID, Key: j.key,
-		Title: title, Header: header,
-		RowsTotal: len(rows), PointsTotal: entry.Manifest.Points,
-	}) {
-		return
-	}
-	for i, cells := range rows {
-		if !write(StreamEvent{Type: EventRow, Index: i, Cells: cells}) {
-			return
-		}
-	}
-	if len(terminal.Notes) == 0 {
-		terminal.Notes = notes
 	}
 	write(terminal)
-}
-
-// parseCSVTable splits a stored table.csv into header and rows.
-func parseCSVTable(text string) ([]string, [][]string, error) {
-	recs, err := csv.NewReader(strings.NewReader(text)).ReadAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(recs) == 0 {
-		return nil, nil, nil
-	}
-	return recs[0], recs[1:], nil
-}
-
-// parseTableText recovers the title and notes from a stored table.txt
-// ("== id: title ==" first line, "-- note" trailing lines).
-func parseTableText(text string) (string, []string) {
-	var title string
-	var notes []string
-	for i, line := range strings.Split(text, "\n") {
-		if i == 0 {
-			if t, ok := strings.CutPrefix(line, "== "); ok {
-				t = strings.TrimSuffix(t, " ==")
-				if _, rest, ok := strings.Cut(t, ": "); ok {
-					title = rest
-				}
-			}
-			continue
-		}
-		if n, ok := strings.CutPrefix(line, "-- "); ok {
-			notes = append(notes, n)
-		}
-	}
-	return title, notes
-}
-
-// journalRecord converts a stream event into its journal form.
-func journalRecord(ev StreamEvent) store.JournalRecord {
-	switch ev.Type {
-	case EventStart:
-		return store.JournalRecord{
-			Type: "start", SpecID: ev.SpecID, Title: ev.Title,
-			Header: ev.Header, Rows: ev.RowsTotal, Points: ev.PointsTotal,
-		}
-	case EventRow:
-		return store.JournalRecord{Type: "row", Index: ev.Index, Cells: ev.Cells, Coords: ev.Coords}
-	default:
-		return store.JournalRecord{Type: ev.Type, Notes: ev.Notes}
-	}
 }

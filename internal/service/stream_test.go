@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +11,6 @@ import (
 	"testing"
 
 	"step/internal/harness"
-	"step/internal/scenario"
-	"step/internal/store"
 )
 
 // openStream connects to a job's NDJSON stream and returns a reader of
@@ -152,9 +149,9 @@ func TestHTTPStreamRoundTrip(t *testing.T) {
 	}
 
 	// The committed entry carries its journal for replay.
-	recs, ok, err := st.ReadRows(job.Key)
-	if err != nil || !ok {
-		t.Fatalf("committed entry has no journal: ok=%t err=%v", ok, err)
+	recs, err := st.ReadRows(job.Key)
+	if err != nil {
+		t.Fatalf("committed entry has no journal: %v", err)
 	}
 	if recs[0].Type != "start" || recs[len(recs)-1].Type != "done" {
 		t.Fatalf("journal shape: first=%q last=%q", recs[0].Type, recs[len(recs)-1].Type)
@@ -327,47 +324,42 @@ func TestHTTPStreamCachedReplay(t *testing.T) {
 	}
 }
 
-// TestHTTPStreamPlainPutReplay: entries written without a journal (the
-// CLI's Put path) still replay — header and rows recovered from the
-// stored CSV, title and notes from the table text.
-func TestHTTPStreamPlainPutReplay(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 8)
-	if err != nil {
+// TestHTTPStreamMissingJournalFails: every entry carries its row
+// journal, so a cached job whose rows.ndjson has gone missing cannot
+// replay its stream — it ends with a failed done event naming the
+// journal instead of rebuilding rows from the rendered artifacts.
+func TestHTTPStreamMissingJournalFails(t *testing.T) {
+	srv, st := newTestServer(t, Options{Executors: 1, Workers: 2})
+	post := func() Job {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/sweeps?seed=7&quick=1&wait=2m", "application/json", strings.NewReader(tinyBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return decodeJob(t, resp.Body)
+	}
+	if first := post(); first.State != StateDone {
+		t.Fatalf("first run: %s (%s), want done", first.State, first.Error)
+	}
+	second := post()
+	if second.State != StateCached {
+		t.Fatalf("second run: %s, want cached", second.State)
+	}
+	if err := os.Remove(filepath.Join(st.Dir(), second.Key, "rows.ndjson")); err != nil {
 		t.Fatal(err)
 	}
-	sp := scenario.GQARatio()
-	tb, err := scenario.Run(sp, harness.Suite{Seed: 7, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, err := store.NewEntry(sp, 7, true, tb.String(), tb.CSV(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(entry); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), entry.Manifest.Key, "rows.ndjson")); err == nil {
-		t.Fatal("plain Put wrote a journal; this test needs the CSV fallback")
-	}
-
-	svc := New(st, Options{Executors: 2, Workers: 2})
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() { srv.Close(); svc.Close() })
-	resp, err := http.Post(srv.URL+"/sweeps?name=gqa-ratio&seed=7&quick=1", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := decodeJob(t, resp.Body)
-	resp.Body.Close()
-	if job.State != StateCached {
-		t.Fatalf("state %s, want cached", job.State)
-	}
-	sc, closeBody := openStream(t, srv.URL+"/sweeps/"+job.ID+"/stream")
+	sc, closeBody := openStream(t, srv.URL+"/sweeps/"+second.ID+"/stream")
 	defer closeBody()
-	got := reassembleStream(t, drainStream(t, sc))
-	if got.String() != tb.String() {
-		t.Fatalf("CSV-fallback replay diverges:\ngot:\n%s\nwant:\n%s", got.String(), tb.String())
+	evs := drainStream(t, sc)
+	done := evs[len(evs)-1]
+	if done.State != string(StateFailed) || !strings.Contains(done.Error, "rows.ndjson") {
+		t.Fatalf("replay without a journal: state %q error %q, want failed naming rows.ndjson", done.State, done.Error)
+	}
+	for _, ev := range evs {
+		if ev.Type == EventRow {
+			t.Fatalf("rows replayed without a journal: %+v", ev)
+		}
 	}
 }
 

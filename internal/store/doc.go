@@ -12,24 +12,26 @@
 //	<key>/table.txt      rendered console table (Table.String bytes)
 //	<key>/table.csv      RFC 4180 CSV (Table.CSV bytes)
 //	<key>/manifest.json  canonical spec, seed/quick, git describe, timings
-//	<key>/rows.ndjson    row journal (streaming writers only): start
-//	                     record, one row per line in completion order,
-//	                     terminal done record — see JournalRecord
+//	<key>/rows.ndjson    row journal: start record, one row per line
+//	                     in completion order, terminal done record —
+//	                     see JournalRecord
 //
-// Entries are written two ways: Put renders a finished table in one
-// shot (the CLI's batch path), and BeginJournal/Append/CommitJournal
-// grows a journal row by row inside the entry's unpublished temp
-// directory as sweep points land (the service's streaming path), then
-// publishes journal and artifacts together. ReadRows replays a
-// committed journal; RecoverJournals sweeps the temp directories of
-// crashed writers (Open does this with a one-hour grace).
+// Every entry is written one way: BeginJournal/Append (or a Journal's
+// Sink tee) collects the sweep's records in memory as points land, and
+// CommitJournal writes all four files into one fresh temp directory
+// and publishes it — the CLI (`stepctl sweep -cache`) and the service
+// share that path, so rows.ndjson is always present and every cached
+// result replays the same stream. ReadRows loads a published journal.
+// There is no writer lock: a temp directory lives only while one
+// commit writes its files, so RecoverJournals tells a crashed writer
+// from a live one by age alone (Open sweeps with a one-hour grace).
 //
 // Invariants:
 //
 //   - Atomic publication: entries are written to a temp directory and
 //     renamed into place, so readers never observe a partial entry. A
-//     journal that never commits — canceled sweep, crashed process,
-//     failed append — publishes nothing at its key.
+//     journal that never commits — canceled sweep, crashed process —
+//     publishes nothing at its key.
 //   - First writer wins: concurrent writers of the same key converge
 //     on one directory; later writers discard their identical copy
 //     (sound because equal keys imply equal bytes).
@@ -37,6 +39,6 @@
 //     directories, never rewrites them.
 //
 // A bounded in-memory LRU fronts the disk so a hot spec served
-// repeatedly does not re-read three files per request. All methods are
+// repeatedly does not re-read its files per request. All methods are
 // safe for concurrent use.
 package store

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,60 +10,17 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"step/internal/scenario"
 )
 
-// journalFile is the append-only per-entry row journal: one JSON
-// record per line, written into the entry's temp directory as sweep
-// points land and published with the finished entry.
+// journalFile is every entry's row journal: one JSON record per line,
+// published together with the rendered artifacts.
 const journalFile = "rows.ndjson"
 
 // journalMaxAge is how old a temp directory must be before Open's
-// recovery sweep discards it as the leftover of a crashed run.
+// recovery sweep discards it as the leftover of a crashed commit.
 const journalMaxAge = time.Hour
-
-// lockFile marks a temp directory's writer as alive: the writer holds
-// an exclusive flock on it for the directory's whole lifetime, so the
-// recovery sweep can tell a live long-running sweep from a crashed
-// one's leftovers regardless of age. The file never rides into a
-// published entry — it is removed before publish.
-const lockFile = "writer.lock"
-
-// lockDir creates and flocks dir's writer.lock. Best-effort: on any
-// failure the directory simply falls back to age-based recovery.
-func lockDir(dir string) *os.File {
-	f, err := os.OpenFile(filepath.Join(dir, lockFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil
-	}
-	if err := tryFlock(f.Fd()); err != nil {
-		f.Close()
-		return nil
-	}
-	return f
-}
-
-// unlockDir releases a lockDir handle and removes the lock file.
-// Nil-safe and idempotent.
-func unlockDir(f *os.File) {
-	if f == nil {
-		return
-	}
-	name := f.Name()
-	f.Close() // closing the descriptor drops the flock
-	os.Remove(name)
-}
-
-// dirLocked probes whether dir's writer.lock is flocked by a live
-// writer. A missing lock file, or one whose lock is free, means no
-// writer — the age rule decides.
-func dirLocked(dir string) bool {
-	f, err := os.Open(filepath.Join(dir, lockFile))
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	return flockHeld(tryFlock(f.Fd()))
-}
 
 // JournalRecord is one line of an entry's rows.ndjson journal. A
 // journal is a start record, one row record per table row (in
@@ -89,68 +47,39 @@ type JournalRecord struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// A Journal is the incremental half of a store entry: an append-only
-// rows.ndjson inside a not-yet-published temp directory. Rows are
-// appended as sweep points complete; CommitJournal finalizes the
-// rendered artifacts beside the journal and publishes the directory
-// atomically, and Abort discards everything, so a canceled or crashed
-// run never leaves a partial cache entry at its content address.
+// A Journal collects a sweep's records in memory as its points land.
+// CommitJournal writes them beside the rendered artifacts and
+// publishes the entry; Abort drops them. Nothing touches the disk
+// before commit, so a canceled or crashed sweep leaves nothing behind.
 type Journal struct {
-	key  string
-	dir  string
-	lock *os.File // held flock marking this writer live (see lockFile)
+	key string
 
 	mu       sync.Mutex
-	f        *os.File
+	recs     []JournalRecord
 	rows     int
-	declared int // rows promised by the start record; -1 until seen
-	done     bool
-	err      error // first append failure; poisons CommitJournal
+	declared int  // rows promised by the start record; -1 until seen
+	done     bool // a done record landed
+	closed   bool // aborted or committed: appends and commits refuse
 }
 
-// BeginJournal opens a journal for the entry that will be stored at
-// key. The journal lives in a fresh temp directory invisible to Get
-// and Keys until committed.
+// BeginJournal opens an empty journal for the entry that will be
+// stored at key.
 func (s *Store) BeginJournal(key string) (*Journal, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
-	tmp, err := os.MkdirTemp(s.dir, tmpPrefix)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	lock := lockDir(tmp)
-	f, err := os.OpenFile(filepath.Join(tmp, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		unlockDir(lock)
-		os.RemoveAll(tmp)
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return &Journal{key: key, dir: tmp, lock: lock, f: f, declared: -1}, nil
+	return &Journal{key: key, declared: -1}, nil
 }
 
-// Append writes one record as a single atomic line. The first failed
-// append poisons the journal — CommitJournal will refuse — so a torn
-// journal can never publish.
+// Append records one journal line. Appending to an aborted or
+// committed journal fails.
 func (j *Journal) Append(rec JournalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: journal marshal: %w", err)
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
+	if j.closed {
+		return fmt.Errorf("store: journal for %s is closed", j.key)
 	}
-	if j.f == nil {
-		j.err = fmt.Errorf("store: journal for %s is closed", j.key)
-		return j.err
-	}
-	if _, err := j.f.Write(line); err != nil {
-		j.err = fmt.Errorf("store: journal append: %w", err)
-		return j.err
-	}
+	j.recs = append(j.recs, rec)
 	switch rec.Type {
 	case "start":
 		j.declared = rec.Rows
@@ -162,6 +91,33 @@ func (j *Journal) Append(rec JournalRecord) error {
 	return nil
 }
 
+// Sink tees a sweep's stream into the journal: each start and row is
+// appended as its record, then handed to next (either callback may be
+// nil). specID names the spec on the start record. Sink and Finish
+// drop Append's error: it fails only on a closed journal, which
+// CommitJournal refuses anyway.
+func (j *Journal) Sink(specID string, next scenario.Sink) scenario.Sink {
+	return scenario.Sink{
+		Start: func(st scenario.StreamStart) {
+			_ = j.Append(JournalRecord{Type: "start", SpecID: specID, Title: st.Title, Header: st.Header, Rows: st.Rows, Points: st.Points})
+			if next.Start != nil {
+				next.Start(st)
+			}
+		},
+		Row: func(p scenario.PointResult) {
+			_ = j.Append(JournalRecord{Type: "row", Index: p.Index, Cells: p.Cells, Coords: p.Coords})
+			if next.Row != nil {
+				next.Row(p)
+			}
+		},
+	}
+}
+
+// Finish appends the terminal done record carrying the table's notes.
+func (j *Journal) Finish(notes []string) {
+	_ = j.Append(JournalRecord{Type: "done", Notes: notes})
+}
+
 // Rows reports how many row records have landed so far.
 func (j *Journal) Rows() int {
 	j.mu.Lock()
@@ -169,77 +125,81 @@ func (j *Journal) Rows() int {
 	return j.rows
 }
 
-// Abort discards the journal and its temp directory. Safe to call
-// after a failed CommitJournal and idempotent.
+// Abort drops the journal's records. Safe to call after a failed
+// CommitJournal and idempotent.
 func (j *Journal) Abort() {
 	j.mu.Lock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	unlockDir(j.lock)
-	j.lock = nil
-	j.mu.Unlock()
-	os.RemoveAll(j.dir)
+	defer j.mu.Unlock()
+	j.closed, j.recs = true, nil
 }
 
-// CommitJournal verifies the journal is complete — a start record, the
-// promised number of rows, a done record, no append failures — writes
-// the entry's rendered artifacts beside it, and publishes the
-// directory atomically under the entry's key. First writer wins
-// exactly as in Put; the published entry keeps rows.ndjson alongside
-// table.txt/table.csv/manifest.json. On any error the journal remains
-// for the caller to Abort.
+// CommitJournal is the store's only write path. It verifies the
+// journal is complete — a start record, the promised number of rows,
+// a done record — then writes table.txt, table.csv, manifest.json and
+// rows.ndjson into a fresh temp directory and publishes it atomically
+// under the entry's key. If the key already exists — a concurrent
+// writer won the rename, or an earlier run populated it — the existing
+// entry is kept (results are content-addressed, so both copies carry
+// the same bytes) and CommitJournal reports success. On any error the
+// journal remains for the caller to Abort.
 func (s *Store) CommitJournal(j *Journal, e *Entry) error {
 	if j.key != e.Manifest.Key {
 		return fmt.Errorf("store: journal key %s, entry key %s", j.key, e.Manifest.Key)
 	}
 	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
+	recs, closed := j.recs, j.closed
+	declared, rows, done := j.declared, j.rows, j.done
+	j.mu.Unlock()
+	if closed {
+		return fmt.Errorf("store: journal for %s is closed", j.key)
 	}
-	if j.declared < 0 || j.rows != j.declared || !j.done {
-		declared, rows, done := j.declared, j.rows, j.done
-		j.mu.Unlock()
+	if declared < 0 || rows != declared || !done {
 		return fmt.Errorf("store: journal for %s incomplete: %d/%d rows, done=%t", j.key, rows, declared, done)
 	}
-	if j.f != nil {
-		if err := j.f.Close(); err != nil {
-			j.f = nil
-			j.mu.Unlock()
-			return fmt.Errorf("store: journal close: %w", err)
+	var journal bytes.Buffer
+	enc := json.NewEncoder(&journal)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			return fmt.Errorf("store: journal marshal: %w", err)
 		}
-		j.f = nil
 	}
-	j.mu.Unlock()
-	if err := writeEntryFiles(j.dir, e); err != nil {
+	mb, err := json.MarshalIndent(e.Manifest, "", "  ")
+	if err != nil {
+		return fmt.Errorf("store: marshal manifest: %w", err)
+	}
+	tmp, err := os.MkdirTemp(s.dir, tmpPrefix)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer os.RemoveAll(tmp) // no-op after a successful rename
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{tableFile, []byte(e.Table)},
+		{csvFile, []byte(e.CSV)},
+		{manifestFile, append(mb, '\n')},
+		{journalFile, journal.Bytes()},
+	} {
+		if err := os.WriteFile(filepath.Join(tmp, f.name), f.data, 0o644); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
+	if err := s.publish(tmp, e); err != nil {
 		return err
 	}
-	// Release the writer lock last thing before publish: the lock file
-	// must not ride into the published entry, and the fresh directory
-	// mtime keeps the age rule protecting this final window.
-	j.mu.Lock()
-	unlockDir(j.lock)
-	j.lock = nil
-	j.mu.Unlock()
-	defer os.RemoveAll(j.dir) // no-op after a successful rename
-	return s.publish(j.dir, e)
+	j.Abort() // published: release the records, refuse further appends
+	return nil
 }
 
-// ReadRows loads the committed journal of an entry. Entries written by
-// plain Put have none; ok distinguishes that from an error.
-func (s *Store) ReadRows(key string) ([]JournalRecord, bool, error) {
+// ReadRows loads the journal of a published entry.
+func (s *Store) ReadRows(key string) ([]JournalRecord, error) {
 	if err := validKey(key); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	f, err := os.Open(filepath.Join(s.dir, key, journalFile))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: entry %s: row journal: %w", key, err)
 	}
 	defer f.Close()
 	var recs []JournalRecord
@@ -252,25 +212,22 @@ func (s *Store) ReadRows(key string) ([]JournalRecord, bool, error) {
 		}
 		var rec JournalRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, false, fmt.Errorf("store: entry %s: corrupt journal: %w", key, err)
+			return nil, fmt.Errorf("store: entry %s: corrupt journal: %w", key, err)
 		}
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return recs, true, nil
+	return recs, nil
 }
 
-// RecoverJournals removes temp directories at least maxAge old — the
-// partial journals (and torn Puts) of crashed runs, which would
-// otherwise accumulate invisibly beside the published entries. A
-// directory whose writer.lock is still flocked has a live writer and
-// is skipped no matter how old it is (a multi-hour sweep must not have
-// its journal swept away mid-run); the age threshold covers writers
-// that predate the lock or platforms without flock. Open sweeps with a
-// one-hour grace so a crashed service cleans up after itself on
-// restart.
+// RecoverJournals removes temp directories at least maxAge old: the
+// torn commits of crashed runs, which would otherwise accumulate
+// invisibly beside the published entries. A temp directory lives only
+// while one commit writes its four files, so age alone tells a crashed
+// writer from a live one. Open sweeps with a one-hour grace so a
+// crashed service cleans up after itself on restart.
 func (s *Store) RecoverJournals(maxAge time.Duration) (int, error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -281,22 +238,11 @@ func (s *Store) RecoverJournals(maxAge time.Duration) (int, error) {
 		if !de.IsDir() || !strings.HasPrefix(de.Name(), tmpPrefix) {
 			continue
 		}
-		dir := filepath.Join(s.dir, de.Name())
-		if dirLocked(dir) {
-			continue // live writer, regardless of age
-		}
-		// Age by the journal's last append when present, else by the
-		// directory itself.
-		newest := time.Time{}
-		if fi, err := os.Stat(filepath.Join(dir, journalFile)); err == nil {
-			newest = fi.ModTime()
-		} else if fi, err := os.Stat(dir); err == nil {
-			newest = fi.ModTime()
-		}
-		if newest.IsZero() || time.Since(newest) < maxAge {
+		fi, err := de.Info()
+		if err != nil || time.Since(fi.ModTime()) < maxAge {
 			continue
 		}
-		if err := os.RemoveAll(dir); err != nil && !os.IsNotExist(err) {
+		if err := os.RemoveAll(filepath.Join(s.dir, de.Name())); err != nil && !os.IsNotExist(err) {
 			return removed, fmt.Errorf("store: %w", err)
 		}
 		removed++

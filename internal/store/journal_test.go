@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"step/internal/scenario"
 )
 
 // appendFullJournal writes a complete start/rows/done sequence.
@@ -70,9 +73,9 @@ func TestJournalCommitPublishesEntry(t *testing.T) {
 	if got.Table != e.Table {
 		t.Fatalf("served table %q, want %q", got.Table, e.Table)
 	}
-	recs, ok, err := st.ReadRows(e.Manifest.Key)
-	if err != nil || !ok {
-		t.Fatalf("ReadRows: ok=%t err=%v", ok, err)
+	recs, err := st.ReadRows(e.Manifest.Key)
+	if err != nil {
+		t.Fatalf("ReadRows: %v", err)
 	}
 	if len(recs) != 5 || recs[0].Type != "start" || recs[len(recs)-1].Type != "done" {
 		t.Fatalf("journal replay has %d records (%+v)", len(recs), recs)
@@ -170,9 +173,9 @@ func TestJournalFirstWriterWins(t *testing.T) {
 	}
 }
 
-// TestRecoverJournals: a journal whose writer crashed (never committed
-// or aborted) is detected and discarded by the recovery sweep, while
-// published entries survive.
+// TestRecoverJournals: the temp directory of a commit that crashed
+// mid-write is discarded once it is older than the grace period, while
+// a fresh one (a commit still writing) and published entries survive.
 func TestRecoverJournals(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, 4)
@@ -180,67 +183,76 @@ func TestRecoverJournals(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := testEntry(t, testSpec(t, "recover-done"), 7, true, "t\n")
-	if err := st.Put(done); err != nil {
+	if err := commit(st, done); err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := st.BeginJournal(testEntry(t, testSpec(t, "recover-crash"), 7, true, "t\n").Manifest.Key)
+	crashed, err := os.MkdirTemp(dir, tmpPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := crashed.Append(JournalRecord{Type: "start", Rows: 9}); err != nil {
+	if err := os.WriteFile(filepath.Join(crashed, tableFile), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: the process dies without Abort/Commit. Death
-	// releases the writer flock (the kernel drops it with the fd) but
-	// leaves the lock file behind.
-	if crashed.lock != nil {
-		crashed.lock.Close()
+	old := time.Now().Add(-2 * journalMaxAge)
+	if err := os.Chtimes(crashed, old, old); err != nil {
+		t.Fatal(err)
 	}
-	if len(tmpDirs(t, dir)) != 1 {
-		t.Fatal("crashed journal's temp dir missing")
+	live, err := os.MkdirTemp(dir, tmpPrefix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n, err := st.RecoverJournals(0)
+	n, err := st.RecoverJournals(journalMaxAge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("recovered %d journals, want 1", n)
+		t.Fatalf("recovered %d temp dirs, want 1", n)
 	}
-	if got := tmpDirs(t, dir); len(got) != 0 {
-		t.Fatalf("temp dirs left after recovery: %v", got)
+	if got := tmpDirs(t, dir); len(got) != 1 || got[0] != filepath.Base(live) {
+		t.Fatalf("temp dirs after recovery: %v, want only the live %s", got, filepath.Base(live))
 	}
 	if _, ok, err := st.Get(done.Manifest.Key); !ok || err != nil {
 		t.Fatalf("published entry lost by recovery: ok=%t err=%v", ok, err)
 	}
-	// A fresh journal is younger than the grace period and must be
-	// spared by an Open-style sweep.
-	live, err := st.BeginJournal(testEntry(t, testSpec(t, "recover-live"), 7, true, "t\n").Manifest.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Abort()
-	if n, err := st.RecoverJournals(time.Hour); err != nil || n != 0 {
-		t.Fatalf("live journal swept: n=%d err=%v", n, err)
-	}
 }
 
-// TestReadRowsAbsentForPlainPut: entries written by Put (the CLI path)
-// have no journal; ReadRows reports a clean miss.
-func TestReadRowsAbsentForPlainPut(t *testing.T) {
+// TestJournalSinkTees: a Journal's Sink records each start and row of
+// a sweep's stream (spec id and coords included) and forwards them to
+// the wrapped sink, whose nil callbacks are skipped.
+func TestJournalSinkTees(t *testing.T) {
 	st, err := Open(t.TempDir(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEntry(t, testSpec(t, "plain-put"), 7, true, "t\n")
-	if err := st.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	recs, ok, err := st.ReadRows(e.Manifest.Key)
+	e := testEntry(t, testSpec(t, "journal-sink"), 7, true, "t\n")
+	j, err := st.BeginJournal(e.Manifest.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok || recs != nil {
-		t.Fatalf("ReadRows on a journal-less entry: ok=%t recs=%v", ok, recs)
+	var forwarded []int
+	sink := j.Sink("journal-sink", scenario.Sink{Row: func(p scenario.PointResult) { forwarded = append(forwarded, p.Index) }})
+	sink.Start(scenario.StreamStart{TableID: "tbl", Title: "T", Header: []string{"A"}, Rows: 2, Points: 2})
+	sink.Row(scenario.PointResult{Index: 1, Total: 2, Cells: []string{"b"}, Coords: map[string]string{"i": "1"}})
+	sink.Row(scenario.PointResult{Index: 0, Total: 2, Cells: []string{"a"}, Coords: map[string]string{"i": "0"}})
+	j.Finish([]string{"note"})
+	if err := st.CommitJournal(j, e); err != nil {
+		t.Fatal(err)
+	}
+	if len(forwarded) != 2 || forwarded[0] != 1 || forwarded[1] != 0 {
+		t.Fatalf("forwarded rows %v, want [1 0]", forwarded)
+	}
+	recs, err := st.ReadRows(e.Manifest.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []JournalRecord{
+		{Type: "start", SpecID: "journal-sink", Title: "T", Header: []string{"A"}, Rows: 2, Points: 2},
+		{Type: "row", Index: 1, Cells: []string{"b"}, Coords: map[string]string{"i": "1"}},
+		{Type: "row", Index: 0, Cells: []string{"a"}, Coords: map[string]string{"i": "0"}},
+		{Type: "done", Notes: []string{"note"}},
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("journal\n got %+v\nwant %+v", recs, want)
 	}
 }
 
@@ -268,98 +280,43 @@ func TestJournalAppendAfterAbortFails(t *testing.T) {
 	}
 }
 
-// BenchmarkJournalAppend measures the per-row journal cost quoted in
-// PERFORMANCE.md: an append is one JSON marshal plus one buffered-OS
-// write, paid on the sweep's emission path (not inside a simulation).
-func BenchmarkJournalAppend(b *testing.B) {
+// BenchmarkCommitJournal measures the per-entry journal cost quoted in
+// PERFORMANCE.md: fill a 64-row journal in memory and commit it — four
+// files written into a temp directory and renamed into place — once
+// per iteration. The published entry is removed off the clock, so
+// every iteration writes into the same near-empty store directory.
+func BenchmarkCommitJournal(b *testing.B) {
 	st, err := Open(b.TempDir(), 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := strings.Repeat("ab", 32)
-	j, err := st.BeginJournal(key)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Abort()
-	rec := JournalRecord{
+	e := &Entry{Manifest: Manifest{Key: strings.Repeat("ab", 32), SpecID: "bench", Points: 64}, Table: "table\n", CSV: "a,b\n"}
+	const rows = 64
+	row := JournalRecord{
 		Type:   "row",
-		Index:  41,
 		Cells:  []string{"qwen-57", "tile=128", "123456789", "8388608", "104857600"},
 		Coords: map[string]string{"model": "qwen-57", "schedule": "tile=128"},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Index = i
-		if err := j.Append(rec); err != nil {
+		j, err := st.BeginJournal(e.Manifest.Key)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestRecoverJournalsSkipsLiveWriter: a journal whose writer still
-// holds the flock survives the recovery sweep no matter how old it is
-// — a multi-hour sweep must not lose its journal mid-run — and still
-// commits cleanly afterwards, with no lock file in the published
-// entry.
-func TestRecoverJournalsSkipsLiveWriter(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := testEntry(t, testSpec(t, "recover-inflight"), 7, true, "t\n")
-	j, err := st.BeginJournal(e.Manifest.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.lock == nil {
-		t.Skip("no flock on this platform; recovery uses the age rule alone")
-	}
-	// Backdate the journal and its directory far past the grace period:
-	// age alone would condemn it.
-	old := time.Now().Add(-2 * journalMaxAge)
-	for _, p := range []string{filepath.Join(j.dir, journalFile), j.dir} {
-		if err := os.Chtimes(p, old, old); err != nil {
-			t.Fatal(err)
+		j.Append(JournalRecord{Type: "start", SpecID: "bench", Header: []string{"A", "B", "C", "D", "E"}, Rows: rows, Points: rows})
+		for r := 0; r < rows; r++ {
+			row.Index = r
+			j.Append(row)
 		}
-	}
-	if n, err := st.RecoverJournals(journalMaxAge); err != nil || n != 0 {
-		t.Fatalf("in-flight journal swept away: n=%d err=%v", n, err)
-	}
-	appendFullJournal(t, j, 2)
-	if err := st.CommitJournal(j, e); err != nil {
-		t.Fatalf("commit after surviving recovery: %v", err)
-	}
-	if _, ok, err := st.Get(e.Manifest.Key); !ok || err != nil {
-		t.Fatalf("entry unreadable after commit: ok=%t err=%v", ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, e.Manifest.Key, lockFile)); !os.IsNotExist(err) {
-		t.Fatalf("writer.lock rode into the published entry: err=%v", err)
-	}
-}
-
-// TestRecoverJournalsRemovesStaleUnheldLock: a lock file nobody flocks
-// (its writer is dead) does not protect an old temp directory.
-func TestRecoverJournalsRemovesStaleUnheldLock(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp, err := os.MkdirTemp(dir, tmpPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, lockFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * journalMaxAge)
-	if err := os.Chtimes(tmp, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := st.RecoverJournals(journalMaxAge); err != nil || n != 1 {
-		t.Fatalf("stale dir with an unheld lock: n=%d err=%v", n, err)
+		j.Finish(nil)
+		if err := st.CommitJournal(j, e); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(filepath.Join(st.Dir(), e.Manifest.Key)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

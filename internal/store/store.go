@@ -23,8 +23,11 @@ import (
 // internal/scenario/testdata/golden with -update — so existing
 // .step-cache directories miss cleanly instead of serving bytes from
 // the previous simulator. (TestGoldenTables is the tripwire: a diff
-// there without a version bump means cached results are stale.)
-const FormatVersion = "step-sweep/v1"
+// there without a version bump means cached results are stale.) Bump
+// it too when the entry layout changes, so entries of the old layout
+// miss instead of failing to read: v2 entries always hold table.txt,
+// table.csv, manifest.json and rows.ndjson.
+const FormatVersion = "step-sweep/v2"
 
 // Key returns the cache address of one sweep result: FormatVersion,
 // the spec's canonical hash, and the seed/quick execution parameters,
@@ -113,7 +116,7 @@ type Store struct {
 
 // Open creates (if needed) and opens a store rooted at dir. lruCap
 // bounds the number of entries kept in memory (<= 0 selects 64); the
-// disk holds every entry ever put regardless.
+// disk holds every entry ever committed regardless.
 func Open(dir string, lruCap int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -130,9 +133,9 @@ func Open(dir string, lruCap int) (*Store, error) {
 		lru: list.New(),
 		idx: make(map[string]*list.Element),
 	}
-	// Best-effort crash recovery: discard partial journals and torn
-	// Puts left by a previous process. Recent temp dirs are spared —
-	// they may belong to a live writer sharing the directory.
+	// Best-effort crash recovery: discard torn commits left by a
+	// previous process. Recent temp dirs are spared — they may belong
+	// to a live writer sharing the directory.
 	_, _ = s.RecoverJournals(journalMaxAge)
 	return s, nil
 }
@@ -194,47 +197,6 @@ func (s *Store) Get(key string) (*Entry, bool, error) {
 	}
 	s.remember(key, e)
 	return e, true, nil
-}
-
-// Put writes an entry atomically. If the key already exists — a
-// concurrent writer won the rename, or an earlier run populated it —
-// the existing entry is kept (results are content-addressed, so both
-// copies carry the same bytes) and Put reports success.
-func (s *Store) Put(e *Entry) error {
-	if err := validKey(e.Manifest.Key); err != nil {
-		return err
-	}
-	tmp, err := os.MkdirTemp(s.dir, tmpPrefix)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.RemoveAll(tmp) // no-op after a successful rename
-	if err := writeEntryFiles(tmp, e); err != nil {
-		return err
-	}
-	return s.publish(tmp, e)
-}
-
-// writeEntryFiles renders an entry's three artifacts into dir, leaving
-// whatever else the directory holds (a journal) in place.
-func writeEntryFiles(dir string, e *Entry) error {
-	mb, err := json.MarshalIndent(e.Manifest, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: marshal manifest: %w", err)
-	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{
-		{tableFile, []byte(e.Table)},
-		{csvFile, []byte(e.CSV)},
-		{manifestFile, append(mb, '\n')},
-	} {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	return nil
 }
 
 // publish renames a fully-written temp directory into its final

@@ -31,6 +31,18 @@ func testEntry(t *testing.T, sp scenario.Spec, seed uint64, quick bool, table st
 	return e
 }
 
+// commit publishes e through the store's one write path with an empty
+// but complete journal.
+func commit(st *Store, e *Entry) error {
+	j, err := st.BeginJournal(e.Manifest.Key)
+	if err != nil {
+		return err
+	}
+	j.Append(JournalRecord{Type: "start"})
+	j.Finish(nil)
+	return st.CommitJournal(j, e)
+}
+
 func TestKeySemantics(t *testing.T) {
 	sp := testSpec(t, "k")
 	base, err := Key(sp, 7, true)
@@ -73,14 +85,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	sp := testSpec(t, "rt")
 	e := testEntry(t, sp, 7, true, "== rt ==\nrow\n")
 	if _, ok, err := st.Get(e.Manifest.Key); err != nil || ok {
-		t.Fatalf("unexpected pre-put hit: %v %v", ok, err)
+		t.Fatalf("unexpected pre-commit hit: %v %v", ok, err)
 	}
-	if err := st.Put(e); err != nil {
+	if err := commit(st, e); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := st.Get(e.Manifest.Key)
 	if err != nil || !ok {
-		t.Fatalf("miss after put: %v %v", ok, err)
+		t.Fatalf("miss after commit: %v %v", ok, err)
 	}
 	if got.Table != e.Table || got.CSV != e.CSV || got.Manifest.SpecID != "rt" {
 		t.Fatalf("round trip mangled the entry: %+v", got)
@@ -101,8 +113,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil || len(keys) != 1 || keys[0] != e.Manifest.Key {
 		t.Fatalf("keys: %v %v", keys, err)
 	}
-	// The layout is the documented three files.
-	for _, f := range []string{tableFile, csvFile, manifestFile} {
+	// The layout is the documented four files.
+	for _, f := range []string{tableFile, csvFile, manifestFile, journalFile} {
 		if _, err := os.Stat(filepath.Join(st.Dir(), e.Manifest.Key, f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)
 		}
@@ -117,11 +129,11 @@ func TestPutFirstWriterWins(t *testing.T) {
 	sp := testSpec(t, "fw")
 	first := testEntry(t, sp, 7, true, "table-bytes\n")
 	second := testEntry(t, sp, 7, true, "table-bytes\n")
-	if err := st.Put(first); err != nil {
+	if err := commit(st, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(second); err != nil {
-		t.Fatalf("second put of the same key must succeed: %v", err)
+	if err := commit(st, second); err != nil {
+		t.Fatalf("second commit of the same key must succeed: %v", err)
 	}
 	keys, err := st.Keys()
 	if err != nil || len(keys) != 1 {
@@ -155,7 +167,7 @@ func TestConcurrentPutGetSameKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := st.Put(testEntry(t, sp, 7, true, "concurrent-table\n")); err != nil {
+			if err := commit(st, testEntry(t, sp, 7, true, "concurrent-table\n")); err != nil {
 				errs <- err
 			}
 		}()
@@ -201,7 +213,7 @@ func TestLRUEviction(t *testing.T) {
 	var keys []string
 	for i := 0; i < 4; i++ {
 		e := testEntry(t, testSpec(t, fmt.Sprintf("lru-%d", i)), 7, true, fmt.Sprintf("table %d\n", i))
-		if err := st.Put(e); err != nil {
+		if err := commit(st, e); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, e.Manifest.Key)
@@ -241,7 +253,7 @@ func TestGetReportsCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testEntry(t, testSpec(t, "corrupt"), 7, true, "t\n")
-	if err := st.Put(e); err != nil {
+	if err := commit(st, e); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(st.Dir(), e.Manifest.Key, manifestFile), []byte("{not json"), 0o644); err != nil {
