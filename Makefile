@@ -41,9 +41,10 @@ test:
 # The race job trims the determinism matrix with -short (see
 # internal/experiments/determinism_test.go); the full matrix runs
 # under `make test`. The root package is included so the facade's
-# Program runs (step_test.go, sched_gate_test.go) are race-checked too.
+# Program runs (step_test.go, sched_gate_test.go) are race-checked too,
+# and ./cmd/... so the CLIs' tests are.
 race:
-	$(GO) test -race -short . ./internal/...
+	$(GO) test -race -short . ./internal/... ./cmd/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

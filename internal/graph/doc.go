@@ -8,18 +8,17 @@
 //
 // # Execution lifecycle
 //
-// A graph is built, compiled, and run: Graph.Compile verifies it and
-// freezes it into its one Program, and Program.Run(opts...) is the only
-// way to execute it. Each run rebuilds the engine state (the DES
-// simulation, channels, machine model, counters) and returns a Session
-// holding the Result, the effective Config, and the captured streams.
-//
-//   - A Go-built graph owns its operator instances, so its Program
-//     serializes runs: concurrent Runs are legal and each sees a clean
-//     reset, one simulation at a time. An operator function must not run
-//     its own Program.
-//   - An IR-backed Program (CompileIR) instantiates a fresh graph per
-//     run, so its runs are fully parallel.
+// A graph is built, compiled, and run: Graph.Compile (or CompileIR,
+// which decodes an IR program once) freezes it into its one Program, and
+// Program.Run(opts...) is the only way to execute it. Operators are
+// immutable configuration: per-run state lives in Run's locals, and
+// per-run output (captures, stored tiles) is published with Ctx.Record
+// into the run's Session. Each run takes the Program's idle binding (or
+// builds one while a concurrent run holds it), binds it to a fresh
+// simulation, machine model and counters, and puts it back afterwards,
+// so runs of one Program are independent and fully parallel. The run
+// seed reaches operators as Ctx.Seed; only IR content that drew seeded
+// random tiles re-derives from it (Seeded).
 //
 // Determinism: with the default channel latency (>= 1) a graph produces
 // identical Results under the sequential and the conservative-parallel

@@ -34,11 +34,9 @@ type Config struct {
 	// conservative parallel engine (per-process local clocks,
 	// time-bridged channels). Both engines produce identical Results.
 	SimWorkers int
-	// Seed parameterizes run-time instantiation: program-IR sources that
-	// declare seeded random tiles derive their contents from it, so one
-	// compiled Program yields an independent instance per seed. Graphs
-	// built directly in Go bake their data in at construction time and
-	// ignore it.
+	// Seed is handed to every operator (Ctx.Seed): IR content that
+	// declares seeded random tiles derives from it, so one Program yields
+	// an independent instance per seed. Go-built content ignores it.
 	Seed uint64
 }
 
@@ -118,11 +116,6 @@ func (r Result) OffchipBWUtilization(peakBytesPerCycle int64) float64 {
 	return float64(r.OffchipTrafficBytes) / (float64(peakBytesPerCycle) * float64(r.Cycles))
 }
 
-// resettable is implemented by operators that accumulate per-run state
-// (captures, store handles); Run resets them so a graph can be executed
-// repeatedly with well-defined semantics.
-type resettable interface{ ResetRunState() }
-
 // ringSlab is the per-run channel arena: the ring metadata (ready +
 // dequeue times) and value storage for every stream channel of a run,
 // carved from two slices and recycled through ringSlabPool. The slab may
@@ -157,19 +150,13 @@ func releaseRingSlab(s *ringSlab) {
 }
 
 // run validates the graph, maps every node to a DES process and every
-// stream to a bounded channel, and executes to completion. Per-run
-// operator state (captured streams, store regions) is cleared first, so
-// sequential re-runs are deterministic. Runs of one graph must not
-// overlap: operator instances are shared, and Program.Run serializes
-// them on the graph's one Program.
-func (g *Graph) run(cfg Config) (Result, error) {
+// stream to a bounded channel on binding b, and executes to completion.
+// It returns what each node recorded (Ctx.Record), indexed by node ID.
+// Operators keep no per-run state, so runs of one graph on distinct
+// bindings may overlap.
+func (g *Graph) run(cfg Config, b *binding) (Result, []any, error) {
 	if err := g.Finalize(); err != nil {
-		return Result{}, fmt.Errorf("graph: invalid program: %w", err)
-	}
-	for _, n := range g.nodes {
-		if r, ok := n.Op.(resettable); ok {
-			r.ResetRunState()
-		}
+		return Result{}, nil, fmt.Errorf("graph: invalid program: %w", err)
 	}
 	if cfg.ChannelDepth < 1 {
 		cfg.ChannelDepth = 1
@@ -200,10 +187,6 @@ func (g *Graph) run(cfg Config) (Result, error) {
 	slab := acquireRingSlab(totalDepth)
 	defer releaseRingSlab(slab)
 
-	b := g.bound
-	if b == nil {
-		b = newBinding(g)
-	}
 	defer b.unbind()
 	off := 0
 	for i, s := range g.streams {
@@ -219,7 +202,7 @@ func (g *Graph) run(cfg Config) (Result, error) {
 	}
 	for i := range g.nodes {
 		ctx := &b.ctxs[i]
-		ctx.Machine, ctx.Counters = machine, counters
+		ctx.Machine, ctx.Counters, ctx.Seed = machine, counters, cfg.Seed
 		b.procs[i] = sim.SpawnFn(b.procNames[i], b.bodies[i])
 	}
 	// Bind every channel to its producing and consuming process: the
@@ -255,18 +238,20 @@ func (g *Graph) run(cfg Config) (Result, error) {
 		err = spadErr
 	}
 	if err != nil {
-		return res, fmt.Errorf("graph: run failed: %w", err)
+		return res, nil, fmt.Errorf("graph: run failed: %w", err)
 	}
-	return res, nil
+	records := make([]any, len(b.ctxs))
+	for i := range b.ctxs {
+		records[i] = b.ctxs[i].record
+	}
+	return res, records, nil
 }
 
 // binding is a graph's executable skeleton: one channel per stream, one
 // Ctx per node with its In/Out edge slices, and the name and body
 // closures handed to the simulation, all indexed by stream and node ID.
-// Compiling a graph builds it once (Graph.compileNamed), and each run
-// rebinds it to a fresh simulation (runs of one graph never overlap: its
-// Program serializes them); an IR program's per-run graph, which is never
-// compiled, builds one for its single run.
+// A binding serves one run at a time; Program.Run reuses its idle one
+// and rebinds it to a fresh simulation.
 type binding struct {
 	chans     []Chan
 	ctxs      []Ctx
@@ -322,13 +307,14 @@ func newBinding(g *Graph) *binding {
 }
 
 // unbind drops every reference a finished run left in the binding, so a
-// compiled graph does not pin its last simulation, machine or ring slab.
+// compiled graph does not pin its last simulation, machine, ring slab or
+// recordings.
 func (b *binding) unbind() {
 	clear(b.chans)
 	clear(b.procs)
 	for i := range b.ctxs {
 		ctx := &b.ctxs[i]
-		ctx.P, ctx.Machine, ctx.Counters = nil, nil, nil
+		ctx.P, ctx.Machine, ctx.Counters, ctx.record = nil, nil, nil, nil
 	}
 }
 

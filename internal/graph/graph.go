@@ -127,8 +127,6 @@ type Graph struct {
 	// Compile; from then on the graph is frozen and further structural
 	// mutation is a recorded construction error.
 	prog *Program
-	// bound is a compiled graph's reusable run skeleton (see binding).
-	bound *binding
 }
 
 // New creates an empty graph.
@@ -295,14 +293,25 @@ func (c *Counters) AddStopTokens(n int64) { atomic.AddInt64(&c.StopTokens, n) }
 // AddPaddedElem counts one padding element introduced.
 func (c *Counters) AddPaddedElem() { atomic.AddInt64(&c.PaddedElems, 1) }
 
-// Ctx is the execution context handed to Operator.Run.
+// Ctx is the execution context handed to Operator.Run. Operators are
+// immutable configuration shared by every run: whatever a run needs to
+// keep lives in Run's locals or is published with Record.
 type Ctx struct {
 	P        *des.Process
 	In       []*Chan
 	Out      []*Chan
 	Machine  *Machine
 	Counters *Counters
+	// Seed is the run seed (Config.Seed).
+	Seed uint64
+
+	record any
 }
+
+// Record publishes the operator's output for this run; the run's
+// Session returns it (Session.Recorded). A recorded []element.Element
+// is a captured stream (Session.Captured).
+func (c *Ctx) Record(v any) { c.record = v }
 
 // CloseOutputs terminates every output stream: it sends the Done token and
 // closes the channel. Operators defer it so streams are always terminated.

@@ -156,7 +156,7 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 	g := New()
 	src := g.AddNode(&passOp{name: "src"})
 	g.NewStream(src, shape.OfInts(1), ScalarType{})
-	if _, err := g.run(DefaultConfig()); err == nil {
+	if _, _, err := g.run(DefaultConfig(), newBinding(g)); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

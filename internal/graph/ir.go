@@ -49,18 +49,32 @@ const (
 	MaxIRProgramTileElems = 1 << 22
 )
 
-// DecodeEnv carries per-instantiation decode state: the run seed for
-// seeded tile forms and the program-wide materialization budget.
+// DecodeEnv carries decode state: the seed for seeded tile forms, the
+// program-wide materialization budget, and a count of the seeded random
+// tiles decoded so far.
 type DecodeEnv struct {
-	Seed uint64
+	seed uint64
 	// tileBudget is the remaining fill/random element allowance.
 	tileBudget int64
+	random     int
 }
 
-// NewDecodeEnv returns a fresh decode environment for one program
-// instantiation.
-func NewDecodeEnv(seed uint64) *DecodeEnv {
-	return &DecodeEnv{Seed: seed, tileBudget: MaxIRProgramTileElems}
+// Seeded decodes an operator's tile content once, at seed 0. When the
+// content drew seeded random tiles it also returns a function that
+// re-derives it for a run seed (Ctx.Seed); otherwise that function is
+// nil, and every run shares the decoded content read-only.
+func Seeded[T any](env *DecodeEnv, decode func(*DecodeEnv) (T, error)) (T, func(seed uint64) T, error) {
+	drawn := env.random
+	v, err := decode(env)
+	if err != nil || env.random == drawn {
+		return v, nil, err
+	}
+	return v, func(seed uint64) T {
+		// A seed changes tile values only, and this content decoded
+		// once already, so decoding it again cannot fail.
+		v, _ := decode(&DecodeEnv{seed: seed, tileBudget: MaxIRProgramTileElems})
+		return v
+	}, nil
 }
 
 // ProgramIR is the serializable form of a STeP program: the builder
@@ -449,7 +463,7 @@ func TileToIR(t *tile.Tile) (*TileIR, error) {
 	return out, nil
 }
 
-// TileFromIR rebuilds a tile; env.Seed offsets TileIR.Random, and
+// TileFromIR rebuilds a tile; env's seed offsets TileIR.Random, and
 // fill/random forms draw from env's program-wide materialization
 // budget.
 func TileFromIR(ti *TileIR, env *DecodeEnv) (*tile.Tile, error) {
@@ -497,7 +511,8 @@ func TileFromIR(ti *TileIR, env *DecodeEnv) (*tile.Tile, error) {
 	case ti.Fill != nil:
 		return tile.Filled(ti.Rows, ti.Cols, float32(*ti.Fill)), nil
 	case ti.Random != nil:
-		return tile.Random(ti.Rows, ti.Cols, env.Seed+*ti.Random), nil
+		env.random++
+		return tile.Random(ti.Rows, ti.Cols, env.seed+*ti.Random), nil
 	default:
 		return tile.ShapeOnly(ti.Rows, ti.Cols), nil
 	}
@@ -771,7 +786,7 @@ func (ir *ProgramIR) Hash() (string, error) {
 // --- decode registry ---
 
 // DecodeCtx is handed to a registered operator decoder: the graph under
-// construction, the run seed, and the node being decoded, plus helpers
+// construction, the decode state, and the node being decoded, plus helpers
 // to resolve inputs, unmarshal attributes, and register outputs.
 type DecodeCtx struct {
 	G    *Graph
@@ -908,12 +923,12 @@ func RegisteredIROps() []string {
 }
 
 // BuildIR instantiates a fresh graph from the IR by replaying every
-// node through its registered constructor. seed parameterizes seeded
-// content (TileIR.Random). The returned graph is unvalidated; callers
-// Compile (or Run) it, which runs Finalize.
-func BuildIR(ir *ProgramIR, seed uint64) (*Graph, error) {
+// node through its registered constructor. Seeded content
+// (TileIR.Random) decodes at seed 0 and re-derives per run (see
+// Seeded). The returned graph is unvalidated; CompileIR runs Finalize.
+func BuildIR(ir *ProgramIR) (*Graph, error) {
 	g := New()
-	env := NewDecodeEnv(seed)
+	env := &DecodeEnv{tileBudget: MaxIRProgramTileElems}
 	streams := make(map[int]*Stream)
 	var defers []func() error
 	for i, n := range ir.Nodes {

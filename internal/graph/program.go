@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"step/internal/des"
 	"step/internal/element"
@@ -13,25 +14,17 @@ import (
 )
 
 // Program is an immutable, validated STeP program: the artifact
-// Graph.Compile produces, and the only way to run one. Compilation runs
-// the builder's shape verification (Finalize) and freezes the graph
-// against further structural mutation; the symbolic §4.2 metric
-// equations derive on demand. A Program can be run many times; each Run
-// instantiates fresh engine state (channels, machine model, counters),
-// so results are independent of previous runs.
-//
-// Programs loaded from the serializable IR (CompileIR) additionally
-// re-instantiate every operator per run, which makes concurrent Runs of
-// one Program fully parallel. A Go-built graph has exactly one Program,
-// whose runs share the graph's operator instances (custom functions,
-// capture handles) and are therefore serialized — still legal from any
-// number of goroutines, just one simulation at a time. An operator
-// function must not run its own Program: the nested Run would wait for
-// the one it is part of.
+// Graph.Compile (or CompileIR) produces, and the only way to run one.
+// Compilation runs the builder's shape verification (Finalize) and
+// freezes the graph against further structural mutation; the symbolic
+// §4.2 metric equations derive on demand. Like an SDA configuration
+// loaded once and streaming any number of inputs, a Program runs any
+// number of times, concurrently from any goroutine: its operators are
+// immutable configuration, and each Run owns its engine state
+// (channels, machine model, counters) and its operators' recordings.
 type Program struct {
-	name   string
-	src    *Graph
-	fromIR bool
+	name string
+	src  *Graph
 
 	// The IR encodes lazily: workload builders compile thousands of
 	// programs per sweep and never ask for the wire form, so paying the
@@ -44,14 +37,14 @@ type Program struct {
 	// each on its own: a sweep point usually evaluates only one of them.
 	onchip, traffic func() symbolic.Expr
 
-	// mu serializes a Go-built graph's runs (see type comment).
-	mu sync.Mutex
+	// idle is a binding no run holds. A run takes it, or builds its own
+	// while a concurrent run holds it, and puts it back when done.
+	idle atomic.Pointer[binding]
 }
 
 // Compile validates the graph and freezes it into its Program. After a
 // successful Compile the graph is immutable: AddNode/NewStream record
-// construction errors. Compiling again returns the same *Program, so
-// every run of the graph's shared operators goes through one lock.
+// construction errors. Compiling again returns the same *Program.
 func (g *Graph) Compile() (*Program, error) {
 	return g.compileNamed("")
 }
@@ -60,50 +53,26 @@ func (g *Graph) compileNamed(name string) (*Program, error) {
 	if err := g.Finalize(); err != nil {
 		return nil, fmt.Errorf("graph: compile: %w", err)
 	}
-	if g.prog != nil {
-		return g.prog, nil
-	}
-	// Captured streams are addressed by operator name per run
-	// (Session.Captured); duplicates would silently shadow one another.
-	seen := map[string]bool{}
-	for _, n := range g.nodes {
-		if _, ok := n.Op.(capturer); !ok {
-			continue
+	if g.prog == nil {
+		g.prog = &Program{
+			name:    name,
+			src:     g,
+			onchip:  sync.OnceValue(g.SymbolicOnchipBytes),
+			traffic: sync.OnceValue(g.SymbolicOffchipTrafficBytes),
 		}
-		if seen[n.Op.Name()] {
-			return nil, fmt.Errorf("graph: compile: duplicate capture name %q", n.Op.Name())
-		}
-		seen[n.Op.Name()] = true
-	}
-	g.bound = newBinding(g)
-	g.prog = &Program{
-		name:    name,
-		src:     g,
-		onchip:  sync.OnceValue(g.SymbolicOnchipBytes),
-		traffic: sync.OnceValue(g.SymbolicOffchipTrafficBytes),
+		g.prog.idle.Store(newBinding(g))
 	}
 	return g.prog, nil
 }
 
-// CompileIR builds and compiles a program from its serializable IR.
-// The resulting Program re-instantiates a fresh graph per Run (seeded
-// by WithSeed), so repeated and concurrent runs are fully independent.
+// CompileIR decodes a program from its serializable IR, once, and
+// compiles it. Seeded random content re-derives per run (WithSeed).
 func CompileIR(ir *ProgramIR) (*Program, error) {
-	g, err := BuildIR(ir, 0)
+	g, err := BuildIR(ir)
 	if err != nil {
 		return nil, err
 	}
-	p, err := g.compileNamed(ir.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Re-encode eagerly: Run re-instantiates from the encoded form, and
-	// registry-decoded graphs always serialize (raw attrs re-bound).
-	if _, err := p.IR(); err != nil {
-		return nil, fmt.Errorf("graph: compile ir: %w", err)
-	}
-	p.fromIR = true
-	return p, nil
+	return g.compileNamed(ir.Name)
 }
 
 // Name returns the program's name ("" when compiled from a Go graph
@@ -218,8 +187,9 @@ func WithParams(env symbolic.Env) RunOption {
 }
 
 // Session is the outcome of one Program run: the simulation result, the
-// effective configuration, captured streams, and the symbolic-parameter
-// bindings for metric evaluation.
+// effective configuration, the operators' recordings (captured streams,
+// stored tiles), and the symbolic-parameter bindings for metric
+// evaluation.
 type Session struct {
 	// Result summarizes the simulated run.
 	Result Result
@@ -227,68 +197,59 @@ type Session struct {
 	// the options applied.
 	Config Config
 
-	program  *Program
-	captures map[string][]element.Element
-	params   symbolic.Env
+	program *Program
+	records []any
+	params  symbolic.Env
 }
 
 // Run executes the compiled program with fresh engine state and returns
 // the run's session. Options apply on top of DefaultConfig (seed 0).
-// Repeated and concurrent Runs of one Program are legal: IR-backed
-// programs instantiate a fresh operator graph per run and run fully in
-// parallel; a Go-built program's runs share operator instances and
-// serialize on the Program. The capture snapshot is taken before the
-// next run can reset the captures.
+// Runs are independent: repeated and concurrent Runs of one Program are
+// legal and fully parallel.
 func (p *Program) Run(opts ...RunOption) (*Session, error) {
 	rs := runSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
 		o(&rs)
 	}
-	g := p.src
-	if p.fromIR {
-		var err error
-		if g, err = BuildIR(p.ir, rs.cfg.Seed); err != nil {
-			return nil, fmt.Errorf("graph: instantiate program: %w", err)
-		}
-	} else {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+	b := p.idle.Swap(nil)
+	if b == nil {
+		b = newBinding(p.src)
 	}
-	res, err := g.run(rs.cfg)
+	res, records, err := p.src.run(rs.cfg, b)
+	p.idle.Store(b)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{Result: res, Config: rs.cfg, program: p, captures: collectCaptures(g), params: rs.params}, nil
+	return &Session{Result: res, Config: rs.cfg, program: p, records: records, params: rs.params}, nil
 }
 
-// capturer is implemented by recording sinks (ops.CaptureOp).
-type capturer interface{ Elements() []element.Element }
-
-func collectCaptures(g *Graph) map[string][]element.Element {
-	out := map[string][]element.Element{}
-	for _, n := range g.nodes {
-		if c, ok := n.Op.(capturer); ok {
-			es := c.Elements()
-			cp := make([]element.Element, len(es))
-			copy(cp, es)
-			out[n.Op.Name()] = cp
-		}
+// Recorded returns what node n's operator recorded during this run
+// (Ctx.Record), or nil.
+func (s *Session) Recorded(n *Node) any {
+	if n.ID >= len(s.records) || s.program.src.nodes[n.ID] != n {
+		return nil
 	}
-	return out
+	return s.records[n.ID]
 }
 
 // Captured returns the elements recorded by the capture operator with
 // the given name during this run (including the trailing Done).
 func (s *Session) Captured(name string) ([]element.Element, bool) {
-	es, ok := s.captures[name]
-	return es, ok
+	for i, r := range s.records {
+		if es, ok := r.([]element.Element); ok && s.program.src.nodes[i].Op.Name() == name {
+			return es, true
+		}
+	}
+	return nil, false
 }
 
 // CaptureNames lists the program's capture operators, sorted.
 func (s *Session) CaptureNames() []string {
-	out := make([]string, 0, len(s.captures))
-	for name := range s.captures {
-		out = append(out, name)
+	var out []string
+	for i, r := range s.records {
+		if _, ok := r.([]element.Element); ok {
+			out = append(out, s.program.src.nodes[i].Op.Name())
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -2,8 +2,10 @@ package graph_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"step/internal/element"
 	"step/internal/graph"
@@ -27,9 +29,9 @@ func buildDoubler(n int) (*graph.Graph, *ops.CaptureOp) {
 }
 
 // TestGraphRunTwiceDeterministic: sequential re-runs of one compiled
-// graph are legal and identical — per-run operator state (the capture)
-// resets instead of accumulating, and the first session's snapshot is
-// not disturbed.
+// graph are legal and identical — each run records its own capture
+// instead of accumulating into a shared one, and the first session's
+// recording is not disturbed.
 func TestGraphRunTwiceDeterministic(t *testing.T) {
 	g, _ := buildDoubler(8)
 	prog, err := g.Compile()
@@ -82,8 +84,8 @@ func TestGraphMutationAfterCompile(t *testing.T) {
 }
 
 // TestCompileReturnsOneProgram: compiling a graph twice yields the same
-// *Program, so runs through either handle serialize on one lock instead
-// of racing on the shared operator instances.
+// *Program, and concurrent runs through either handle, on either engine,
+// match a serial run.
 func TestCompileReturnsOneProgram(t *testing.T) {
 	g, _ := buildDoubler(16)
 	p1, err := g.Compile()
@@ -169,10 +171,10 @@ func TestProgramConcurrentRunsIR(t *testing.T) {
 	}
 }
 
-// TestProgramConcurrentRunsClosureBound: a program holding Go closures
-// cannot re-instantiate, so its runs serialize — but stay legal and
-// deterministic from any number of goroutines.
-func TestProgramConcurrentRunsClosureBound(t *testing.T) {
+// TestProgramConcurrentRunsGoBuilt: a Go-built program holding custom
+// closures runs concurrently from any number of goroutines, and every
+// run matches a serial one.
+func TestProgramConcurrentRunsGoBuilt(t *testing.T) {
 	g, _ := buildDoubler(16)
 	prog, err := g.Compile()
 	if err != nil {
@@ -204,6 +206,51 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("concurrent run %d: %v", i, err)
+		}
+	}
+}
+
+// TestProgramRunsOverlap: two concurrent Runs of one Go-built program
+// are inside the same operator function at once. Each run's Map
+// function waits at a two-party barrier, so runs serialized by a lock
+// would time out there.
+func TestProgramRunsOverlap(t *testing.T) {
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	g := graph.New()
+	in := ops.CountSource(g, "in", 1)
+	met := ops.Map(g, "meet", in, ops.MapFn{
+		Name: "meet",
+		Apply: func(v element.Value) (element.Value, int64, error) {
+			barrier.Done()
+			both := make(chan struct{})
+			go func() { barrier.Wait(); close(both) }()
+			select {
+			case <-both:
+				return v, 1, nil
+			case <-time.After(5 * time.Second):
+				return nil, 0, errors.New("the other run never entered the operator function")
+			}
+		},
+	}, ops.ComputeOpts{ComputeBW: 1})
+	ops.Sink(g, "out", met)
+	prog, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = prog.Run()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 	}
 }
@@ -262,7 +309,7 @@ func TestRunOptions(t *testing.T) {
 
 // TestProgramSeedInstantiation: an IR program with seeded random
 // content yields different data per run seed, and identical data for
-// equal seeds.
+// equal seeds, also when runs at different seeds interleave.
 func TestProgramSeedInstantiation(t *testing.T) {
 	irJSON := []byte(`{
 	  "version": "step-program/v1",
@@ -286,23 +333,113 @@ func TestProgramSeedInstantiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(seed uint64) [4]float32 {
+	tiles := func(seed uint64) ([4]float32, error) {
+		s, err := prog.Run(graph.WithSeed(seed))
+		if err != nil {
+			return [4]float32{}, err
+		}
+		es, _ := s.Captured("out")
+		if len(es) == 0 || !es[0].IsData() {
+			return [4]float32{}, fmt.Errorf("unexpected capture %s", element.FormatStream(es))
+		}
+		tl := es[0].Value.(element.TileVal).T
+		return [4]float32{tl.At(0, 0), tl.At(0, 1), tl.At(1, 0), tl.At(1, 1)}, nil
+	}
+	serial := map[uint64][4]float32{}
+	for _, seed := range []uint64{7, 7, 8} {
+		got, err := tiles(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := serial[seed]; ok && got != want {
+			t.Fatalf("equal seeds differ: %v vs %v", want, got)
+		}
+		serial[seed] = got
+	}
+	if serial[7] == serial[8] {
+		t.Fatal("different seeds produced identical random tiles")
+	}
+	errs := make([]error, 16)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			seed := uint64(7 + i%2)
+			got, err := tiles(seed)
+			if err == nil && got != serial[seed] {
+				err = fmt.Errorf("seed %d: tiles %v, serial run %v", seed, got, serial[seed])
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent run %d: %v", i, err)
+		}
+	}
+}
+
+// TestProgramSeedReachesEveryDecoder: every decoder holding seeded tile
+// content (the linear-offchip-load tensor, the random-offchip-load
+// table, the reshape pad; sources are covered above) re-derives it per
+// run seed: equal seeds give equal tiles, different seeds different
+// ones.
+func TestProgramSeedReachesEveryDecoder(t *testing.T) {
+	ir, err := graph.ParseProgramIR([]byte(`{
+	  "version": "step-program/v1",
+	  "name": "seeded-decoders",
+	  "nodes": [
+	    {"op": "count-source", "name": "n", "outputs": [{"id": 0}], "attrs": {"n": 1}},
+	    {"op": "broadcast", "name": "bc", "inputs": [0], "outputs": [{"id": 1}, {"id": 2}], "attrs": {"k": 2}},
+	    {"op": "linear-offchip-load", "name": "lin", "inputs": [1], "outputs": [{"id": 3}],
+	     "attrs": {"tensor": {"tile": {"rows": 2, "cols": 2, "random": 0}, "tile_rows": 2, "tile_cols": 2},
+	               "stride": [1, 1], "out_shape": [1, 1]}},
+	    {"op": "capture", "name": "lin.out", "inputs": [3]},
+	    {"op": "random-offchip-load", "name": "rnd", "inputs": [2], "outputs": [{"id": 4}],
+	     "attrs": {"table": [{"rows": 2, "cols": 2, "random": 5}]}},
+	    {"op": "reshape", "name": "pad", "inputs": [4], "outputs": [{"id": 5}, {"id": 6}],
+	     "attrs": {"rank": 0, "chunk": 2, "pad": {"tile": {"rows": 2, "cols": 2, "random": 9}}}},
+	    {"op": "capture", "name": "pad.out", "inputs": [5]},
+	    {"op": "sink", "name": "pad.flags", "inputs": [6]}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := graph.CompileIR(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tiles renders the three seeded tiles of one run: the linear load's,
+	// the random load's and the reshape pad.
+	tiles := func(seed uint64) [3]string {
 		s, err := prog.Run(graph.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, _ := s.Captured("out")
-		if len(es) == 0 || !es[0].IsData() {
-			t.Fatalf("unexpected capture %s", element.FormatStream(es))
+		var out []string
+		for _, name := range []string{"lin.out", "pad.out"} {
+			es, _ := s.Captured(name)
+			for _, e := range es {
+				if e.IsData() {
+					out = append(out, fmt.Sprint(e.Value.(element.TileVal).T.Data))
+				}
+			}
 		}
-		tl := es[0].Value.(element.TileVal).T
-		return [4]float32{tl.At(0, 0), tl.At(0, 1), tl.At(1, 0), tl.At(1, 1)}
+		if len(out) != 3 {
+			t.Fatalf("seed %d: %d data tiles captured, want 3", seed, len(out))
+		}
+		return [3]string(out)
 	}
-	a1, a2, b := run(7), run(7), run(8)
-	if a1 != a2 {
-		t.Fatalf("equal seeds differ: %v vs %v", a1, a2)
-	}
-	if a1 == b {
-		t.Fatal("different seeds produced identical random tiles")
+	a, a2, b := tiles(7), tiles(7), tiles(8)
+	for i, what := range []string{"linear-offchip-load tensor", "random-offchip-load table", "reshape pad"} {
+		if a[i] != a2[i] {
+			t.Errorf("%s: equal seeds differ", what)
+		}
+		if a[i] == b[i] {
+			t.Errorf("%s: seeds 7 and 8 gave identical tiles", what)
+		}
 	}
 }

@@ -16,8 +16,8 @@ func TestTakeTruncatesAndDrains(t *testing.T) {
 		[]element.Element{sc(1), sc(2), sc(3), sc(4), sc(5), dn})
 	tk := Take(g, "take", s, 3)
 	cap := Capture(g, "cap", tk)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,3,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,3,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -51,8 +51,8 @@ func TestRelayClosesFeedbackLoop(t *testing.T) {
 	bc := Broadcast(g, "bc", echoed, 2)
 	cap := Capture(g, "cap", bc[0])
 	RelayFeed(g, relay, bc[1])
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,3,4,5,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,3,4,5,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -75,8 +75,8 @@ func TestReshapeNoPadRaggedTail(t *testing.T) {
 	data, pad := Reshape(g, "rs", s, 0, 2, nil)
 	Sink(g, "padsink", pad)
 	cap := Capture(g, "cap", data)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,S1,3,4,S1,5,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,S1,3,4,S1,5,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -96,8 +96,8 @@ func TestScanStopStructurePreserved(t *testing.T) {
 	}
 	out := Scan(g, "scan", s, 1, sum, ComputeOpts{ComputeBW: 1})
 	cap := Capture(g, "cap", out)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,S1,2,5,S2,4,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,S1,2,5,S2,4,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -225,8 +225,8 @@ func TestLinearLoadStopMergesWithRefStops(t *testing.T) {
 		[]element.Element{sc(0), sc(0), st(1), dn})
 	out := LinearOffChipLoad(g, "load", ref, tensor, [2]int{1, 1}, [2]int{1, 1})
 	cap := Capture(g, "cap", out)
-	run(t, g)
-	if got := fmtCap(cap); got != "Tile[2x2],S2,Tile[2x2],S3,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "Tile[2x2],S2,Tile[2x2],S3,D" {
 		t.Fatalf("captured %s", got)
 	}
 }

@@ -14,10 +14,10 @@ import (
 func tileElem(t *tile.Tile) element.Element { return element.DataOf(element.TileVal{T: t}) }
 
 // capturedTiles extracts the tiles of a capture's data elements.
-func capturedTiles(t *testing.T, c *CaptureOp) []*tile.Tile {
+func capturedTiles(t *testing.T, sess *graph.Session, c *CaptureOp) []*tile.Tile {
 	t.Helper()
 	var out []*tile.Tile
-	for _, e := range c.Elements() {
+	for _, e := range captured(sess, c) {
 		if !e.IsData() {
 			continue
 		}
@@ -46,8 +46,9 @@ func TestMapMatmul(t *testing.T) {
 		t.Fatalf("output dtype %T", m.DType)
 	}
 	cap := Capture(g, "cap", m)
-	res := run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	res := sess.Result
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 1 || tiles[0].At(0, 0) != 11 {
 		t.Fatalf("matmul result %+v", tiles)
 	}
@@ -66,7 +67,7 @@ func TestMapRooflineTiming(t *testing.T) {
 	sb := Source(g, "b", shape.OfInts(1), graph.StaticTile(16, 16), []element.Element{tileElem(b), dn})
 	m := Map2(g, "mm", sa, sb, MatmulFn(), ComputeOpts{ComputeBW: 64})
 	Sink(g, "sink", m)
-	res := run(t, g)
+	res := run(t, g).Result
 	want := tile.MatMulFLOPs(a, b) / 64 // 8192/64 = 128
 	if res.Cycles < 128 || res.Cycles > 128+16 {
 		t.Fatalf("cycles = %d, want ~%d", res.Cycles, want)
@@ -84,8 +85,8 @@ func TestAccumRetileRow(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(2, 2), graph.StaticTile(1, 3), es)
 	a := Accum(g, "acc", s, 1, RetileRowFn(), ComputeOpts{})
 	cap := Capture(g, "cap", a)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 2 {
 		t.Fatalf("%d tiles", len(tiles))
 	}
@@ -108,8 +109,8 @@ func TestAccumDynamicGroups(t *testing.T) {
 	s := Source(g, "src", shape.New(shape.Static(2), shape.NamedRagged("R")), graph.StaticTile(1, 2), es)
 	a := Accum(g, "acc", s, 1, RetileRowFn(), ComputeOpts{})
 	cap := Capture(g, "cap", a)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 2 || tiles[0].Rows != 3 || tiles[1].Rows != 1 {
 		t.Fatalf("dynamic tiles %+v", tiles)
 	}
@@ -123,8 +124,8 @@ func TestAccumElemAddReduction(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(1, 2), graph.StaticTile(2, 2), es)
 	a := Accum(g, "acc", s, 1, ElemAddFn(), ComputeOpts{ComputeBW: 16})
 	cap := Capture(g, "cap", a)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 1 || tiles[0].At(0, 0) != 3 {
 		t.Fatalf("sum = %+v", tiles)
 	}
@@ -147,8 +148,8 @@ func TestAccumStopLevels(t *testing.T) {
 	}
 	a := Accum(g, "acc", s, 1, sum, ComputeOpts{ComputeBW: 1})
 	cap := Capture(g, "cap", a)
-	run(t, g)
-	if got := fmtCap(cap); got != "3,7,S1,11,15,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "3,7,S1,11,15,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -166,8 +167,8 @@ func TestScanEmitsRunningState(t *testing.T) {
 	}
 	sc := Scan(g, "scan", s, 1, sum, ComputeOpts{ComputeBW: 1})
 	cap := Capture(g, "cap", sc)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,3,S1,3,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,3,S1,3,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -179,8 +180,8 @@ func TestFlatMapRetileStreamify(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(1), graph.StaticTile(4, 2), []element.Element{tileElem(packed), dn})
 	f := FlatMap(g, "fm", s, 0, RetileStreamifyFn(1), []shape.Dim{shape.NamedRagged("N")})
 	cap := Capture(g, "cap", f)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 4 || tiles[2].At(0, 0) != 3 {
 		t.Fatalf("split tiles %+v", tiles)
 	}
@@ -204,8 +205,8 @@ func TestFlatMapShiftsStops(t *testing.T) {
 	}
 	f := FlatMap(g, "fm", s, 1, fn, []shape.Dim{shape.NamedRagged("G"), shape.NamedRagged("g")})
 	cap := Capture(g, "cap", f)
-	run(t, g)
-	if got := fmtCap(cap); got != "0,1,S1,0,1,2,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "0,1,S1,0,1,2,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }

@@ -136,7 +136,7 @@ func tensorToIR(t OffChipTensor) (tensorIR, error) {
 	return tensorIR{Tile: *ti, TileRows: t.TileRows, TileCols: t.TileCols}, nil
 }
 
-func tensorFromIR(ir tensorIR, env *graph.DecodeEnv) (OffChipTensor, error) {
+func (ir tensorIR) decode(env *graph.DecodeEnv) (OffChipTensor, error) {
 	data, err := graph.TileFromIR(&ir.Tile, env)
 	if err != nil {
 		return OffChipTensor{}, err
@@ -322,11 +322,15 @@ func init() {
 		if err != nil {
 			return err
 		}
-		elems, err := graph.ElemsFromIR(a.Elems, dc.Env)
+		elems, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) ([]element.Element, error) {
+			return graph.ElemsFromIR(a.Elems, env)
+		})
 		if err != nil {
 			return err
 		}
-		return dc.BindOutputs(Source(dc.G, dc.Node.Name, sh, dt, elems))
+		out := Source(dc.G, dc.Node.Name, sh, dt, elems)
+		out.Producer().Op.(*sourceOp).elemsAt = at
+		return dc.BindOutputs(out)
 	})
 
 	reg("count-source", func(dc *graph.DecodeCtx) error {
@@ -429,11 +433,13 @@ func init() {
 		if err != nil {
 			return err
 		}
-		tensor, err := tensorFromIR(a.Tensor, dc.Env)
+		tensor, at, err := graph.Seeded(dc.Env, a.Tensor.decode)
 		if err != nil {
 			return fmt.Errorf("ir: node %q: %w", dc.Node.Name, err)
 		}
-		return dc.BindOutputs(LinearOffChipLoad(dc.G, dc.Node.Name, ref, tensor, a.Stride, a.OutShape))
+		out := LinearOffChipLoad(dc.G, dc.Node.Name, ref, tensor, a.Stride, a.OutShape)
+		out.Producer().Op.(*linearLoadOp).tensorAt = at
+		return dc.BindOutputs(out)
 	})
 
 	reg("linear-offchip-store", func(dc *graph.DecodeCtx) error {
@@ -454,15 +460,23 @@ func init() {
 		if err != nil {
 			return err
 		}
-		table := make([]*tile.Tile, len(a.Table))
-		for i := range a.Table {
-			t, err := graph.TileFromIR(&a.Table[i], dc.Env)
-			if err != nil {
-				return fmt.Errorf("ir: node %q table[%d]: %w", dc.Node.Name, i, err)
+		table, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) ([]*tile.Tile, error) {
+			table := make([]*tile.Tile, len(a.Table))
+			for i := range a.Table {
+				t, err := graph.TileFromIR(&a.Table[i], env)
+				if err != nil {
+					return nil, fmt.Errorf("ir: node %q table[%d]: %w", dc.Node.Name, i, err)
+				}
+				table[i] = t
 			}
-			table[i] = t
+			return table, nil
+		})
+		if err != nil {
+			return err
 		}
-		return dc.BindOutputs(RandomOffChipLoad(dc.G, dc.Node.Name, raddr, table))
+		out := RandomOffChipLoad(dc.G, dc.Node.Name, raddr, table)
+		out.Producer().Op.(*randomLoadOp).tableAt = at
+		return dc.BindOutputs(out)
 	})
 
 	reg("random-offchip-store", func(dc *graph.DecodeCtx) error {
@@ -668,15 +682,17 @@ func init() {
 		if err != nil {
 			return err
 		}
-		var pad element.Value
-		if a.Pad != nil {
-			v, err := graph.ValueFromIR(a.Pad, dc.Env)
-			if err != nil {
-				return err
+		pad, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) (element.Value, error) {
+			if a.Pad == nil {
+				return nil, nil
 			}
-			pad = v
+			return graph.ValueFromIR(a.Pad, env)
+		})
+		if err != nil {
+			return err
 		}
 		data, padding := Reshape(dc.G, dc.Node.Name, in, a.Rank, a.Chunk, pad)
+		data.Producer().Op.(*reshapeOp).padAt = at
 		return dc.BindOutputs(data, padding)
 	})
 

@@ -32,8 +32,9 @@ func TestLinearOffChipLoadFigure2(t *testing.T) {
 		t.Fatalf("shape %s", out.Shape)
 	}
 	cap := Capture(g, "cap", out)
-	res := run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	res := sess.Result
+	tiles := capturedTiles(t, sess, cap)
 	if len(tiles) != 8 {
 		t.Fatalf("%d tiles", len(tiles))
 	}
@@ -42,7 +43,7 @@ func TestLinearOffChipLoadFigure2(t *testing.T) {
 		t.Fatal("tile contents wrong")
 	}
 	// Stop structure: each pass closes with S2.
-	if got := fmtCap(cap); got[len(got)-4:] != "S2,D" {
+	if got := fmtCap(sess, cap); got[len(got)-4:] != "S2,D" {
 		t.Fatalf("captured tail %s", got)
 	}
 	// Traffic: 8 tiles x 8 bytes = 64 bytes, twice over the tensor.
@@ -67,8 +68,8 @@ func TestLinearOffChipLoadRefStops(t *testing.T) {
 		[]element.Element{sc(0), st(1), sc(0), st(1), dn})
 	out := LinearOffChipLoad(g, "load", ref, tensor, [2]int{1, 1}, [2]int{1, 1})
 	cap := Capture(g, "cap", out)
-	run(t, g)
-	if got := fmtCap(cap); got != "Tile[2x2],S3,Tile[2x2],S3,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "Tile[2x2],S3,Tile[2x2],S3,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -88,9 +89,10 @@ func TestLinearOffChipStore(t *testing.T) {
 	a := tile.Filled(1, 2, 5)
 	s := Source(g, "src", shape.OfInts(1), graph.StaticTile(1, 2), []element.Element{tileElem(a), dn})
 	h := LinearOffChipStore(g, "store", s)
-	res := run(t, g)
-	if len(h.Tiles()) != 1 || h.Tiles()[0].At(0, 0) != 5 {
-		t.Fatalf("stored %+v", h.Tiles())
+	sess := run(t, g)
+	res := sess.Result
+	if len(h.Tiles(sess)) != 1 || h.Tiles(sess)[0].At(0, 0) != 5 {
+		t.Fatalf("stored %+v", h.Tiles(sess))
 	}
 	if res.OffchipWriteBytes != 4 {
 		t.Fatalf("write bytes = %d", res.OffchipWriteBytes)
@@ -104,8 +106,8 @@ func TestRandomOffChipLoad(t *testing.T) {
 		[]element.Element{sc(2), sc(0), sc(1), dn})
 	out := RandomOffChipLoad(g, "rload", addr, table)
 	cap := Capture(g, "cap", out)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	if tiles[0].At(0, 0) != 30 || tiles[1].At(0, 0) != 10 || tiles[2].At(0, 0) != 20 {
 		t.Fatal("random load order wrong")
 	}
@@ -129,11 +131,11 @@ func TestRandomOffChipStore(t *testing.T) {
 		[]element.Element{tileElem(tile.Filled(1, 1, 1)), tileElem(tile.Filled(1, 1, 2)), dn})
 	ack, h := RandomOffChipStore(g, "rstore", addr, data)
 	cap := Capture(g, "cap", ack)
-	run(t, g)
-	if got := fmtCap(cap); got != "true,true,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "true,true,D" {
 		t.Fatalf("acks %s", got)
 	}
-	if tl, ok := h.TileAt(7); !ok || tl.At(0, 0) != 2 {
+	if tl, ok := h.TileAt(sess, 7); !ok || tl.At(0, 0) != 2 {
 		t.Fatal("stored tile wrong")
 	}
 }
@@ -149,11 +151,12 @@ func TestBufferizeStreamifyLinearRoundTrip(t *testing.T) {
 	}
 	out := StreamifyLinear(g, "str", bufs)
 	cap := Capture(g, "cap", out)
-	res := run(t, g)
-	if got := fmtCap(cap); got != "Tile[1x1],Tile[1x1],S1,Tile[1x1],Tile[1x1],S1,D" {
+	sess := run(t, g)
+	res := sess.Result
+	if got := fmtCap(sess, cap); got != "Tile[1x1],Tile[1x1],S1,Tile[1x1],Tile[1x1],S1,D" {
 		t.Fatalf("captured %s", got)
 	}
-	tiles := capturedTiles(t, cap)
+	tiles := capturedTiles(t, sess, cap)
 	if tiles[0].At(0, 0) != 1 || tiles[3].At(0, 0) != 4 {
 		t.Fatal("buffer contents wrong")
 	}
@@ -175,10 +178,10 @@ func TestStreamifyWithRefRepeatsBuffer(t *testing.T) {
 		[]element.Element{sc(0), sc(0), st(1), sc(0), sc(0), st(1), dn})
 	out := Streamify(g, "str", bufs, ref, nil, nil)
 	cap := Capture(g, "cap", out)
-	run(t, g)
+	sess := run(t, g)
 	// Buffer1 (2 tiles) streamed twice, then buffer2 (1 tile) twice.
 	// Each pass closes S1 (buffer rank); ref S1 -> S2.
-	if got := fmtCap(cap); got != "Tile[1x1],Tile[1x1],S1,Tile[1x1],Tile[1x1],S2,Tile[1x1],S1,Tile[1x1],S2,D" {
+	if got := fmtCap(sess, cap); got != "Tile[1x1],Tile[1x1],S1,Tile[1x1],Tile[1x1],S2,Tile[1x1],S1,Tile[1x1],S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -194,8 +197,8 @@ func TestStreamifyAffine(t *testing.T) {
 	outShape := [2]int{2, 2}
 	out := Streamify(g, "str", bufs, ref, &stride, &outShape)
 	cap := Capture(g, "cap", out)
-	run(t, g)
-	tiles := capturedTiles(t, cap)
+	sess := run(t, g)
+	tiles := capturedTiles(t, sess, cap)
 	want := []float32{0, 2, 1, 3}
 	for i, w := range want {
 		if tiles[i].At(0, 0) != w {
@@ -211,9 +214,9 @@ func TestBufferizeDynamicBufferSizes(t *testing.T) {
 	s := Source(g, "src", shape.New(shape.Static(2), shape.NamedRagged("R")), graph.StaticTile(1, 1), es)
 	bufs := Bufferize(g, "buf", s, 1)
 	cap := Capture(g, "cap", bufs)
-	run(t, g)
+	sess := run(t, g)
 	var sizes []int
-	for _, e := range cap.Elements() {
+	for _, e := range captured(sess, cap) {
 		if e.IsData() {
 			sizes = append(sizes, len(e.Value.(element.BufRef).Buf.Values))
 		}
@@ -230,8 +233,8 @@ func TestBufferizeHigherStops(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(2, 1, 2), graph.StaticTile(1, 1), es)
 	bufs := Bufferize(g, "buf", s, 1)
 	cap := Capture(g, "cap", bufs)
-	run(t, g)
-	got := fmtCap(cap)
+	sess := run(t, g)
+	got := fmtCap(sess, cap)
 	// Two buffers, each followed by S1 (from the input S2 closers).
 	if got != "Buf#1(2 values),S1,Buf#2(2 values),S1,D" {
 		t.Fatalf("captured %s", got)
@@ -245,10 +248,11 @@ func TestScratchpadFreedAfterStreamify(t *testing.T) {
 	bufs := Bufferize(g, "buf", s, 1)
 	out := StreamifyLinear(g, "str", bufs)
 	Sink(g, "sink", out)
-	res, err := runGraph(g)
+	sess, err := runGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	// Peak is bounded: buffers are freed after streaming, so both buffers
 	// (2 x 2 bytes) is the worst case.
 	if res.PeakOnchipBytes > 4 {

@@ -56,6 +56,7 @@ func (t OffChipTensor) TileAtLinear(idx int) (*tile.Tile, error) {
 type linearLoadOp struct {
 	base
 	tensor   OffChipTensor
+	tensorAt func(seed uint64) OffChipTensor
 	stride   [2]int
 	outShape [2]int
 }
@@ -101,6 +102,7 @@ func LinearOffChipLoadStatic(g *graph.Graph, name string, repeats int, tensor Of
 
 func (o *linearLoadOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
+	tensor := reseed(ctx, o.tensor, o.tensorAt)
 	port := ctx.Machine.HBM.NewPort()
 	w := newStopWriter(ctx, 0)
 	for {
@@ -118,11 +120,11 @@ func (o *linearLoadOp) Run(ctx *graph.Ctx) error {
 			for i := 0; i < o.outShape[0]; i++ {
 				for j := 0; j < o.outShape[1]; j++ {
 					idx := i*o.stride[0] + j*o.stride[1]
-					tl, err := o.tensor.TileAtLinear(idx)
+					tl, err := tensor.TileAtLinear(idx)
 					if err != nil {
 						return fmt.Errorf("%s: %w", o.name, err)
 					}
-					port.Read(ctx.P, o.tensor.TileBytes())
+					port.Read(ctx.P, tensor.TileBytes())
 					w.data(element.DataOf(element.TileVal{T: tl}))
 				}
 				w.stop(1)
@@ -133,32 +135,31 @@ func (o *linearLoadOp) Run(ctx *graph.Ctx) error {
 }
 
 // linearStoreOp writes a tile stream to off-chip memory (§3.2.1).
-type linearStoreOp struct {
-	base
-	got []*tile.Tile
-}
+type linearStoreOp struct{ base }
 
 // LinearOffChipStore stores the input stream's tiles linearly to off-chip
-// memory. The returned handle exposes the written tiles for inspection.
+// memory. The returned handle exposes a run's written tiles.
 func LinearOffChipStore(g *graph.Graph, name string, in *graph.Stream) *StoreHandle {
 	op := &linearStoreOp{base: newBase(name)}
 	op.traffic = symCard(in)
 	op.onchip = symbolic.Mul(in.DType.Bytes(), symbolic.Const(2))
-	g.AddNode(op, in).SetIR("linear-offchip-store", nil)
-	return &StoreHandle{op: op}
+	n := g.AddNode(op, in)
+	n.SetIR("linear-offchip-store", nil)
+	return &StoreHandle{node: n}
 }
 
-// ResetRunState clears the written tiles between runs.
-func (o *linearStoreOp) ResetRunState() { o.got = nil }
-
 // StoreHandle exposes the tiles written by a LinearOffChipStore.
-type StoreHandle struct{ op *linearStoreOp }
+type StoreHandle struct{ node *graph.Node }
 
-// Tiles returns the stored tiles in write order.
-func (h *StoreHandle) Tiles() []*tile.Tile { return h.op.got }
+// Tiles returns the tiles the session's run stored, in write order.
+func (h *StoreHandle) Tiles(sess *graph.Session) []*tile.Tile {
+	ts, _ := sess.Recorded(h.node).([]*tile.Tile)
+	return ts
+}
 
 func (o *linearStoreOp) Run(ctx *graph.Ctx) error {
 	port := ctx.Machine.HBM.NewPort()
+	var got []*tile.Tile
 	for {
 		e, ok := recvTracked(ctx, 0)
 		if !ok {
@@ -166,6 +167,7 @@ func (o *linearStoreOp) Run(ctx *graph.Ctx) error {
 		}
 		switch e.Kind {
 		case element.Done:
+			ctx.Record(got)
 			return nil
 		case element.Stop:
 			// Structure is not persisted; the tensor layout is linear.
@@ -175,7 +177,7 @@ func (o *linearStoreOp) Run(ctx *graph.Ctx) error {
 				return fmt.Errorf("%s: expected tile, got %T", o.name, e.Value)
 			}
 			port.Write(ctx.P, tv.Bytes())
-			o.got = append(o.got, tv.T)
+			got = append(got, tv.T)
 		}
 	}
 }
@@ -185,7 +187,8 @@ func (o *linearStoreOp) Run(ctx *graph.Ctx) error {
 // to fetch the selected expert's weights dynamically (Fig. 11).
 type randomLoadOp struct {
 	base
-	table []*tile.Tile
+	table   []*tile.Tile
+	tableAt func(seed uint64) []*tile.Tile
 }
 
 // RandomOffChipLoad reads the tile table[addr] for every scalar address in
@@ -215,6 +218,7 @@ func RandomOffChipLoad(g *graph.Graph, name string, raddr *graph.Stream, table [
 
 func (o *randomLoadOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
+	table := reseed(ctx, o.table, o.tableAt)
 	port := ctx.Machine.HBM.NewPort()
 	for {
 		e, ok := recvTracked(ctx, 0)
@@ -232,10 +236,10 @@ func (o *randomLoadOp) Run(ctx *graph.Ctx) error {
 			if !ok {
 				return fmt.Errorf("%s: expected scalar address, got %T", o.name, e.Value)
 			}
-			if sc.V < 0 || int(sc.V) >= len(o.table) {
-				return fmt.Errorf("%s: address %d out of table of %d", o.name, sc.V, len(o.table))
+			if sc.V < 0 || int(sc.V) >= len(table) {
+				return fmt.Errorf("%s: address %d out of table of %d", o.name, sc.V, len(table))
 			}
-			t := o.table[sc.V]
+			t := table[sc.V]
 			port.Read(ctx.P, t.Bytes())
 			ctx.Out[0].Send(ctx.P, element.DataOf(element.TileVal{T: t}))
 		}
@@ -243,39 +247,36 @@ func (o *randomLoadOp) Run(ctx *graph.Ctx) error {
 }
 
 // randomStoreOp writes tiles at scalar addresses (§3.2.1).
-type randomStoreOp struct {
-	base
-	region map[int64]*tile.Tile
-}
+type randomStoreOp struct{ base }
 
 // RandomOffChipStore writes each data tile of wdata at the corresponding
 // scalar address of waddr, emitting an acknowledgment flag per write. The
-// returned handle exposes the written region.
+// returned handle exposes a run's written region.
 func RandomOffChipStore(g *graph.Graph, name string, waddr, wdata *graph.Stream) (*graph.Stream, *RandomStoreHandle) {
-	op := &randomStoreOp{base: newBase(name), region: make(map[int64]*tile.Tile)}
+	op := &randomStoreOp{base: newBase(name)}
 	op.traffic = symCard(wdata)
 	op.onchip = symbolic.Mul(wdata.DType.Bytes(), symbolic.Const(2))
 	n := g.AddNode(op, waddr, wdata)
 	n.SetIR("random-offchip-store", nil)
 	ack := g.NewStream(n, waddr.Shape.Clone(), graph.FlagType{})
-	return ack, &RandomStoreHandle{op: op}
+	return ack, &RandomStoreHandle{node: n}
 }
 
-// ResetRunState clears the written region between runs.
-func (o *randomStoreOp) ResetRunState() { o.region = make(map[int64]*tile.Tile) }
-
 // RandomStoreHandle exposes the tiles written by a RandomOffChipStore.
-type RandomStoreHandle struct{ op *randomStoreOp }
+type RandomStoreHandle struct{ node *graph.Node }
 
-// TileAt returns the tile last written at the given address.
-func (h *RandomStoreHandle) TileAt(addr int64) (*tile.Tile, bool) {
-	t, ok := h.op.region[addr]
+// TileAt returns the tile the session's run last wrote at addr.
+func (h *RandomStoreHandle) TileAt(sess *graph.Session, addr int64) (*tile.Tile, bool) {
+	region, _ := sess.Recorded(h.node).(map[int64]*tile.Tile)
+	t, ok := region[addr]
 	return t, ok
 }
 
 func (o *randomStoreOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
 	port := ctx.Machine.HBM.NewPort()
+	region := make(map[int64]*tile.Tile)
+	ctx.Record(region)
 	for {
 		ea, okA := recvTracked(ctx, 0)
 		ed, okB := recvTracked(ctx, 1)
@@ -301,7 +302,7 @@ func (o *randomStoreOp) Run(ctx *graph.Ctx) error {
 				return fmt.Errorf("%s: expected tile data, got %T", o.name, ed.Value)
 			}
 			port.Write(ctx.P, tv.Bytes())
-			o.region[sc.V] = tv.T
+			region[sc.V] = tv.T
 			ctx.Out[0].Send(ctx.P, element.DataOf(element.Flag{B: true}))
 		}
 	}

@@ -14,7 +14,6 @@ import (
 type bufferizeOp struct {
 	base
 	b        int
-	nextID   int
 	bufShape shape.Shape
 }
 
@@ -49,21 +48,19 @@ func Bufferize(g *graph.Graph, name string, in *graph.Stream, b int) *graph.Stre
 	return out
 }
 
-// ResetRunState rewinds the buffer id counter between runs.
-func (o *bufferizeOp) ResetRunState() { o.nextID = 0 }
-
 func (o *bufferizeOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
 	spad := ctx.Machine.Spad
 	w := newStopWriter(ctx, 0)
 	var body []element.Element
 	var values []element.Value
+	nextID := 0
 	flushBuffer := func() error {
 		if len(body) == 0 && len(values) == 0 {
 			return nil
 		}
-		o.nextID++
-		buf := &element.Buffer{ID: o.nextID, Body: body, Values: values, Shape: o.bufShape}
+		nextID++
+		buf := &element.Buffer{ID: nextID, Body: body, Values: values, Shape: o.bufShape}
 		w.data(element.DataOf(element.BufRef{Buf: buf}))
 		body, values = nil, nil
 		return nil

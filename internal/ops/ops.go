@@ -39,6 +39,16 @@ func (b *base) OffchipTrafficBytes() symbolic.Expr { return b.traffic }
 // AllocatedComputeBW implements graph.Operator.
 func (b *base) AllocatedComputeBW() int64 { return b.computeBW }
 
+// reseed returns an operator's content for this run: v, or its
+// re-derivation for the run seed when the IR decoder attached one
+// (content that drew seeded random tiles; see graph.Seeded).
+func reseed[T any](ctx *graph.Ctx, v T, at func(uint64) T) T {
+	if at == nil {
+		return v
+	}
+	return at(ctx.Seed)
+}
+
 // tick models one initiation interval of the operator's hardware unit.
 func tick(ctx *graph.Ctx) { ctx.P.Advance(1) }
 

@@ -26,38 +26,40 @@ func st(l int) element.Element { return element.StopOf(l) }
 var dn = element.DoneElem
 
 // runGraph compiles the graph and runs its program once with opts.
-func runGraph(g *graph.Graph, opts ...graph.RunOption) (graph.Result, error) {
+func runGraph(g *graph.Graph, opts ...graph.RunOption) (*graph.Session, error) {
 	prog, err := g.Compile()
 	if err != nil {
-		return graph.Result{}, err
+		return nil, err
 	}
-	sess, err := prog.Run(opts...)
-	if err != nil {
-		return graph.Result{}, err
-	}
-	return sess.Result, nil
+	return prog.Run(opts...)
 }
 
 // run executes the graph with default settings, failing the test on error.
-func run(t *testing.T, g *graph.Graph) graph.Result {
+func run(t *testing.T, g *graph.Graph) *graph.Session {
 	t.Helper()
-	res, err := runGraph(g)
+	sess, err := runGraph(g)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return res
+	return sess
 }
 
-// fmtCap formats a capture's stream.
-func fmtCap(c *CaptureOp) string { return element.FormatStream(c.Elements()) }
+// captured returns the stream the capture recorded in the session's run.
+func captured(sess *graph.Session, c *CaptureOp) []element.Element {
+	es, _ := sess.Captured(c.Name())
+	return es
+}
+
+// fmtCap formats the stream the capture recorded in the session's run.
+func fmtCap(sess *graph.Session, c *CaptureOp) string { return element.FormatStream(captured(sess, c)) }
 
 func TestSourceCaptureRoundTrip(t *testing.T) {
 	g := graph.New()
 	es := []element.Element{sc(1), sc(2), st(1), sc(3), st(2), dn}
 	s := Source(g, "src", shape.OfInts(2, 2), graph.ScalarType{}, es)
 	cap := Capture(g, "cap", s)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,S1,3,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,S1,3,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -66,8 +68,8 @@ func TestCountSource(t *testing.T) {
 	g := graph.New()
 	s := CountSource(g, "n", 3)
 	cap := Capture(g, "cap", s)
-	run(t, g)
-	if got := fmtCap(cap); got != "0,1,2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "0,1,2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -80,9 +82,9 @@ func TestBroadcast(t *testing.T) {
 	for i, o := range outs {
 		caps[i] = Capture(g, fmt.Sprintf("cap%d", i), o)
 	}
-	run(t, g)
+	sess := run(t, g)
 	for i, c := range caps {
-		if got := fmtCap(c); got != "7,8,D" {
+		if got := fmtCap(sess, c); got != "7,8,D" {
 			t.Fatalf("branch %d captured %s", i, got)
 		}
 	}
@@ -113,8 +115,8 @@ func TestFlattenPaperExample(t *testing.T) {
 	s := Source(g, "src", shape.New(shape.NamedRagged("D2"), shape.Static(1)), graph.ScalarType{}, es)
 	f := Flatten(g, "flat", s, 0, 1)
 	cap := Capture(g, "cap", f)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,3,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,3,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -129,8 +131,8 @@ func TestFlattenShiftsHigherStops(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(2, 2, 2), graph.ScalarType{}, es)
 	f := Flatten(g, "flat", s, 0, 1)
 	cap := Capture(g, "cap", f)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,3,4,S1,5,6,7,8,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,3,4,S1,5,6,7,8,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -143,11 +145,12 @@ func TestReshapeInnerPads(t *testing.T) {
 	data, pad := Reshape(g, "rs", s, 0, 2, element.Scalar{V: 0})
 	capD := Capture(g, "capD", data)
 	capP := Capture(g, "capP", pad)
-	res := run(t, g)
-	if got := fmtCap(capD); got != "1,2,S1,3,4,S1,5,0,S1,D" {
+	sess := run(t, g)
+	res := sess.Result
+	if got := fmtCap(sess, capD); got != "1,2,S1,3,4,S1,5,0,S1,D" {
 		t.Fatalf("data %s", got)
 	}
-	if got := fmtCap(capP); got != "false,false,S1,false,false,S1,false,true,S1,D" {
+	if got := fmtCap(sess, capP); got != "false,false,S1,false,false,S1,false,true,S1,D" {
 		t.Fatalf("pad %s", got)
 	}
 	_ = res
@@ -162,8 +165,8 @@ func TestReshapeInnerStopSubsumesChunkClose(t *testing.T) {
 	data, pad := Reshape(g, "rs", s, 0, 2, element.Scalar{V: 0})
 	Sink(g, "sinkPad", pad)
 	capD := Capture(g, "capD", data)
-	run(t, g)
-	if got := fmtCap(capD); got != "1,2,S2,3,4,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, capD); got != "1,2,S2,3,4,S2,D" {
 		t.Fatalf("data %s", got)
 	}
 }
@@ -179,8 +182,8 @@ func TestReshapeOuter(t *testing.T) {
 	data, pad := Reshape(g, "rs", s, 1, 2, nil)
 	Sink(g, "sinkPad", pad)
 	capD := Capture(g, "capD", data)
-	run(t, g)
-	if got := fmtCap(capD); got != "1,2,S1,3,4,S2,5,6,S1,7,8,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, capD); got != "1,2,S1,3,4,S2,5,6,S1,7,8,S2,D" {
 		t.Fatalf("data %s", got)
 	}
 }
@@ -190,8 +193,8 @@ func TestPromoteRankZero(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(3), graph.ScalarType{}, []element.Element{sc(1), sc(2), sc(3), dn})
 	p := Promote(g, "pr", s)
 	cap := Capture(g, "cap", p)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,3,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,3,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -203,8 +206,8 @@ func TestPromoteSubsumesFinalStop(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(2, 2), graph.ScalarType{}, es)
 	p := Promote(g, "pr", s)
 	cap := Capture(g, "cap", p)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,2,S1,3,4,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,2,S1,3,4,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -214,8 +217,8 @@ func TestPromoteEmptyStream(t *testing.T) {
 	s := Source(g, "src", shape.OfInts(0), graph.ScalarType{}, []element.Element{dn})
 	p := Promote(g, "pr", s)
 	cap := Capture(g, "cap", p)
-	run(t, g)
-	if got := fmtCap(cap); got != "D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -231,8 +234,8 @@ func TestExpandFigure5(t *testing.T) {
 		[]element.Element{sc(0), sc(0), st(1), sc(0), sc(0), st(2), sc(0), sc(0), st(2), dn})
 	e := Expand(g, "ex", in, ref, 2)
 	cap := Capture(g, "cap", e)
-	run(t, g)
-	if got := fmtCap(cap); got != "10,10,S1,10,10,S2,20,20,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "10,10,S1,10,10,S2,20,20,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -243,8 +246,8 @@ func TestZip(t *testing.T) {
 	b := Source(g, "b", shape.OfInts(2), graph.ScalarType{}, []element.Element{sc(3), sc(4), dn})
 	z := Zip(g, "z", a, b)
 	cap := Capture(g, "cap", z)
-	run(t, g)
-	if got := fmtCap(cap); got != "(1,3),(2,4),D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "(1,3),(2,4),D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -266,10 +269,10 @@ func TestRepeatElems(t *testing.T) {
 		[]element.Element{sc(1), st(1), sc(2), st(1), dn})
 	r := RepeatElems(g, "rep", s, 3)
 	cap := Capture(g, "cap", r)
-	run(t, g)
+	sess := run(t, g)
 	// Each element repeats 3x in a new inner dim; original S1 -> S2 and
 	// subsumes the repeat group's S1.
-	if got := fmtCap(cap); got != "1,1,1,S2,2,2,2,S2,D" {
+	if got := fmtCap(sess, cap); got != "1,1,1,S2,2,2,2,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -282,8 +285,8 @@ func TestRepeatShape(t *testing.T) {
 		t.Fatalf("shape %s", r.Shape)
 	}
 	cap := Capture(g, "cap", r)
-	run(t, g)
-	if got := fmtCap(cap); got != "1,1,S1,2,2,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap); got != "1,1,S1,2,2,S1,D" {
 		t.Fatalf("captured %s", got)
 	}
 }

@@ -60,19 +60,20 @@ func TestMemoryPlacementSwap(t *testing.T) {
 	}
 
 	capOff, gOff := build(false)
-	resOff, err := runGraph(gOff)
+	sessOff, err := runGraph(gOff)
 	if err != nil {
 		t.Fatal(err)
 	}
 	capOn, gOn := build(true)
-	resOn, err := runGraph(gOn)
+	sessOn, err := runGraph(gOn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resOff, resOn := sessOff.Result, sessOn.Result
 
 	// Identical results.
-	offTiles := capturedTiles(t, capOff)
-	onTiles := capturedTiles(t, capOn)
+	offTiles := capturedTiles(t, sessOff, capOff)
+	onTiles := capturedTiles(t, sessOn, capOn)
 	if len(offTiles) != n || len(onTiles) != n {
 		t.Fatalf("tile counts %d / %d", len(offTiles), len(onTiles))
 	}

@@ -25,11 +25,11 @@ func TestPartitionRoutesRows(t *testing.T) {
 	outs := Partition(g, "part", in, sel, 1, 2)
 	cap0 := Capture(g, "c0", outs[0])
 	cap1 := Capture(g, "c1", outs[1])
-	run(t, g)
-	if got := fmtCap(cap0); got != "10,S1,30,S1,40,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap0); got != "10,S1,30,S1,40,S1,D" {
 		t.Fatalf("expert0 %s", got)
 	}
-	if got := fmtCap(cap1); got != "20,S1,D" {
+	if got := fmtCap(sess, cap1); got != "20,S1,D" {
 		t.Fatalf("expert1 %s", got)
 	}
 }
@@ -43,11 +43,11 @@ func TestPartitionMultiHotCopies(t *testing.T) {
 	outs := Partition(g, "part", in, sel, 1, 2)
 	cap0 := Capture(g, "c0", outs[0])
 	cap1 := Capture(g, "c1", outs[1])
-	run(t, g)
-	if got := fmtCap(cap0); got != "1,S1,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap0); got != "1,S1,D" {
 		t.Fatalf("out0 %s", got)
 	}
-	if got := fmtCap(cap1); got != "1,S1,2,S1,D" {
+	if got := fmtCap(sess, cap1); got != "1,S1,2,S1,D" {
 		t.Fatalf("out1 %s", got)
 	}
 }
@@ -62,11 +62,11 @@ func TestPartitionRankZero(t *testing.T) {
 	outs := Partition(g, "part", in, sel, 0, 2)
 	cap0 := Capture(g, "c0", outs[0])
 	cap1 := Capture(g, "c1", outs[1])
-	run(t, g)
-	if got := fmtCap(cap0); got != "2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap0); got != "2,D" {
 		t.Fatalf("out0 %s", got)
 	}
-	if got := fmtCap(cap1); got != "1,3,D" {
+	if got := fmtCap(sess, cap1); got != "1,3,D" {
 		t.Fatalf("out1 %s", got)
 	}
 }
@@ -82,11 +82,11 @@ func TestPartitionSubtreeRankTwo(t *testing.T) {
 	outs := Partition(g, "part", in, sel, 2, 2)
 	cap0 := Capture(g, "c0", outs[0])
 	cap1 := Capture(g, "c1", outs[1])
-	run(t, g)
-	if got := fmtCap(cap1); got != "1,S1,2,S2,D" {
+	sess := run(t, g)
+	if got := fmtCap(sess, cap1); got != "1,S1,2,S2,D" {
 		t.Fatalf("out1 %s", got)
 	}
-	if got := fmtCap(cap0); got != "3,S1,4,S2,D" {
+	if got := fmtCap(sess, cap0); got != "3,S1,4,S2,D" {
 		t.Fatalf("out0 %s", got)
 	}
 }
@@ -105,10 +105,10 @@ func TestReassembleFigure4(t *testing.T) {
 		[]element.Element{selElem(3, 0, 2), selElem(3, 1), dn})
 	out := Reassemble(g, "re", []*graph.Stream{in0, in1, in2}, sel, 1)
 	cap := Capture(g, "cap", out)
-	run(t, g)
+	sess := run(t, g)
 	// Group 1 collects inputs 0 and 2 (S1 between subtrees, S2 closes the
 	// group); group 2 collects input 1.
-	got := fmtCap(cap)
+	got := fmtCap(sess, cap)
 	if got != "1,2,S1,4,5,S2,3,S2,D" && got != "4,5,S1,1,2,S2,3,S2,D" {
 		t.Fatalf("captured %s", got)
 	}
@@ -123,9 +123,9 @@ func TestReassembleSelectorStops(t *testing.T) {
 		[]element.Element{selElem(1, 0), st(1), selElem(1, 0), st(1), dn})
 	out := Reassemble(g, "re", []*graph.Stream{in0}, sel, 1)
 	cap := Capture(g, "cap", out)
-	run(t, g)
+	sess := run(t, g)
 	// Each group: body + S2 (incremented); selector S1 -> S3.
-	if got := fmtCap(cap); got != "1,S3,2,S3,D" {
+	if got := fmtCap(sess, cap); got != "1,S3,2,S3,D" {
 		t.Fatalf("captured %s", got)
 	}
 }
@@ -149,9 +149,9 @@ func TestEagerMergeArrivalOrder(t *testing.T) {
 	data, sel := EagerMerge(g, "merge", []*graph.Stream{slow, fast})
 	capD := Capture(g, "capD", data)
 	capS := Capture(g, "capS", sel)
-	run(t, g)
-	gotD := fmtCap(capD)
-	gotS := fmtCap(capS)
+	sess := run(t, g)
+	gotD := fmtCap(sess, capD)
+	gotS := fmtCap(sess, capS)
 	if gotD != "1,S1,2,S1,9,S1,D" {
 		t.Fatalf("data %s (sel %s)", gotD, gotS)
 	}
@@ -180,11 +180,12 @@ func TestEagerMergeConservation(t *testing.T) {
 		data, sel := EagerMerge(g, "m", []*graph.Stream{sA, sB})
 		capD := Capture(g, "capD", data)
 		capS := Capture(g, "capS", sel)
-		if _, err := runGraph(g); err != nil {
+		sess, err := runGraph(g)
+		if err != nil {
 			return false
 		}
-		nData := element.CountData(capD.Elements())
-		nSel := element.CountData(capS.Elements())
+		nData := element.CountData(captured(sess, capD))
+		nSel := element.CountData(captured(sess, capS))
 		return nData == a+b && nSel == a+b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -214,7 +215,8 @@ func TestQuickPartitionReassembleRoundTrip(t *testing.T) {
 		parts := Partition(g, "part", in, sels[0], 1, nExperts)
 		out := Reassemble(g, "re", parts, sels[1], 1)
 		cap := Capture(g, "cap", out)
-		if _, err := runGraph(g); err != nil {
+		sess, err := runGraph(g)
+		if err != nil {
 			return false
 		}
 		// Data comes back in original order (each group has one subtree),
@@ -228,7 +230,7 @@ func TestQuickPartitionReassembleRoundTrip(t *testing.T) {
 			want.WriteString(",S2")
 		}
 		want.WriteString(",D")
-		return fmtCap(cap) == want.String()
+		return fmtCap(sess, cap) == want.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -64,6 +64,7 @@ type reshapeOp struct {
 	rank  int
 	chunk int
 	pad   element.Value
+	padAt func(seed uint64) element.Value
 }
 
 // Reshape splits dimension `rank` (inner-indexed) into chunks of size
@@ -101,14 +102,14 @@ func Reshape(g *graph.Graph, name string, in *graph.Stream, rank, chunk int, pad
 func (o *reshapeOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
 	if o.rank == 0 {
-		return o.runInner(ctx)
+		return o.runInner(ctx, reseed(ctx, o.pad, o.padAt))
 	}
 	return o.runOuter(ctx)
 }
 
 // runInner splits the element dimension, inserting S1 separators every
 // chunk elements and padding the final partial chunk.
-func (o *reshapeOp) runInner(ctx *graph.Ctx) error {
+func (o *reshapeOp) runInner(ctx *graph.Ctx, pad element.Value) error {
 	emit := func(e element.Element, padded bool) {
 		tick(ctx)
 		ctx.Out[0].Send(ctx.P, e)
@@ -132,8 +133,8 @@ func (o *reshapeOp) runInner(ctx *graph.Ctx) error {
 		switch e.Kind {
 		case element.Done:
 			if inChunk > 0 {
-				for ; o.pad != nil && inChunk < o.chunk; inChunk++ {
-					emit(element.DataOf(o.pad), true)
+				for ; pad != nil && inChunk < o.chunk; inChunk++ {
+					emit(element.DataOf(pad), true)
 				}
 				pendingClose = true
 			}
@@ -145,8 +146,8 @@ func (o *reshapeOp) runInner(ctx *graph.Ctx) error {
 			// Close the current (possibly partial) chunk; the input stop
 			// subsumes the chunk's S1 (only the highest stop is emitted).
 			if inChunk > 0 {
-				for ; o.pad != nil && inChunk < o.chunk; inChunk++ {
-					emit(element.DataOf(o.pad), true)
+				for ; pad != nil && inChunk < o.chunk; inChunk++ {
+					emit(element.DataOf(pad), true)
 				}
 				inChunk = 0
 			}

@@ -12,7 +12,8 @@ import (
 // sourceOp emits a fixed element sequence.
 type sourceOp struct {
 	base
-	elems []element.Element
+	elems   []element.Element
+	elemsAt func(seed uint64) []element.Element
 }
 
 // Source creates a stream from a literal element sequence (ending in Done).
@@ -33,7 +34,7 @@ func Source(g *graph.Graph, name string, sh shape.Shape, dt graph.DType, elems [
 
 func (o *sourceOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
-	for _, e := range o.elems {
+	for _, e := range reseed(ctx, o.elems, o.elemsAt) {
 		if e.Kind == element.Done {
 			break
 		}
@@ -63,38 +64,37 @@ func CountSource(g *graph.Graph, name string, n int) *graph.Stream {
 }
 
 // CaptureOp is a sink that records every element it receives; tests and
-// examples use it to observe stream contents.
-type CaptureOp struct {
-	base
-	got []element.Element
-}
+// examples read a run's recording with Session.Captured(name).
+type CaptureOp struct{ base }
 
-// Capture attaches a recording sink to the stream.
+// Capture attaches a recording sink to the stream. Capture names are
+// unique per graph: sessions look captured streams up by name.
 func Capture(g *graph.Graph, name string, in *graph.Stream) *CaptureOp {
+	for _, n := range g.Nodes() {
+		if c, ok := n.Op.(*CaptureOp); ok && c.name == name {
+			g.Errf("duplicate capture name %q", name)
+		}
+	}
 	op := &CaptureOp{base: newBase(name)}
 	g.AddNode(op, in).SetIR("capture", nil)
 	return op
 }
 
-// ResetRunState clears the recorded elements between runs.
-func (o *CaptureOp) ResetRunState() { o.got = nil }
-
 func (o *CaptureOp) Run(ctx *graph.Ctx) error {
+	var got []element.Element
 	for {
 		e, ok := recvTracked(ctx, 0)
 		if !ok {
 			return fmt.Errorf("%s: input closed without Done", o.name)
 		}
 		tick(ctx)
-		o.got = append(o.got, e)
+		got = append(got, e)
 		if e.Kind == element.Done {
+			ctx.Record(got)
 			return nil
 		}
 	}
 }
-
-// Elements returns the captured stream (including the trailing Done).
-func (o *CaptureOp) Elements() []element.Element { return o.got }
 
 // sinkOp drains a stream without recording it.
 type sinkOp struct{ base }

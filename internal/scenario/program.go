@@ -61,11 +61,9 @@ func (sp Spec) validateProgramFields() error {
 // the canonical bytes too, with those bytes alongside. A submission
 // compiles and serializes its document once; everything after it (the
 // cache key, the sweep, fabric workers) reads the canonical document
-// and hits. Compiled Programs are immutable and instantiate a fresh
-// graph per run, so sharing one across those callers — and across
-// concurrent jobs — is safe. The map is bounded: past the cap it is
-// dropped wholesale (entries are pure caches; losing them only costs a
-// recompile).
+// and hits. Programs run concurrently, so one is shared across those
+// callers and concurrent jobs. The map is bounded: past the cap it is
+// dropped wholesale (entries are pure caches).
 var progCache struct {
 	sync.Mutex
 	m map[[sha256.Size]byte]progMemo

@@ -100,27 +100,26 @@ func queryBool(r *http.Request, name string) (bool, error) {
 	return b, nil
 }
 
-// awaitJob blocks until the job finishes or the wait budget (from the
-// ?wait query parameter, capped at 10 minutes) runs out, and reports
-// whether it waited. Without a wait parameter it returns immediately.
-func (s *Service) awaitJob(r *http.Request, id string) (bool, error) {
+// waitBudget parses the ?wait query parameter, capped at 10 minutes;
+// without one it is zero (do not wait).
+func waitBudget(r *http.Request) (time.Duration, error) {
 	raw := r.URL.Query().Get("wait")
 	if raw == "" {
-		return false, nil
+		return 0, nil
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil {
-		return false, fmt.Errorf("bad wait %q", raw)
+		return 0, fmt.Errorf("bad wait %q", raw)
 	}
-	if d <= 0 {
-		return false, nil
-	}
-	if d > 10*time.Minute {
-		d = 10 * time.Minute
-	}
+	return min(d, 10*time.Minute), nil
+}
+
+// awaitJob blocks until the job finishes or the wait budget d runs out,
+// and reports whether it waited.
+func (s *Service) awaitJob(r *http.Request, id string, d time.Duration) bool {
 	ch, ok := s.Finished(id)
-	if !ok {
-		return false, nil // unknown id surfaces from the caller's lookup
+	if d <= 0 || !ok {
+		return false // an unknown id surfaces from the caller's lookup
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -129,7 +128,7 @@ func (s *Service) awaitJob(r *http.Request, id string) (bool, error) {
 	case <-t.C:
 	case <-r.Context().Done():
 	}
-	return true, nil
+	return true
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -249,8 +248,14 @@ func queryInts(r *http.Request, name string) ([]int, error) {
 }
 
 // submitAndRespond enqueues the spec and renders the job (honoring
-// ?wait=), shared by the sweep and program submission endpoints.
+// ?wait=), shared by the sweep and program submission endpoints. A bad
+// wait is rejected before anything is submitted.
 func (s *Service) submitAndRespond(w http.ResponseWriter, r *http.Request, sp scenario.Spec, seed uint64, quick bool) {
+	d, err := waitBudget(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	job, err := s.Submit(sp, seed, quick)
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -265,14 +270,9 @@ func (s *Service) submitAndRespond(w http.ResponseWriter, r *http.Request, sp sc
 		httpError(w, code, "%v", err)
 		return
 	}
-	waited, err := s.awaitJob(r, job.ID)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	// Without a wait, answer from Submit's snapshot (queued -> 202,
 	// cached -> 200): re-reading could race a fast job to done.
-	if waited {
+	if s.awaitJob(r, job.ID, d) {
 		refreshed, ok := s.Get(job.ID)
 		if !ok {
 			// Finished and already pruned from history during the wait;
@@ -296,10 +296,12 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, err := s.awaitJob(r, id); err != nil {
+	d, err := waitBudget(r)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.awaitJob(r, id, d)
 	job, ok := s.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job %q", id)
@@ -310,10 +312,12 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, err := s.awaitJob(r, id); err != nil {
+	d, err := waitBudget(r)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.awaitJob(r, id, d)
 	job, ok := s.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job %q", id)

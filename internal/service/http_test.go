@@ -175,6 +175,21 @@ func TestHTTPErrors(t *testing.T) {
 	if code, _ := post("/sweeps?seed=banana", tinyBody); code != http.StatusBadRequest {
 		t.Errorf("bad seed: %d", code)
 	}
+	// A bad wait is rejected before anything is submitted: no job runs
+	// behind the 400.
+	ir, err := os.ReadFile("../../examples/programs/pipeline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := post("/sweeps?name=gqa-ratio&quick=1&wait=banana", ""); code != http.StatusBadRequest {
+		t.Errorf("bad wait on /sweeps: %d", code)
+	}
+	if code, _ := post("/programs?wait=banana", string(ir)); code != http.StatusBadRequest {
+		t.Errorf("bad wait on /programs: %d", code)
+	}
+	if _, list, _ := get(t, srv.URL+"/sweeps"); strings.Contains(list, `"id"`) {
+		t.Errorf("a request rejected for its wait submitted a job: %s", list)
+	}
 	if code, _, _ := get(t, srv.URL+"/sweeps/job-999"); code != http.StatusNotFound {
 		t.Error("unknown job status not 404")
 	}

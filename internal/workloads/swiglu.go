@@ -132,9 +132,10 @@ func (s *SwiGLU) Reference() *tile.Tile {
 	return tile.MatMul(h, s.w2)
 }
 
-// Output reassembles the stored tiles into the [Batch, Hidden] result.
-func (s *SwiGLU) Output() (*tile.Tile, error) {
-	tiles := s.Store.Tiles()
+// Output reassembles the tiles the session's run stored into the
+// [Batch, Hidden] result.
+func (s *SwiGLU) Output(sess *graph.Session) (*tile.Tile, error) {
+	tiles := s.Store.Tiles(sess)
 	want := s.Cfg.Batch / s.Cfg.BatchTile
 	if len(tiles) != want {
 		return nil, fmt.Errorf("workloads: stored %d tiles, want %d", len(tiles), want)

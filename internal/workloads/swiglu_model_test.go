@@ -1,8 +1,11 @@
 package workloads
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
+	"step/internal/graph"
 	"step/internal/tile"
 	"step/internal/trace"
 )
@@ -17,15 +20,30 @@ func TestSwiGLUFunctionalCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Program.Run(); err != nil {
-		t.Fatal(err)
+	// Concurrent runs each read back their own stored output.
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sess, err := sw.Program.Run(graph.WithSimWorkers(i % 2 * 2))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got, err := sw.Output(sess)
+			if err == nil && !tile.Equal(got, sw.Reference(), 1e-2) {
+				err = errors.New("SwiGLU output mismatch")
+			}
+			errs[i] = err
+		}(i)
 	}
-	got, err := sw.Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tile.Equal(got, sw.Reference(), 1e-2) {
-		t.Fatal("SwiGLU output mismatch")
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }
 
