@@ -108,7 +108,8 @@ sweep-smoke:
 
 # examples-smoke builds and runs every example program, so regressions in
 # the public API (the Program/Session run path, the workload builders,
-# the program IR loader) surface in CI instead of on users.
+# the program IR loader) surface in CI instead of on users. It also runs
+# a paper workload (dynamic attention) from its committed IR golden.
 examples-smoke:
 	@set -e; for d in examples/*/; do \
 		[ -f "$$d/main.go" ] || continue; \
@@ -118,6 +119,7 @@ examples-smoke:
 	$(GO) run ./cmd/stepctl program compile -ir examples/programs/pipeline.json > /dev/null
 	$(GO) run ./cmd/stepctl program dot -ir examples/programs/pipeline.json > /dev/null
 	$(GO) run ./cmd/stepctl program run -ir examples/programs/pipeline.json > /dev/null
+	$(GO) run ./cmd/stepctl program run -ir internal/graph/testdata/ir/paper-attention-dynamic.json > /dev/null
 	@echo examples smoke OK
 
 # serve-smoke drives `stepctl serve` end to end over HTTP: POST a

@@ -149,17 +149,7 @@ func Figure18(s Suite) (*Table, error) {
 		if transformed {
 			out = hdlsim.TransformedMatmulATB(g, aS, bS, hdlsim.Phys)
 		} else {
-			fn := ops.MapFn{
-				Name: "atb",
-				Apply: func(v element.Value) (element.Value, int64, error) {
-					tp := v.(element.Tuple)
-					at := tp.A.(element.TileVal).T.Transpose()
-					bt := tp.B.(element.TileVal).T
-					return element.TileVal{T: tile.MatMul(at, bt)}, tile.MatMulFLOPs(at, bt), nil
-				},
-				OutType: func(graph.DType) graph.DType { return graph.StaticTile(m, n) },
-			}
-			out = ops.Map2(g, "atb", aS, bS, fn, ops.ComputeOpts{ComputeBW: 1024})
+			out = ops.Map2(g, "atb", aS, bS, ops.MatmulATBFn(), ops.ComputeOpts{ComputeBW: 1024})
 		}
 		ops.Capture(g, "cap", out)
 		prog, err := g.Compile()

@@ -31,6 +31,18 @@
 // excluded with a reasoned //lint:allow, so a new field cannot
 // silently widen what "equal results" means.
 //
+// # The program IR
+//
+// Every Program built from the ops constructors serializes (Program.IR)
+// to a canonical JSON construction replay that CompileIR loads back
+// into an equal program. A Map, Accum or FlatMap node names its
+// function with an ops.FnRef: a name in the ops function library, one
+// registry whose entries rebuild each function and type and bound its
+// argument (a chunk size, a KV-length table, an output tile type). So
+// every paper workload (attention, MoE, SimpleMoE, SwiGLU) is an IR
+// program; testdata/ir/paper-*.json pins one of each. Only a custom Go
+// closure makes a program inexpressible, and IR names its node.
+//
 // # The run arena
 //
 // The executor carves every stream channel's ring storage (ready and

@@ -210,6 +210,35 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "ir", name+".json")
 }
 
+// checkIRGolden compares canonical IR bytes, indented, with the golden
+// testdata/ir/<name>.json (rewriting it under -update) and returns the
+// golden's bytes.
+func checkIRGolden(t *testing.T, name string, canonical []byte) []byte {
+	t.Helper()
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, canonical, "", "  "); err != nil {
+		t.Fatalf("indent: %v", err)
+	}
+	pretty.WriteByte('\n')
+	path := goldenPath(name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, pretty.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fileBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(fileBytes, pretty.Bytes()) {
+		t.Fatalf("golden mismatch for %s (run with -update after intended changes)", path)
+	}
+	return fileBytes
+}
+
 // TestProgramIRGolden round-trips one program per operator family
 // through the committed golden IR files: the Go-built program's
 // canonical IR must match the file, loading the file must rebuild a
@@ -228,28 +257,7 @@ func TestProgramIRGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("canonical: %v", err)
 			}
-			var pretty bytes.Buffer
-			if err := json.Indent(&pretty, canonical, "", "  "); err != nil {
-				t.Fatalf("indent: %v", err)
-			}
-			pretty.WriteByte('\n')
-
-			path := goldenPath(f.name)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, pretty.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fileBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(fileBytes, pretty.Bytes()) {
-				t.Fatalf("golden mismatch for %s (run with -update after intended changes)", path)
-			}
+			fileBytes := checkIRGolden(t, f.name, canonical)
 
 			// Load -> compile -> re-encode must reproduce the canonical bytes.
 			irFile, err := graph.ParseProgramIR(fileBytes)

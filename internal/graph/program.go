@@ -99,9 +99,11 @@ func (p *Program) AllocatedComputeBW() int64 { return p.src.AllocatedComputeBW()
 func (p *Program) Dot(title string) string { return p.src.Dot(title) }
 
 // IR returns the program's serializable IR, or an error naming the
-// first node without a wire form (custom Go functions do not
-// serialize). The encoding happens on first call and is cached; it is
-// safe to call concurrently with runs (it only reads immutable
+// first node without a wire form. Every program built from the ops
+// constructors and the ops function library encodes, the paper's
+// workloads included; a custom Go closure in a Map, Accum or FlatMap
+// has no wire form. The encoding happens on first call and is cached;
+// it is safe to call concurrently with runs (it only reads immutable
 // compile-time structure).
 func (p *Program) IR() (*ProgramIR, error) {
 	p.irOnce.Do(func() {

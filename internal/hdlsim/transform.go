@@ -1,13 +1,9 @@
 package hdlsim
 
 import (
-	"fmt"
-
-	"step/internal/element"
 	"step/internal/graph"
 	"step/internal/ops"
 	"step/internal/shape"
-	"step/internal/tile"
 )
 
 // TransformedMatmulATB rewrites a STeP-level C = Aᵀ×B map node over large
@@ -70,43 +66,7 @@ func TransformedMatmulATB(g *graph.Graph, a, b *graph.Stream, phys int) *graph.S
 	bSeq := ops.Streamify(g, "t.bstream", bBufs, bRef, &bStride, &abShape)
 
 	// Physical matmuls and re-tiling.
-	prod := ops.Map2(g, "t.mm", aSeq, bSeq, matmulATBFn(), ops.ComputeOpts{ComputeBW: 2 * Phys * Phys})
-	colFn := ops.RetileColFn()
-	colFn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(phys, nDim) }
-	rowsOut := ops.Accum(g, "t.retilecol", prod, 1, colFn, ops.ComputeOpts{})
-	rowFn := ops.RetileRowFn()
-	rowFn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(mDim, nDim) }
-	return ops.Accum(g, "t.retilerow", rowsOut, 1, rowFn, ops.ComputeOpts{})
-}
-
-// matmulATBFn multiplies physical chunk pairs: (Achunk, Bchunk) → Aᵀ×B.
-func matmulATBFn() ops.MapFn {
-	return ops.MapFn{
-		Name: "matmul-atb",
-		Apply: func(v element.Value) (element.Value, int64, error) {
-			tp, ok := v.(element.Tuple)
-			if !ok {
-				return nil, 0, fmt.Errorf("matmul-atb: expected tuple, got %T", v)
-			}
-			av, okA := tp.A.(element.TileVal)
-			bv, okB := tp.B.(element.TileVal)
-			if !okA || !okB {
-				return nil, 0, fmt.Errorf("matmul-atb: expected tile operands")
-			}
-			at := av.T.Transpose()
-			return element.TileVal{T: tile.MatMul(at, bv.T)}, tile.MatMulFLOPs(at, bv.T), nil
-		},
-		OutType: func(in graph.DType) graph.DType {
-			tt, ok := in.(graph.TupleType)
-			if !ok {
-				return in
-			}
-			a, okA := tt.A.(graph.TileType)
-			b, okB := tt.B.(graph.TileType)
-			if !okA || !okB {
-				return in
-			}
-			return graph.TileType{Rows: a.Cols, Cols: b.Cols}
-		},
-	}
+	prod := ops.Map2(g, "t.mm", aSeq, bSeq, ops.MatmulATBFn(), ops.ComputeOpts{ComputeBW: 2 * Phys * Phys})
+	rowsOut := ops.Accum(g, "t.retilecol", prod, 1, ops.RetileColToFn(graph.StaticTile(phys, nDim)), ops.ComputeOpts{})
+	return ops.Accum(g, "t.retilerow", rowsOut, 1, ops.RetileRowToFn(graph.StaticTile(mDim, nDim)), ops.ComputeOpts{})
 }

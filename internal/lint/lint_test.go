@@ -61,22 +61,27 @@ func TestAnalyzerFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
 		importAs string
+		fixture  string // fixture directory and golden name; the analyzer's name if empty
 	}{
-		{Determinism, "step/internal/workloads"},
-		{LockDiscipline, "step/internal/des"},
-		{Hotpath, "step/internal/hot"},
-		{EqualFields, "step/internal/graph"},
-		{RegistryComplete, "step/internal/ops"},
+		{Determinism, "step/internal/workloads", ""},
+		{LockDiscipline, "step/internal/des", ""},
+		{Hotpath, "step/internal/hot", ""},
+		{EqualFields, "step/internal/graph", ""},
+		{RegistryComplete, "step/internal/ops", ""},
+		{RegistryComplete, "step/internal/ops", "registrycomplete_fns"},
 	}
 	for _, c := range cases {
-		t.Run(c.analyzer.Name, func(t *testing.T) {
-			base := filepath.Join("testdata", "src", c.analyzer.Name)
+		if c.fixture == "" {
+			c.fixture = c.analyzer.Name
+		}
+		t.Run(c.fixture, func(t *testing.T) {
+			base := filepath.Join("testdata", "src", c.fixture)
 			bad := loadFixture(t, filepath.Join(base, "bad"), c.importAs)
 			findings := Run([]*Package{bad}, []*Analyzer{c.analyzer})
 			if len(findings) == 0 {
 				t.Fatalf("%s reported nothing on its bad fixture", c.analyzer.Name)
 			}
-			checkGolden(t, c.analyzer.Name, render(findings))
+			checkGolden(t, c.fixture, render(findings))
 
 			good := loadFixture(t, filepath.Join(base, "good"), c.importAs)
 			if clean := Run([]*Package{good}, []*Analyzer{c.analyzer}); len(clean) != 0 {

@@ -5,16 +5,21 @@ import (
 	"go/types"
 )
 
-// RegistryComplete keeps the op decode registry honest: every exported
-// op constructor in internal/ops (first parameter *graph.Graph, second a
-// name string) must be reachable from an IR decoder registered via
-// RegisterIROp, or carry an explicit suppression explaining why it has
-// no IR spelling (composite convenience constructors). Without this, a
-// new op works through the Go API but silently cannot round-trip through
-// the IR, and nothing fails until a user's program does.
+// RegistryComplete keeps the op decode registry and the function
+// library honest. Every exported op constructor in internal/ops (first
+// parameter *graph.Graph, second a name string) must be reachable from
+// an IR decoder registered via RegisterIROp, or carry an explicit
+// suppression explaining why it has no IR spelling (composite
+// convenience constructors). Every exported function returning a
+// MapFn, AccumFn or FlatMapFn must be one return of a registry
+// constructor (a package variable set by registerFn), so no library
+// function is a bare closure or edits a registered one. Without this, a
+// new op or function works through the Go API but silently cannot
+// round-trip through the IR, and nothing fails until a user's program
+// does.
 var RegistryComplete = &Analyzer{
 	Name:      "registrycomplete",
-	Doc:       "every exported op constructor must be called from a registered IR decoder",
+	Doc:       "every exported op constructor must be called from a registered IR decoder, and every library function must resolve through the function registry",
 	AppliesTo: func(path string) bool { return pathHasSuffix(path, "internal/ops") },
 	Run:       runRegistryComplete,
 }
@@ -24,6 +29,7 @@ func runRegistryComplete(pass *Pass) {
 	for _, file := range pass.Files() {
 		collectRegisteredConstructors(pass, file, covered)
 	}
+	registered := registeredFns(pass)
 	for _, file := range pass.Files() {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -31,6 +37,10 @@ func runRegistryComplete(pass *Pass) {
 				continue
 			}
 			obj, ok := pass.TypesInfo().Defs[fn.Name].(*types.Func)
+			if ok && returnsLibFn(obj) && !returnsRegistered(pass, fn.Body, registered) {
+				pass.Reportf(fn.Pos(), "return a constructor made by registerFn, adding the function to the registry",
+					"exported library function %s does not resolve through the function registry", fn.Name.Name)
+			}
 			if !ok || !isOpConstructor(obj) {
 				continue
 			}
@@ -129,4 +139,65 @@ func namesRegisterIROp(e ast.Expr) bool {
 		return e.Sel.Name == "RegisterIROp"
 	}
 	return false
+}
+
+// returnsLibFn reports whether fn returns exactly one MapFn, AccumFn or
+// FlatMapFn.
+func returnsLibFn(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return false
+	}
+	if named, ok := res.At(0).Type().(*types.Named); ok {
+		switch named.Obj().Name() {
+		case "MapFn", "AccumFn", "FlatMapFn":
+			return true
+		}
+	}
+	return false
+}
+
+// registeredFns returns the package-level variables initialized by a
+// registerFn call: the function registry's constructors.
+func registeredFns(pass *Pass) map[types.Object]bool {
+	registered := map[types.Object]bool{}
+	for _, in := range pass.TypesInfo().InitOrder {
+		if call, ok := in.Rhs.(*ast.CallExpr); ok && len(in.Lhs) == 1 && calleeIdent(call) == "registerFn" {
+			registered[in.Lhs[0]] = true
+		}
+	}
+	return registered
+}
+
+// calleeIdent returns the name of a call's callee identifier, looking
+// through parentheses and type arguments; "" for other callees.
+func calleeIdent(call *ast.CallExpr) string {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+		fun = ix.X
+	}
+	if id, ok := fun.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// returnsRegistered reports whether body is exactly one return of a call
+// to a registry constructor.
+func returnsRegistered(pass *Pass, body *ast.BlockStmt, registered map[types.Object]bool) bool {
+	if body == nil || len(body.List) != 1 {
+		return false
+	}
+	ret, ok := body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && registered[pass.TypesInfo().Uses[id]]
 }

@@ -17,9 +17,11 @@ type MapFn struct {
 	Apply func(v element.Value) (element.Value, int64, error)
 	// OutType maps the input data type to the output data type.
 	OutType func(in graph.DType) graph.DType
-	// IR names the function in the serializable program IR; nil for
-	// custom closures, which makes the containing program inexpressible.
-	IR *FnRef
+	// IR names the function in the serializable program IR. Library
+	// constructors set it and Name from one registry entry; custom
+	// closures leave it zero, which makes the containing program
+	// inexpressible.
+	IR FnRef
 }
 
 // AccumFn is a reduction function for Accum/Scan. Update folds a value
@@ -31,7 +33,7 @@ type AccumFn struct {
 	// OutType maps the input data type to the accumulator/output type.
 	OutType func(in graph.DType) graph.DType
 	// IR names the function in the serializable program IR (see MapFn.IR).
-	IR *FnRef
+	IR FnRef
 }
 
 // FlatMapFn expands one value into a rank-b stream fragment: a sequence of
@@ -43,7 +45,7 @@ type FlatMapFn struct {
 	// OutType maps the input data type to the output data type.
 	OutType func(in graph.DType) graph.DType
 	// IR names the function in the serializable program IR (see MapFn.IR).
-	IR *FnRef
+	IR FnRef
 }
 
 // ComputeOpts configures the Roofline performance model of a higher-order
@@ -120,8 +122,8 @@ func Map(g *graph.Graph, name string, in *graph.Stream, fn MapFn, opts ComputeOp
 		outType = fn.OutType(in.DType)
 	}
 	n := g.AddNode(op, in)
-	if fn.IR != nil {
-		n.SetIR("map", mapAttrs{Fn: *fn.IR, Opts: optsToIR(opts)})
+	if fn.IR.Name != "" {
+		n.SetIR("map", mapAttrs{Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, in.Shape.Clone(), outType)
 	op.onchip = opts.onchipExpr(outType.Bytes())
@@ -192,8 +194,8 @@ func Accum(g *graph.Graph, name string, in *graph.Stream, b int, fn AccumFn, opt
 		outShape = in.Shape
 	}
 	n := g.AddNode(op, in)
-	if fn.IR != nil {
-		n.SetIR("accum", accumAttrs{B: b, Fn: *fn.IR, Opts: optsToIR(opts)})
+	if fn.IR.Name != "" {
+		n.SetIR("accum", accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, outShape, outType)
 	// §4.2: Accum holds |output dtype|; with matmul, the full equation.
@@ -219,8 +221,8 @@ func Scan(g *graph.Graph, name string, in *graph.Stream, b int, fn AccumFn, opts
 		outType = fn.OutType(in.DType)
 	}
 	n := g.AddNode(op, in)
-	if fn.IR != nil {
-		n.SetIR("scan", accumAttrs{B: b, Fn: *fn.IR, Opts: optsToIR(opts)})
+	if fn.IR.Name != "" {
+		n.SetIR("scan", accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, in.Shape.Clone(), outType)
 	op.onchip = outType.Bytes()
@@ -311,12 +313,12 @@ func FlatMap(g *graph.Graph, name string, in *graph.Stream, b int, fn FlatMapFn,
 		outType = fn.OutType(in.DType)
 	}
 	n := g.AddNode(op, in)
-	if fn.IR != nil && b >= 0 && b <= graph.MaxIRRank {
+	if fn.IR.Name != "" && b >= 0 && b <= graph.MaxIRRank {
 		dimIRs := make([]graph.DimIR, len(innerDims))
 		for i, d := range innerDims {
 			dimIRs[i] = graph.DimToIR(d)
 		}
-		n.SetIR("flatmap", flatMapAttrs{B: b, Fn: *fn.IR, InnerDims: dimIRs})
+		n.SetIR("flatmap", flatMapAttrs{B: b, Fn: fn.IR, InnerDims: dimIRs})
 	}
 	dims := make([]shape.Dim, 0, in.Shape.Rank()+b)
 	dims = append(dims, in.Shape.Dims[:in.Shape.Rank()-1]...)

@@ -1,8 +1,10 @@
 package ops
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"step/internal/element"
 	"step/internal/graph"
@@ -10,65 +12,133 @@ import (
 	"step/internal/tile"
 )
 
-// FnRef names a function from the library in fns.go inside the program
-// IR. Arg carries the parameter of parameterized functions (scale
-// factor, chunk sizes); it is zero for the rest.
+// FnRef names a library function inside the program IR: its registered
+// name and its typed argument. Arg is a Go value (a number, or an
+// argument struct such as the KV-length table of kv-chunks) that
+// marshals only when the program's IR is encoded; a zero Arg (the
+// parameterless functions) is omitted. A decoded FnRef holds the raw
+// JSON argument until the registry entry types and bounds it. The zero
+// FnRef marks a custom closure, which has no IR form.
 type FnRef struct {
-	Name string  `json:"name"`
-	Arg  float64 `json:"arg,omitempty"`
+	Name string `json:"name"`
+	Arg  any    `json:"arg,omitempty"`
 }
 
-// LookupMapFn resolves a Map function reference.
-func LookupMapFn(ref FnRef) (MapFn, error) {
-	switch ref.Name {
-	case "matmul":
-		return MatmulFn(), nil
-	case "silu":
-		return SiLUFn(), nil
-	case "elemmul":
-		return ElemMulFn(), nil
-	case "softmax":
-		return RowSoftmaxFn(), nil
-	case "scale":
-		return ScaleFn(float32(ref.Arg)), nil
-	case "transpose":
-		return TransposeFn(), nil
-	}
-	return MapFn{}, fmt.Errorf("ir: unknown map fn %q", ref.Name)
-}
-
-// LookupAccumFn resolves an Accum/Scan function reference.
-func LookupAccumFn(ref FnRef) (AccumFn, error) {
-	switch ref.Name {
-	case "retile-row":
-		return RetileRowFn(), nil
-	case "retile-col":
-		return RetileColFn(), nil
-	case "elemadd":
-		return ElemAddFn(), nil
-	case "matmul-acc":
-		return MatmulAccFn(), nil
-	}
-	return AccumFn{}, fmt.Errorf("ir: unknown accum fn %q", ref.Name)
-}
-
-// LookupFlatMapFn resolves a FlatMap function reference. The chunk
-// argument must be a positive integer: tile.SplitRows/SplitCols panic
-// on non-positive chunks at run time, so a hostile IR must fail here,
-// at load, like the other decoder bounds.
-func LookupFlatMapFn(ref FnRef) (FlatMapFn, error) {
-	switch ref.Name {
-	case "retile-streamify", "split-cols":
-		chunk := int(ref.Arg)
-		if ref.Arg != float64(chunk) || chunk < 1 {
-			return FlatMapFn{}, fmt.Errorf("ir: flatmap fn %q needs a positive integer arg, got %v", ref.Name, ref.Arg)
+func (r FnRef) MarshalJSON() ([]byte, error) {
+	// The encoder refuses what the loader would refuse.
+	if e, ok := fnRegistry[r.Name]; ok {
+		if err := e.check(r.Arg); err != nil {
+			return nil, fmt.Errorf("fn %q arg: %w", r.Name, err)
 		}
-		if ref.Name == "retile-streamify" {
-			return RetileStreamifyFn(chunk), nil
-		}
-		return SplitColsFn(chunk), nil
 	}
-	return FlatMapFn{}, fmt.Errorf("ir: unknown flatmap fn %q", ref.Name)
+	if r.Arg != nil && reflect.ValueOf(r.Arg).IsZero() {
+		r.Arg = nil
+	}
+	type plain FnRef
+	return json.Marshal(plain(r))
+}
+
+func (r *FnRef) UnmarshalJSON(b []byte) error {
+	var in struct {
+		Name string          `json:"name"`
+		Arg  json.RawMessage `json:"arg"`
+	}
+	err := strictUnmarshal(b, &in)
+	r.Name, r.Arg = in.Name, in.Arg
+	return err
+}
+
+// strictUnmarshal decodes b into v, rejecting unknown object fields.
+func strictUnmarshal(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// libFn is the function one family of higher-order operators carries.
+type libFn interface{ MapFn | AccumFn | FlatMapFn }
+
+// fnEntry is one registered library function: its family (MapFn,
+// AccumFn or FlatMapFn), the bound on its argument, and the decoder
+// that rebuilds it.
+type fnEntry struct {
+	family reflect.Type
+	check  func(arg any) error
+	decode func(raw json.RawMessage) (any, error)
+}
+
+// fnRegistry is the one function library: every MapFn, AccumFn and
+// FlatMapFn the ops package exports resolves through it.
+var fnRegistry = map[string]fnEntry{}
+
+// registerFn adds the library function name to the registry and returns
+// its constructor. The constructor stamps name onto what build returns
+// and records the argument in its FnRef, so the function's Name, its IR
+// reference and its decoder come from one key and cannot disagree.
+// check (nil: no bound) rejects a hostile argument at load; build must
+// accept any argument check passes.
+func registerFn[A any, F libFn](name string, check func(A) error, build func(A) F) func(A) F {
+	if _, dup := fnRegistry[name]; dup {
+		panic(fmt.Sprintf("ops: duplicate library function %q", name))
+	}
+	if check == nil {
+		check = func(A) error { return nil }
+	}
+	mk := func(a A) F {
+		f := build(a)
+		ref := FnRef{Name: name, Arg: a}
+		switch p := any(&f).(type) {
+		case *MapFn:
+			p.Name, p.IR = name, ref
+		case *AccumFn:
+			p.Name, p.IR = name, ref
+		case *FlatMapFn:
+			p.Name, p.IR = name, ref
+		}
+		return f
+	}
+	fnRegistry[name] = fnEntry{
+		family: reflect.TypeFor[F](),
+		check: func(arg any) error {
+			a, ok := arg.(A) // a decoded ref keeps its raw argument
+			if !ok {
+				return nil
+			}
+			return check(a)
+		},
+		decode: func(raw json.RawMessage) (any, error) {
+			var a A
+			if len(raw) > 0 {
+				if err := strictUnmarshal(raw, &a); err != nil {
+					return nil, err
+				}
+			}
+			if err := check(a); err != nil {
+				return nil, err
+			}
+			return mk(a), nil
+		},
+	}
+	return mk
+}
+
+// lookupFn rebuilds the function ref names for IR node node, typing and
+// bounding its argument; it must be of node's family F.
+func lookupFn[F libFn](node string, ref FnRef) (F, error) {
+	var zero F
+	e, ok := fnRegistry[ref.Name]
+	if !ok {
+		return zero, fmt.Errorf("ir: node %q: unknown fn %q", node, ref.Name)
+	}
+	if want := reflect.TypeFor[F](); e.family != want {
+		return zero, fmt.Errorf("ir: node %q: fn %q is a %s, not a %s", node, ref.Name, e.family.Name(), want.Name())
+	}
+	raw, _ := ref.Arg.(json.RawMessage)
+	f, err := e.decode(raw)
+	if err != nil {
+		return zero, fmt.Errorf("ir: node %q: fn %q arg: %w", node, ref.Name, err)
+	}
+	return f.(F), nil
 }
 
 // computeOptsIR serializes ComputeOpts.
@@ -587,7 +657,7 @@ func init() {
 		if err != nil {
 			return err
 		}
-		fn, err := LookupMapFn(a.Fn)
+		fn, err := lookupFn[MapFn](dc.Node.Name, a.Fn)
 		if err != nil {
 			return err
 		}
@@ -607,7 +677,7 @@ func init() {
 		if err != nil {
 			return err
 		}
-		fn, err := LookupAccumFn(a.Fn)
+		fn, err := lookupFn[AccumFn](dc.Node.Name, a.Fn)
 		if err != nil {
 			return err
 		}
@@ -627,7 +697,7 @@ func init() {
 		if err != nil {
 			return err
 		}
-		fn, err := LookupAccumFn(a.Fn)
+		fn, err := lookupFn[AccumFn](dc.Node.Name, a.Fn)
 		if err != nil {
 			return err
 		}
@@ -650,7 +720,7 @@ func init() {
 		if err := boundRank(dc.Node.Name, "b", a.B); err != nil {
 			return err
 		}
-		fn, err := LookupFlatMapFn(a.Fn)
+		fn, err := lookupFn[FlatMapFn](dc.Node.Name, a.Fn)
 		if err != nil {
 			return err
 		}

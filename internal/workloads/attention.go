@@ -112,7 +112,6 @@ func BuildAttention(cfg AttentionConfig) (*Attention, error) {
 	}
 	g := graph.New()
 	b := len(cfg.KVLens)
-	m := cfg.Model
 
 	// Request stream: [B, 1] of request-index scalars. The scalar stands
 	// for the request's query row; the KV length drives the dynamic work.
@@ -123,7 +122,6 @@ func BuildAttention(cfg AttentionConfig) (*Attention, error) {
 	reqElems = append(reqElems, element.DoneElem)
 	reqs := ops.Source(g, "requests", shape.OfInts(b, 1), graph.ScalarType{}, reqElems)
 
-	_ = m
 	// Region results, built per strategy.
 	var results []*graph.Stream
 	if cfg.Strategy == DynamicParallel {
@@ -201,7 +199,7 @@ func buildDynamicAttention(g *graph.Graph, cfg AttentionConfig, reqs *graph.Stre
 	initRR := ops.Source(g, "init-rr", shape.OfInts(cfg.Regions), graph.SelectorType{N: cfg.Regions}, initElems)
 
 	relay, relayOut := ops.Relay(g, "avail-relay", graph.SelectorType{N: cfg.Regions},
-		shape.New(shape.FreshRagged("A")))
+		shape.New(shape.NamedRagged("avail")))
 	dynSelRaw, dynSelSel := ops.EagerMerge(g, "dyn-sel.merge", []*graph.Stream{initRR, relayOut})
 	ops.Sink(g, "dyn-sel.selsink", dynSelSel)
 	dynSel := ops.Take(g, "dyn-sel.take", dynSelRaw, b)
@@ -228,8 +226,6 @@ func buildAttentionRegion(g *graph.Graph, name string, cfg AttentionConfig, in *
 	m := cfg.Model
 	kvWidth := 2 * m.KVHeads * m.HeadDim
 	chunkTile := tile.ShapeOnly(cfg.KVChunk, kvWidth)
-	kvLens := cfg.KVLens
-	chunk := cfg.KVChunk
 
 	flat := ops.Flatten(g, name+".flatten", in, 0, 1)
 	if cfg.IncludeQKV {
@@ -248,36 +244,11 @@ func buildAttentionRegion(g *graph.Graph, name string, cfg AttentionConfig, in *
 		if qkvBW < 1 {
 			qkvBW = 1
 		}
-		qkvFn := ops.MapFn{
-			Name: "qkv",
-			Apply: func(v element.Value) (element.Value, int64, error) {
-				return v, qkvFlops, nil
-			},
-		}
-		flat = ops.Map(g, name+".qkv", flat, qkvFn, ops.ComputeOpts{ComputeBW: qkvBW})
+		flat = ops.Map(g, name+".qkv", flat, ops.QKVFn(qkvFlops), ops.ComputeOpts{ComputeBW: qkvBW})
 	}
 	// Expand each request into its KV chunk addresses.
-	addrFn := ops.FlatMapFn{
-		Name: "kv-chunks",
-		Apply: func(v element.Value) ([]element.Element, int64, error) {
-			sc, ok := v.(element.Scalar)
-			if !ok {
-				return nil, 0, fmt.Errorf("kv-chunks: expected request scalar, got %T", v)
-			}
-			if sc.V < 0 || int(sc.V) >= len(kvLens) {
-				return nil, 0, fmt.Errorf("kv-chunks: request %d out of range", sc.V)
-			}
-			n := (kvLens[sc.V] + chunk - 1) / chunk
-			out := make([]element.Element, 0, n+1)
-			for j := 0; j < n; j++ {
-				out = append(out, element.DataOf(element.Scalar{V: 0}))
-			}
-			out = append(out, element.StopOf(1))
-			return out, 0, nil
-		},
-	}
-	addrs := ops.FlatMap(g, name+".addrs", flat, 1, addrFn,
-		[]shape.Dim{shape.FreshRagged("N"), shape.FreshRagged("C")})
+	addrs := ops.FlatMap(g, name+".addrs", flat, 1, ops.KVChunksFn(cfg.KVChunk, cfg.KVLens),
+		[]shape.Dim{shape.NamedRagged(name + ".N"), shape.NamedRagged(name + ".C")})
 	kv := ops.RandomOffChipLoad(g, name+".kvload", addrs, []*tile.Tile{chunkTile})
 
 	// Per-chunk attention work: q·Kᵀ, softmax fragment, ·V. FLOPs are
@@ -295,20 +266,11 @@ func buildAttentionRegion(g *graph.Graph, name string, cfg AttentionConfig, in *
 		bw = 1
 	}
 	outWidth := m.QHeads * m.HeadDim
-	attnFn := ops.MapFn{
-		Name: "attn-chunk",
-		Apply: func(v element.Value) (element.Value, int64, error) {
-			return element.TileVal{T: tile.ShapeOnly(1, outWidth)}, flopsPerChunk, nil
-		},
-		OutType: func(graph.DType) graph.DType { return graph.StaticTile(1, outWidth) },
-	}
-	partials := ops.Map(g, name+".attn", kv, attnFn, ops.ComputeOpts{ComputeBW: bw, MemIn: true})
-	combine := ops.ElemAddFn()
-	combine.OutType = func(graph.DType) graph.DType { return graph.StaticTile(1, outWidth) }
+	partials := ops.Map(g, name+".attn", kv, ops.AttnChunkFn(outWidth, flopsPerChunk), ops.ComputeOpts{ComputeBW: bw, MemIn: true})
 	// The region's output is a rank-0 row stream: each element is one
 	// completed request, so completion signals (Fig. 16) propagate the
 	// moment a request finishes.
-	return ops.Accum(g, name+".reduce", partials, 1, combine, ops.ComputeOpts{ComputeBW: 64})
+	return ops.Accum(g, name+".reduce", partials, 1, ops.ElemAddFn(), ops.ComputeOpts{ComputeBW: 64})
 }
 
 // CompletedRequests counts the output rows the run captured.

@@ -177,9 +177,7 @@ func BuildMoELayer(cfg MoELayerConfig) (*MoELayer, error) {
 
 	// Gather rows per token and combine the top-k expert outputs.
 	gathered := ops.Reassemble(b.g, "merge", rowStreams, sels[1], 1)
-	combineFn := ops.ElemAddFn()
-	combineFn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(1, m.Hidden) }
-	out := ops.Accum(b.g, "combine", gathered, 2, combineFn, ops.ComputeOpts{ComputeBW: 64})
+	out := ops.Accum(b.g, "combine", gathered, 2, ops.ElemAddFn(), ops.ComputeOpts{ComputeBW: 64})
 	cap := ops.Capture(b.g, "out", out)
 
 	prog, err := b.g.Compile()
@@ -282,11 +280,8 @@ func (b *moeBuilder) packExpert(e int, part *graph.Stream) (packed, padFlags *gr
 		} else {
 			grouped = ops.Promote(b.g, name+".promote", flat)
 		}
-		fn := ops.RetileRowFn()
 		rowsDim := b.namedDim(fmt.Sprintf("Dc_%d", e), tileRows)
-		fn.OutType = func(graph.DType) graph.DType {
-			return graph.TileType{Rows: rowsDim, Cols: shape.Static(m.Hidden)}
-		}
+		fn := ops.RetileRowToFn(graph.TileType{Rows: rowsDim, Cols: shape.Static(m.Hidden)})
 		packed = ops.Accum(b.g, name+".pack", grouped, 1, fn, ops.ComputeOpts{})
 		packed.OverrideShape(shape.New(b.namedDim(fmt.Sprintf("Ne_%d", e), nTiles)))
 		return packed, nil
@@ -302,8 +297,7 @@ func (b *moeBuilder) packExpert(e int, part *graph.Stream) (packed, padFlags *gr
 	// expert's outputs unpack; buffer the full flag stream to keep the
 	// pack stage from stalling on the flag channel.
 	flags.SetDepth(2*b.unpackedRows(e) + 4)
-	fn := ops.RetileRowFn()
-	fn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(b.cfg.TileSize, m.Hidden) }
+	fn := ops.RetileRowToFn(graph.StaticTile(b.cfg.TileSize, m.Hidden))
 	packed = ops.Accum(b.g, name+".pack", rows, 1, fn, ops.ComputeOpts{})
 	nTiles := (b.counts[e] + b.cfg.TileSize - 1) / b.cfg.TileSize
 	packed.OverrideShape(shape.New(b.namedDim(fmt.Sprintf("Ne_%d", e), nTiles)))
@@ -398,7 +392,7 @@ func (b *moeBuilder) timeMultiplexedCompute(packed, padFlags []*graph.Stream) ([
 			}
 		}
 		wload := func(tag string, sel *graph.Stream, table []*tile.Tile) *graph.Stream {
-			addrs := ops.FlatMap(b.g, name+"."+tag+".addr", sel, 1, stripAddrs(b.nStrips),
+			addrs := ops.FlatMap(b.g, name+"."+tag+".addr", sel, 1, ops.StripAddrsFn(b.nStrips),
 				[]shape.Dim{nrDim, shape.Static(b.nStrips)})
 			// FlatMap replaces the selector stream's single dim with two;
 			// drop the duplicated outer dim introduced by rank-1 fragments.
@@ -419,28 +413,6 @@ func (b *moeBuilder) timeMultiplexedCompute(packed, padFlags []*graph.Stream) ([
 		}
 	}
 	return rowStreams, nil
-}
-
-// stripAddrs expands a region-local selector element into the weight-table
-// addresses of the selected expert's strips, as a rank-1 fragment.
-func stripAddrs(nStrips int) ops.FlatMapFn {
-	return ops.FlatMapFn{
-		Name: "strip-addrs",
-		Apply: func(v element.Value) ([]element.Element, int64, error) {
-			sel, ok := v.(element.Selector)
-			if !ok || len(sel.Indices) != 1 {
-				return nil, 0, fmt.Errorf("strip-addrs: expected single-hot selector, got %v", v)
-			}
-			local := sel.Indices[0]
-			out := make([]element.Element, 0, nStrips+1)
-			for j := 0; j < nStrips; j++ {
-				out = append(out, element.DataOf(element.Scalar{V: int64(local*nStrips + j)}))
-			}
-			out = append(out, element.StopOf(1))
-			return out, 0, nil
-		},
-		OutType: func(graph.DType) graph.DType { return graph.ScalarType{} },
-	}
 }
 
 // expertCompute builds the SwiGLU dataflow for one expert (or one
@@ -511,7 +483,7 @@ func (b *moeBuilder) unpackExpert(e int, y *graph.Stream, padFlags *graph.Stream
 		[]shape.Dim{b.namedDim(fmt.Sprintf("Dr_%d", e), b.unpackedRows(e))})
 	if padFlags != nil {
 		padFlat := ops.Flatten(b.g, name+".padflat", padFlags, 0, 1)
-		keep := ops.Map(b.g, name+".keepsel", padFlat, flagToSelector(), ops.ComputeOpts{})
+		keep := ops.Map(b.g, name+".keepsel", padFlat, ops.FlagToSelectorFn(), ops.ComputeOpts{})
 		kept := ops.Partition(b.g, name+".droppad", rows, keep, 0, 2)
 		ops.Sink(b.g, name+".padsink", kept[1])
 		rows = kept[0]

@@ -116,9 +116,11 @@ func buildSimpleExpert(g *graph.Graph, name string, cfg SimpleMoEConfig, in *gra
 	flat := ops.Flatten(g, name+".flatten", in, 0, 1)
 	padTile := tile.New(1, cfg.Hidden)
 	rows, padFlags := ops.Reshape(g, name+".reshape", flat, 0, cfg.PackRows, element.TileVal{T: padTile})
-	packFn := ops.RetileRowFn()
-	packFn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(cfg.PackRows, cfg.Hidden) }
+	packFn := ops.RetileRowToFn(graph.StaticTile(cfg.PackRows, cfg.Hidden))
 	packed := ops.Accum(g, name+".pack", rows, 1, packFn, ops.ComputeOpts{})
+	// Name the packed-tile count, so the §4.2 traffic equation reads the
+	// same in this program and in one decoded from its IR.
+	packed.OverrideShape(shape.New(shape.NamedRagged(name + ".tiles")))
 
 	packedBC := ops.Broadcast(g, name+".packed.bc", packed, 2)
 
@@ -143,42 +145,22 @@ func buildSimpleExpert(g *graph.Graph, name string, cfg SimpleMoEConfig, in *gra
 			false))
 
 	// Pack tile: concatenate the column tiles into [P, Out].
-	colFn := ops.RetileColFn()
-	colFn.OutType = func(graph.DType) graph.DType { return graph.StaticTile(cfg.PackRows, cfg.Out) }
+	colFn := ops.RetileColToFn(graph.StaticTile(cfg.PackRows, cfg.Out))
 	full := ops.Accum(g, name+".retilecol", prod, 1, colFn, ops.ComputeOpts{})
 
 	// Unpack tile: split into [1, Out] rows.
 	rowsOut := ops.FlatMap(g, name+".unpack", full, 0, ops.RetileStreamifyFn(1),
-		[]shape.Dim{shape.FreshRagged("D")})
+		[]shape.Dim{shape.NamedRagged(name + ".rows")})
 
 	// Drop padded rows: convert the pad flags into a keep/trash selector
 	// and route rank-0 rows.
 	padFlat := ops.Flatten(g, name+".padflatten", padFlags, 0, 1)
-	keepSel := ops.Map(g, name+".padsel", padFlat, flagToSelector(), ops.ComputeOpts{})
+	keepSel := ops.Map(g, name+".padsel", padFlat, ops.FlagToSelectorFn(), ops.ComputeOpts{})
 	kept := ops.Partition(g, name+".dropPad", rowsOut, keepSel, 0, 2)
 	ops.Sink(g, name+".padSink", kept[1])
 
 	// Rows back to [D, 1] so each row is a rank-1 subtree for Reassemble.
 	return ops.RepeatElems(g, name+".rowgroups", kept[0], 1)
-}
-
-// flagToSelector converts a padding flag into a route: real rows go to
-// output 0, padded rows to output 1.
-func flagToSelector() ops.MapFn {
-	return ops.MapFn{
-		Name: "flag-to-selector",
-		Apply: func(v element.Value) (element.Value, int64, error) {
-			f, ok := v.(element.Flag)
-			if !ok {
-				return nil, 0, fmt.Errorf("expected flag, got %T", v)
-			}
-			if f.B {
-				return element.NewSelector(2, 1), 0, nil
-			}
-			return element.NewSelector(2, 0), 0, nil
-		},
-		OutType: func(graph.DType) graph.DType { return graph.SelectorType{N: 2} },
-	}
 }
 
 // Reference computes the expected output rows directly at the tensor
