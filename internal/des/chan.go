@@ -106,23 +106,30 @@ func (c *chanCore) push(ready Time) {
 	c.ready[c.tail()] = ready
 	c.count++
 	c.nSent++
-	if c.count == 1 {
-		c.headReadyA.Store(uint64(ready))
-	}
 }
 
 // pop releases the head slot, recording the dequeue's virtual time.
 func (c *chanCore) pop(at Time) {
 	c.deqTimes[int(c.nRecv)%c.cap] = at
 	c.nRecv++
-	c.nRecvA.Store(c.nRecv)
-	c.head = (c.head + 1) % c.cap
-	c.count--
-	if c.count > 0 {
-		c.headReadyA.Store(uint64(c.ready[c.head]))
-	} else {
-		c.headReadyA.Store(uint64(timeInf))
+	c.head++
+	if c.head == c.cap {
+		c.head = 0
 	}
+	c.count--
+}
+
+// publish stores the ring's lock-free snapshot (head visibility time and
+// dequeue count) for the parallel engine's evaluator. The parallel engine
+// calls it under mu after every push and pop; the sequential engine never
+// reads the snapshot, so its sends and receives do no atomic store.
+func (c *chanCore) publish() {
+	c.nRecvA.Store(c.nRecv)
+	hr := timeInf
+	if c.count > 0 {
+		hr = c.ready[c.head]
+	}
+	c.headReadyA.Store(uint64(hr))
 }
 
 // markClosed publishes the closed state. closeTime must be stored before

@@ -42,6 +42,14 @@
 //     without a scheduler round trip only when no other event or
 //     serialized request could dispatch first, which is the same order
 //     the slow path would have produced.
+//   - The sequential engine keeps wake events in three queues: a FIFO
+//     of wakes due now, a FIFO of wakes due one cycle later, and a heap
+//     for the rest. It dispatches heap entries due now first, then the
+//     now FIFO; moving the clock one cycle turns the next FIFO into the
+//     now FIFO. That is exactly (time, sequence) order: of the wakes
+//     due at cycle t, the heap's were scheduled before the clock reached
+//     t-1, the next FIFO's at t-1 and the now FIFO's at t, and sequence
+//     numbers grow with the clock.
 //   - RecvUntil's bulk dequeue takes additional elements only when they
 //     are visible at the receiver's current virtual time, i.e. exactly
 //     when a per-element Recv loop with no Advance in between would have
@@ -74,8 +82,9 @@
 // engine only ever indexes those slices; it does not grow, alias, or
 // retain them past Run. The caller in turn must not touch or recycle the
 // slabs until Run has returned. The engine's own recycling is limited to storage with no
-// user-visible identity: pooled event-heap backing arrays (pointer
-// slots cleared before returning them to the pool) and the per-process
+// user-visible identity: the pooled backing arrays of the sequential
+// engine's three wake queues (pointer slots cleared before returning
+// them to the pool) and the per-process
 // Select scratch buffer. Elements themselves are never recycled by this
 // package — whatever values flow through channels are owned by the
 // processes that sent them.

@@ -1129,6 +1129,7 @@ func (e *parEngine) sendReserve(c *chanCore, p *Process) int {
 func (e *parEngine) sendPublish(c *chanCore, p *Process) {
 	c.mu.Lock()
 	c.push(clockOf(p) + c.latency)
+	c.publish()
 	if w := c.recvParked; w != nil {
 		e.signal(w)
 	}
@@ -1175,6 +1176,7 @@ func (e *parEngine) recvWait(c *chanCore, p *Process) (int, bool) {
 func (e *parEngine) recvRelease(c *chanCore, p *Process) {
 	c.mu.Lock()
 	c.pop(clockOf(p))
+	c.publish()
 	if w := c.sendParked; w != nil && (c.nRecv >= c.sendParkedNeed || c.closed) {
 		e.signal(w)
 	}
@@ -1193,6 +1195,7 @@ func (e *parEngine) recvMore(c *chanCore, p *Process) (int, bool) {
 	now := clockOf(p)
 	c.mu.Lock()
 	c.pop(now)
+	c.publish()
 	if w := c.sendParked; w != nil && (c.nRecv >= c.sendParkedNeed || c.closed) {
 		e.signal(w)
 	}

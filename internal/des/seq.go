@@ -181,7 +181,7 @@ func (h *serHeap) popReq() serReq {
 type seqEngine struct {
 	sim      *Simulation
 	nowT     Time
-	events   eventHeap
+	wakes    wakeQueue
 	seq      uint64
 	pending  serHeap
 	live     int
@@ -190,15 +190,54 @@ type seqEngine struct {
 	stats    SchedStats
 }
 
+// wakeQueue holds the pending wake events by due time: the FIFOs cur
+// (due now) and next (due one cycle later), and the heap far for the
+// rest, so the common wake, due now or next cycle, costs a FIFO pop
+// rather than a heap pop. Dispatching far's entries due now before cur
+// is (time, seq) order; see "Determinism invariants" in doc.go.
+type wakeQueue struct {
+	cur, next fifo
+	far       eventHeap
+}
+
+// fifo is a queue of wake events due at one cycle, in seq order.
+type fifo struct {
+	evs  []event
+	head int
+}
+
+// prune drops stale events (staleness is permanent) off the front and
+// reports whether a valid one is left.
+func (f *fifo) prune() bool {
+	for ; f.head < len(f.evs); f.head++ {
+		if eventValid(f.evs[f.head]) {
+			return true
+		}
+	}
+	f.reset()
+	return false
+}
+
+func (f *fifo) reset() { f.evs, f.head = f.evs[:0], 0 }
+
 func newSeqEngine(s *Simulation) *seqEngine {
 	return &seqEngine{sim: s}
 }
 
 func (e *seqEngine) now(p *Process) Time { return e.nowT }
 
+// schedule queues a wake of p at time at, routed by its due time.
 func (e *seqEngine) schedule(at Time, p *Process, episode uint64) {
 	e.seq++
-	e.events.pushEvent(event{at: at, seq: e.seq, proc: p, episode: episode})
+	ev := event{at: at, seq: e.seq, proc: p, episode: episode}
+	switch at {
+	case e.nowT:
+		e.wakes.cur.evs = append(e.wakes.cur.evs, ev)
+	case e.nowT + 1:
+		e.wakes.next.evs = append(e.wakes.next.evs, ev)
+	default:
+		e.wakes.far.pushEvent(ev)
+	}
 }
 
 // yield suspends the process's coroutine back to the dispatch loop until
@@ -218,37 +257,88 @@ func (e *seqEngine) yield(p *Process, verb string, ch *chanCore) {
 // the first Serialized request when it is due no later. It advances the
 // clock to the dispatch time and returns nil when nothing can ever
 // progress again (deadlock).
+//
+// A Serialized request is queued at the current time, and neither pick
+// nor an inline clock move passes a queued request, so every pending
+// request is due now: a wake due now goes first, then the requests.
 func (e *seqEngine) pick() *Process {
-	haveEv := e.hasValidEventAtOrBefore(timeInf)
-	switch {
-	case haveEv && (len(e.pending) == 0 || e.events[0].at <= e.pending[0].t):
-		ev := e.events.popEvent()
-		if ev.at > e.nowT {
-			e.nowT = ev.at
-		}
-		return ev.proc
-	case len(e.pending) > 0:
-		r := e.pending.popReq()
-		if r.t > e.nowT {
-			e.nowT = r.t
-		}
-		return r.p
+	at, ok := e.earliest()
+	if len(e.pending) > 0 && (!ok || at > e.nowT) {
+		return e.pending.popReq().p
 	}
-	return nil
+	if !ok {
+		return nil
+	}
+	e.setNow(at)
+	// earliest left a valid event at the front of far or cur.
+	q := &e.wakes
+	if len(q.far) > 0 && q.far[0].at <= e.nowT {
+		return q.far.popEvent().proc
+	}
+	ev := q.cur.evs[q.cur.head]
+	q.cur.head++
+	return ev.proc
+}
+
+// earliest prunes stale events off the queue fronts and returns the due
+// time of the earliest valid one.
+func (e *seqEngine) earliest() (Time, bool) {
+	q := &e.wakes
+	for len(q.far) > 0 && !eventValid(q.far[0]) {
+		q.far.popEvent()
+	}
+	haveFar := len(q.far) > 0
+	switch {
+	case haveFar && q.far[0].at <= e.nowT:
+		return q.far[0].at, true
+	case q.cur.prune():
+		return e.nowT, true
+	case haveFar && q.far[0].at == e.nowT+1 || q.next.prune():
+		return e.nowT + 1, true
+	case haveFar:
+		return q.far[0].at, true
+	}
+	return 0, false
+}
+
+// setNow moves the clock forward to t. No valid event is due before t,
+// so cur holds only stale ones, and so does next unless t is now+1.
+func (e *seqEngine) setNow(t Time) {
+	if t <= e.nowT {
+		return
+	}
+	q := &e.wakes
+	q.cur.reset()
+	if t == e.nowT+1 {
+		q.cur, q.next = q.next, q.cur
+	} else {
+		q.next.reset()
+	}
+	e.nowT = t
+}
+
+// inlineTo moves the clock to t with no dispatch round trip, and reports
+// whether it did, when no other wake or critical section is due at or
+// before t: the dispatcher would pick the caller's own wake at t next.
+func (e *seqEngine) inlineTo(t Time) bool {
+	if len(e.pending) > 0 {
+		return false
+	}
+	if at, ok := e.earliest(); ok && at <= t {
+		return false
+	}
+	e.setNow(t)
+	return true
 }
 
 func (e *seqEngine) advance(p *Process, d Time) {
 	nt := e.nowT + d
 	e.stats.Lifts++
-	// Fast path: when no other wake or critical section is due at or
-	// before the target time, the dispatcher would pick this process's own
-	// wake event next anyway — advance the clock inline and skip the
-	// schedule/yield round-trip entirely. Common whenever the rest of the
-	// pipeline is parked on channels (backpressured or starved), which is
-	// exactly when a lone active stage ticks through its elements.
-	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(nt) {
+	// Fast path: common whenever the rest of the pipeline is parked on
+	// channels (backpressured or starved), which is exactly when a lone
+	// active stage ticks through its elements.
+	if e.inlineTo(nt) {
 		e.stats.LiftFastPath++
-		e.nowT = nt
 		return
 	}
 	e.schedule(nt, p, p.seq.episode+1)
@@ -260,9 +350,8 @@ func (e *seqEngine) advanceTo(p *Process, t Time) {
 		return
 	}
 	e.stats.Lifts++
-	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(t) {
+	if e.inlineTo(t) {
 		e.stats.LiftFastPath++
-		e.nowT = t
 		return
 	}
 	e.schedule(t, p, p.seq.episode+1)
@@ -278,7 +367,7 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 	// current time, this request is first in (time, pid, seq) order — no
 	// other process can act before it, so run inline. This mirrors the
 	// parallel engine's "all other local clocks have passed t" condition.
-	if len(e.pending) == 0 && !e.hasValidEventAtOrBefore(e.nowT) {
+	if e.inlineTo(e.nowT) {
 		e.stats.GrantFastPath++
 		fn()
 		return
@@ -289,21 +378,7 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 	fn()
 }
 
-// hasValidEventAtOrBefore prunes stale heap tops and reports whether a
-// dispatchable event exists at or before t.
-func (e *seqEngine) hasValidEventAtOrBefore(t Time) bool {
-	for len(e.events) > 0 {
-		top := e.events[0]
-		if !e.eventValid(top) {
-			e.events.popEvent()
-			continue
-		}
-		return top.at <= t
-	}
-	return false
-}
-
-func (e *seqEngine) eventValid(ev event) bool {
+func eventValid(ev event) bool {
 	sp := &ev.proc.seq
 	if sp.state == stateFinished || sp.state == stateRunning {
 		return false
@@ -313,24 +388,30 @@ func (e *seqEngine) eventValid(ev event) bool {
 	return ev.episode == 0 || ev.episode == sp.episode
 }
 
-// eventSlabPool recycles event-heap backing arrays across simulations: a
-// session creates one Simulation per run and the heap regrows to roughly
-// the same size every time, so the array is the textbook pooling case.
-// Entries are zeroed before Put (they hold process pointers).
-var eventSlabPool = sync.Pool{
+// wakeQueuePool recycles the wake queues' backing arrays across runs,
+// which regrow to about the same size each time. Entries are zeroed
+// before Put (they hold process pointers).
+var wakeQueuePool = sync.Pool{
 	New: func() any {
-		s := make(eventHeap, 0, 256)
-		return &s
+		return &wakeQueue{
+			cur:  fifo{evs: make([]event, 0, 64)},
+			next: fifo{evs: make([]event, 0, 64)},
+			far:  make(eventHeap, 0, 256),
+		}
 	},
 }
 
 func (e *seqEngine) run() (Time, error) {
-	e.events = *eventSlabPool.Get().(*eventHeap)
+	pooled := wakeQueuePool.Get().(*wakeQueue)
+	e.wakes = *pooled
 	defer func() {
-		clear(e.events[:cap(e.events)])
-		slab := e.events[:0]
-		eventSlabPool.Put(&slab)
-		e.events = nil
+		q := &e.wakes
+		for _, s := range [][]event{q.cur.evs, q.next.evs, q.far} {
+			clear(s[:cap(s)])
+		}
+		*pooled = wakeQueue{cur: fifo{evs: q.cur.evs[:0]}, next: fifo{evs: q.next.evs[:0]}, far: q.far[:0]}
+		wakeQueuePool.Put(pooled)
+		e.wakes = wakeQueue{}
 	}()
 	// Seed: every process starts at time 0 in spawn order.
 	for _, p := range e.sim.procs {
