@@ -198,6 +198,7 @@ type seqEngine struct {
 type wakeQueue struct {
 	cur, next fifo
 	far       eventHeap
+	buf       []event // the allocation backing all three until one regrows
 }
 
 // fifo is a queue of wake events due at one cycle, in seq order.
@@ -388,28 +389,27 @@ func eventValid(ev event) bool {
 	return ev.episode == 0 || ev.episode == sp.episode
 }
 
-// wakeQueuePool recycles the wake queues' backing arrays across runs,
-// which regrow to about the same size each time. Entries are zeroed
-// before Put (they hold process pointers).
-var wakeQueuePool = sync.Pool{
-	New: func() any {
-		return &wakeQueue{
-			cur:  fifo{evs: make([]event, 0, 64)},
-			next: fifo{evs: make([]event, 0, 64)},
-			far:  make(eventHeap, 0, 256),
-		}
-	},
-}
+// wakeQueuePool recycles the wake queues' backing arrays across runs.
+// Entries are zeroed before Put (they hold process pointers).
+var wakeQueuePool = sync.Pool{New: func() any { return new(wakeQueue) }}
 
 func (e *seqEngine) run() (Time, error) {
 	pooled := wakeQueuePool.Get().(*wakeQueue)
 	e.wakes = *pooled
+	// Seeding puts every process's first wake in cur, and a process
+	// seldom has more than one wake queued, so n slots per queue seldom
+	// regrow; one allocation backs all three.
+	n := max(64, len(e.sim.procs))
+	if q := &e.wakes; cap(q.cur.evs) < n || cap(q.next.evs) < n || cap(q.far) < n {
+		buf := make([]event, 3*n)
+		*q = wakeQueue{cur: fifo{evs: buf[:0:n]}, next: fifo{evs: buf[n : n : 2*n]}, far: buf[2*n : 2*n : 3*n], buf: buf}
+	}
 	defer func() {
 		q := &e.wakes
-		for _, s := range [][]event{q.cur.evs, q.next.evs, q.far} {
+		for _, s := range [][]event{q.cur.evs, q.next.evs, q.far, q.buf} {
 			clear(s[:cap(s)])
 		}
-		*pooled = wakeQueue{cur: fifo{evs: q.cur.evs[:0]}, next: fifo{evs: q.next.evs[:0]}, far: q.far[:0]}
+		*pooled = wakeQueue{cur: fifo{evs: q.cur.evs[:0]}, next: fifo{evs: q.next.evs[:0]}, far: q.far[:0], buf: q.buf}
 		wakeQueuePool.Put(pooled)
 		e.wakes = wakeQueue{}
 	}()
