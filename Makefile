@@ -79,12 +79,12 @@ bench-sched:
 	@echo "profile written to sched.pprof (inspect with: $(GO) tool pprof step-bench.test sched.pprof)"
 
 # bench-json runs the bench smoke suite (figure benchmarks plus the
-# sequential-vs-parallel DES engine comparison) and renders BENCH_core.json
-# (ns/op per figure, engine speedups) so the simulator core's perf
-# trajectory is tracked from PR to PR.
+# sequential-vs-parallel DES engine comparison, and the store's journal
+# commit) and renders BENCH_core.json (ns/op per figure, engine speedups)
+# so the simulator core's perf trajectory is tracked from PR to PR.
 bench-json:
-	$(GO) test -bench='BenchmarkEngineCompare|BenchmarkFigure|BenchmarkMoELayer|BenchmarkAttention|BenchmarkSimpleMoE|BenchmarkDESChannel|BenchmarkCompileOnceRunMany' \
-		-benchtime=2x -run='^$$' . > bench-json.out
+	$(GO) test -bench='BenchmarkEngineCompare|BenchmarkFigure|BenchmarkMoELayer|BenchmarkAttention|BenchmarkSimpleMoE|BenchmarkDESChannel|BenchmarkCompileOnceRunMany|BenchmarkCommitJournal' \
+		-benchtime=2x -run='^$$' . ./internal/store > bench-json.out
 	$(GO) run ./cmd/benchjson -out BENCH_core.json < bench-json.out
 	@rm -f bench-json.out
 	@echo wrote BENCH_core.json

@@ -81,11 +81,11 @@
 // Chan structs from one slice and their rings from one arena slab. The
 // engine only ever indexes those slices; it does not grow, alias, or
 // retain them past Run. The caller in turn must not touch or recycle the
-// slabs until Run has returned. The engine's own recycling is limited to storage with no
-// user-visible identity: the pooled backing arrays of the sequential
-// engine's three wake queues (pointer slots cleared before returning
-// them to the pool) and the per-process
-// Select scratch buffer. Elements themselves are never recycled by this
+// slabs until Run has returned. The engine's own recycling is limited
+// to storage with no user-visible identity: the pooled backing arrays
+// of the sequential engine's three wake queues (pointer slots cleared
+// before returning them to the pool) and the per-process Select
+// scratch buffer. Elements themselves are never recycled by this
 // package — whatever values flow through channels are owned by the
 // processes that sent them.
 package des
