@@ -322,10 +322,7 @@ func (e *seqEngine) setNow(t Time) {
 // whether it did, when no other wake or critical section is due at or
 // before t: the dispatcher would pick the caller's own wake at t next.
 func (e *seqEngine) inlineTo(t Time) bool {
-	if len(e.pending) > 0 {
-		return false
-	}
-	if at, ok := e.earliest(); ok && at <= t {
+	if at, ok := e.earliest(); len(e.pending) > 0 || ok && at <= t {
 		return false
 	}
 	e.setNow(t)
@@ -347,16 +344,9 @@ func (e *seqEngine) advance(p *Process, d Time) {
 }
 
 func (e *seqEngine) advanceTo(p *Process, t Time) {
-	if t <= e.nowT {
-		return
+	if t > e.nowT {
+		e.advance(p, t-e.nowT)
 	}
-	e.stats.Lifts++
-	if e.inlineTo(t) {
-		e.stats.LiftFastPath++
-		return
-	}
-	e.schedule(t, p, p.seq.episode+1)
-	e.yield(p, "advance-to", nil)
 }
 
 func (e *seqEngine) serialized(p *Process, fn func()) {
