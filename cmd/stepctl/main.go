@@ -575,7 +575,7 @@ func exp(args []string) error {
 		defer func() {
 			step.SetSchedCollector(nil)
 			s, runs := col.Snapshot()
-			fmt.Printf("sched stats over %d simulation runs (parallel engine only):\n", runs)
+			fmt.Printf("sched stats over %d simulation runs:\n", runs)
 			fmt.Printf("  lifts=%d lift-fastpath=%d (%.1f%%) kicks=%d scanned=%d woken=%d grants=%d grant-fastpath=%d scanned/lift=%.3f\n",
 				s.Lifts, s.LiftFastPath, 100*safeFrac(s.LiftFastPath, s.Lifts),
 				s.Kicks, s.Scanned, s.Woken, s.Grants, s.GrantFastPath, s.ScannedPerLift())

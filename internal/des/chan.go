@@ -47,11 +47,8 @@ type chanCore struct {
 	nSent    int64
 	nRecv    int64
 
-	// Sequential-engine waiters.
-	seqRecvWaiter *Process
-	seqSendWaiter *Process
-
-	// Parallel-engine waiters.
+	// Waiters, one per endpoint plus the parked selectors. Guarded like
+	// the ring.
 	recvParked *Process
 	sendParked *Process
 	// sendParkedNeed is the nRecv value the parked sender waits for.

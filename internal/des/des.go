@@ -30,6 +30,11 @@ type Process struct {
 	// body touches it.
 	selScratch []*chanCore
 
+	// park is what the process is blocked on, and finishClock its local
+	// clock when its body returned; both engines keep them.
+	park        parkState
+	finishClock Time
+
 	seq seqProc // sequential-engine state
 	par parProc // parallel-engine state
 }
@@ -48,9 +53,10 @@ func (p *Process) Name() string {
 // used to order same-cycle Serialized critical sections.
 func (p *Process) ID() int { return p.id }
 
-// Now returns the process's current virtual time. Under the sequential
-// engine this is the global clock; under the parallel engine it is the
-// process's local clock.
+// Now returns the process's local virtual time: the sum of its Advances,
+// lifted by the channel operations that bridge time (a receive adopts the
+// element's ready time, a backpressured send the time its slot was
+// freed). It is the same under both engines.
 func (p *Process) Now() Time { return p.sim.eng.now(p) }
 
 // Advance moves the process's view of time forward by d cycles.
@@ -193,20 +199,15 @@ func (s *Simulation) Run() (Time, error) {
 }
 
 // SchedStats returns the engine's scheduler counters for the completed
-// run. The parallel engine fills all of them; the sequential engine has
-// no wake-up scans and fills only its dispatch counters (Lifts,
-// LiftFastPath, Woken, Grants, GrantFastPath). See SchedStats for the
+// run. The parallel engine fills all of them; the sequential engine fills
+// Woken, Kicks, Grants and GrantFastPath. See SchedStats for the
 // glossary.
 func (s *Simulation) SchedStats() SchedStats { return s.eng.schedStats() }
 
-// Now returns the final virtual time after Run (and, for the sequential
-// engine, the scheduler's current time during a run).
-func (s *Simulation) Now() Time {
-	if seq, ok := s.eng.(*seqEngine); ok {
-		return seq.nowT
-	}
-	return s.finish
-}
+// Now returns the final virtual time after Run: the latest clock at
+// which a process finished. Both engines keep a local clock per process
+// (see Process.Now), so there is no global time during a run.
+func (s *Simulation) Now() Time { return s.finish }
 
 // blockedRef is one blocked process in a deadlock report: its name plus
 // the verb and resource it waits on. Blocking records only a static verb

@@ -8,18 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// parkKind classifies why a parallel-engine process is blocked.
-type parkKind uint8
-
-const (
-	parkNone    parkKind = iota
-	parkRecv             // waiting for an element or close
-	parkSend             // waiting for a freed slot (backpressure) or close
-	parkSel              // waiting for a committable Select decision
-	parkReq              // waiting for a Serialized grant
-	parkGranted          // granted, running (or about to run) its critical section
-)
-
 // parProc is the parallel-engine per-process state.
 //
 // clock is the process's local virtual clock. It is written by the owning
@@ -53,23 +41,12 @@ type parProc struct {
 	// senders walking a channel's parked-selector list. timeInf = none.
 	watchTA atomic.Uint64
 
-	// Guarded by parEngine.stateMu.
-	kind          parkKind
-	parkCh        *chanCore   // parkRecv / parkSend
-	parkSels      []*chanCore // parkSel
-	parkNeed      int64       // parkSend: the nRecv count being waited for
-	reqT          Time        // parkReq: request time
-	reqSeq        uint64      // parkReq: per-process request index
-	selDecided    bool        // cached Select decision for one evaluation pass
-	selDecidedVer uint64      // evaluation version the cache belongs to
-	finished      bool        // guarded by stateMu; finishedA mirrors it lock-free
+	// Guarded by parEngine.stateMu (as is Process.park).
+	selDecided    bool   // cached Select decision for one evaluation pass
+	selDecidedVer uint64 // evaluation version the cache belongs to
+	finished      bool   // finishedA mirrors it lock-free
 	finishedA     atomic.Bool
-	finishClock   Time
 	runIdx        int // index in parEngine.runningList; -1 when parked
-	// blockedVerb/blockedCh describe the block for deadlock reports;
-	// the string is materialized lazily via the report formatter.
-	blockedVerb string
-	blockedCh   *chanCore
 
 	serSeq uint64 // owned by the process goroutine
 
@@ -148,14 +125,7 @@ type parEngine struct {
 	stScannedA  atomic.Uint64
 	stats       SchedStats // aggregated once by run()
 
-	// Scratch buffers for the evaluator, reused across passes.
-	bndVal   []Time
-	bndSet   []uint64 // settled-version stamps
-	bndVis   []uint64 // visited-version stamps
-	bndVer   uint64
-	bndRev   [][]int
-	bndStack []int
-	bndPQ    boundPQ
+	bounds boundSolver
 }
 
 func newParEngine(s *Simulation) *parEngine {
@@ -167,6 +137,19 @@ func newParEngine(s *Simulation) *parEngine {
 func clockOf(p *Process) Time { return Time(p.par.clock.Load()) }
 
 func (e *parEngine) now(p *Process) Time { return clockOf(p) }
+
+// The view the shared rules read: every input is published atomically,
+// so the rules need no channel locks.
+func (e *parEngine) clock(p *Process) Time      { return clockOf(p) }
+func (e *parEngine) done(p *Process) bool       { return p.par.finishedA.Load() }
+func (e *parEngine) headReady(c *chanCore) Time { return Time(c.headReadyA.Load()) }
+func (e *parEngine) received(c *chanCore) int64 { return c.nRecvA.Load() }
+func (e *parEngine) lift(p *Process, t Time)    { liftClockRaw(p, t) }
+func (e *parEngine) closedAt(c *chanCore) (Time, bool) {
+	// closedA first: markClosed stores the time before the flag.
+	closed := c.closedA.Load()
+	return Time(c.closeTimeA.Load()), closed
+}
 
 func (e *parEngine) schedStats() SchedStats { return e.stats }
 
@@ -350,21 +333,14 @@ func (e *parEngine) unparkCommit(p *Process) {
 // parkProc registers p as blocked on a channel endpoint.
 func (e *parEngine) parkProc(p *Process, kind parkKind, verb string, ch *chanCore, need int64, g0 uint64) {
 	e.stateMu.Lock()
-	pp := &p.par
-	pp.kind = kind
-	pp.blockedVerb, pp.blockedCh = verb, ch
-	pp.parkCh = ch
-	pp.parkNeed = need
+	p.park = parkState{kind: kind, verb: verb, ch: ch, need: need}
 	e.parkCommit(p, g0)
 	e.stateMu.Unlock()
 }
 
 func (e *parEngine) unparkProc(p *Process) {
 	e.stateMu.Lock()
-	pp := &p.par
-	pp.kind = parkNone
-	pp.blockedVerb, pp.blockedCh = "", nil
-	pp.parkCh = nil
+	p.park = parkState{}
 	e.unparkCommit(p)
 	e.stateMu.Unlock()
 }
@@ -409,47 +385,21 @@ func (e *parEngine) run() (Time, error) {
 		c.add(st)
 	}
 
-	// Deterministic error selection: the erroring process with the lowest
-	// (finish clock, spawn id) wins, mirroring the sequential engine's
-	// earliest-failure-first report.
-	var failed *Process
-	for _, p := range procs {
-		if p.err == nil {
-			continue
-		}
-		if failed == nil || p.par.finishClock < failed.par.finishClock ||
-			(p.par.finishClock == failed.par.finishClock && p.id < failed.id) {
-			failed = p
-		}
-	}
-	var finish Time
-	for _, p := range procs {
-		if p.par.finishClock > finish {
-			finish = p.par.finishClock
-		}
-	}
-	switch {
-	case failed != nil:
-		return failed.par.finishClock, procError(failed)
-	case e.deadlock != nil:
-		return finish, e.deadlock
-	default:
-		return finish, nil
-	}
+	return runResult(procs, e.deadlock)
 }
 
 func (e *parEngine) finishProc(p *Process) {
 	e.stateMu.Lock()
 	pp := &p.par
-	if pp.kind == parkNone || pp.kind == parkGranted {
+	if p.park.kind == parkNone || p.park.kind == parkGranted {
 		e.runListDel(p)
 		if bar := e.barT.Load(); uint64(clockOf(p)) <= bar {
 			e.noteBarrierCrossed()
 		}
 	}
-	pp.kind = parkNone
+	p.park.kind = parkNone
 	pp.finished = true
-	pp.finishClock = clockOf(p)
+	p.finishClock = clockOf(p)
 	pp.finishedA.Store(true)
 	if p.err != nil && !e.aborting {
 		e.live--
@@ -488,38 +438,10 @@ func (e *parEngine) signalAllLocked() {
 }
 
 func (e *parEngine) triggerDeadlock() {
-	var refs []blockedRef
-	var at Time
-	for _, p := range e.sim.procs {
-		if p.par.finished {
-			continue
-		}
-		if c := clockOf(p); c > at {
-			at = c
-		}
-		refs = append(refs, blockedRef{
-			name: p.Name(),
-			verb: p.par.blockedVerb,
-			on:   parBlockedOn(&p.par),
-		})
-	}
-	e.deadlock = deadlockError(at, refs)
+	e.deadlock = deadlockAt(e, e.sim.procs)
 	e.aborting = true
 	e.abortFlag.Store(true)
 	e.signalAllLocked()
-}
-
-// parBlockedOn names the resource a blocked process waits on, for
-// grouping deadlock reports. Materialized only once deadlock is certain.
-func parBlockedOn(pp *parProc) string {
-	if pp.blockedCh != nil {
-		//lint:allow hotpath deadlock-report formatting; runs once after the engine has already stopped
-		return "chan " + pp.blockedCh.label()
-	}
-	if pp.kind == parkSel && len(pp.parkSels) > 0 {
-		return selectLabel(pp.parkSels)
-	}
-	return ""
 }
 
 // --- Serialized --------------------------------------------------------
@@ -538,7 +460,7 @@ func (e *parEngine) serialized(p *Process, fn func()) {
 	if e.abortFlag.Load() {
 		panic(errAborted)
 	}
-	e.serRunGranted(pp, fn)
+	e.serRunGranted(p, fn)
 }
 
 // serEnqueueOrRunFast runs fn inline when the request is first in
@@ -557,13 +479,9 @@ func (e *parEngine) serEnqueueOrRunFast(req serReq, fn func()) (g0 uint64, fast 
 		fn()
 		return 0, true
 	}
-	pp := &req.p.par
 	e.pending.pushReq(req)
-	pp.kind = parkReq
-	pp.reqT = req.t
-	pp.reqSeq = req.seq
-	pp.blockedVerb = "serialized"
-	g0 = pp.snapshotGen()
+	req.p.park = parkState{kind: parkReq, verb: "serialized", reqT: req.t}
+	g0 = req.p.par.snapshotGen()
 	e.parkCommit(req.p, g0)
 	if len(e.pending) > 0 && e.pending[0].p == req.p && e.grantsInFlight == 0 && !e.aborting {
 		// New head: the barrier armed for the previous head (a later
@@ -576,11 +494,10 @@ func (e *parEngine) serEnqueueOrRunFast(req serReq, fn func()) (g0 uint64, fast 
 // serRunGranted runs the granted critical section (kind is parkGranted).
 // The deferred cleanup keeps the engine consistent even when fn panics:
 // the process then finishes as a normal error, not a wedged lock holder.
-func (e *parEngine) serRunGranted(pp *parProc, fn func()) {
+func (e *parEngine) serRunGranted(p *Process, fn func()) {
 	e.stateMu.Lock()
 	defer func() {
-		pp.kind = parkNone
-		pp.blockedVerb = ""
+		p.park = parkState{}
 		e.grantsInFlight--
 		e.maybeGrant()
 		e.stateMu.Unlock()
@@ -655,7 +572,7 @@ func (e *parEngine) grantableHead(req serReq) bool {
 		// frontier catches up. Old elements at or before req.t block
 		// the grant outright; new elements can only arrive from senders
 		// this scan already requires to be past req.t.
-		if clockOf(q) <= req.t && e.selMinHead(q.par.parkSels) <= req.t {
+		if clockOf(q) <= req.t && selMinHead(e, q.park.sels) <= req.t {
 			return false
 		}
 	}
@@ -665,9 +582,7 @@ func (e *parEngine) grantableHead(req serReq) bool {
 // grantHead pops and grants the head request (stateMu held).
 func (e *parEngine) grantHead(req serReq) {
 	e.pending.popReq()
-	pp := &req.p.par
-	pp.kind = parkGranted
-	pp.blockedVerb = ""
+	req.p.park = parkState{kind: parkGranted}
 	e.grantsInFlight++
 	e.stGrants++
 	e.unparkCommit(req.p)
@@ -705,7 +620,7 @@ func (e *parEngine) quiesce() {
 	}
 	e.stKicks++
 	e.kickVer++
-	progress := e.evalSelectors(e.computeBounds())
+	progress := e.evalSelectors(e.bounds.solve(e, e.sim.procs, e.selParkedList))
 	granted := false
 	if len(e.pending) > 0 && e.grantsInFlight == 0 {
 		if req := e.pending[0]; e.grantableHead(req) {
@@ -728,7 +643,7 @@ func (e *parEngine) quiesce() {
 func (e *parEngine) evalSelectors(bounds []Time) bool {
 	progress := false
 	for _, p := range e.selParkedList {
-		_, _, decided := e.selDecision(p.par.parkSels, bounds)
+		_, _, decided := selDecision(e, p.park.sels, bounds)
 		p.par.selDecided = decided
 		p.par.selDecidedVer = e.kickVer
 		if decided {
@@ -739,34 +654,22 @@ func (e *parEngine) evalSelectors(bounds []Time) bool {
 	return progress
 }
 
-// selMinHead returns the earliest visibility time among elements already
-// queued on the select's channels (timeInf when none).
-func (e *parEngine) selMinHead(cores []*chanCore) Time {
-	best := timeInf
-	for _, c := range cores {
-		if hr := Time(c.headReadyA.Load()); hr < best {
-			best = hr
-		}
-	}
-	return best
-}
-
 // parkedEligible reports whether a parked process's wake condition is
 // already satisfied (a wake signal is in flight or imminent).
 func (e *parEngine) parkedEligible(q *Process) bool {
 	pp := &q.par
-	switch pp.kind {
+	switch q.park.kind {
 	case parkRecv:
-		c := pp.parkCh
+		c := q.park.ch
 		return Time(c.headReadyA.Load()) != timeInf || c.closedA.Load()
 	case parkSend:
-		c := pp.parkCh
-		return c.nRecvA.Load() >= pp.parkNeed || c.closedA.Load()
+		c := q.park.ch
+		return c.nRecvA.Load() >= q.park.need || c.closedA.Load()
 	case parkSel:
 		if pp.selDecidedVer == e.kickVer {
 			return pp.selDecided
 		}
-		_, _, decided := e.selDecision(pp.parkSels, nil)
+		_, _, decided := selDecision(e, q.park.sels, nil)
 		pp.selDecided = decided
 		pp.selDecidedVer = e.kickVer
 		return decided
@@ -780,7 +683,7 @@ func (e *parEngine) anyParkedEligible() bool {
 		if q.par.finished {
 			continue
 		}
-		switch q.par.kind {
+		switch q.park.kind {
 		case parkRecv, parkSend, parkSel:
 			if e.parkedEligible(q) {
 				return true
@@ -791,270 +694,6 @@ func (e *parEngine) anyParkedEligible() bool {
 		}
 	}
 	return false
-}
-
-// boundPQ is the evaluator's lazy priority queue (manual heap: the
-// container/heap interface would box every item).
-type boundItem struct {
-	val Time
-	pid int
-}
-type boundPQ []boundItem
-
-func (h *boundPQ) push(it boundItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].val <= (*h)[i].val {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *boundPQ) pop() boundItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && old[l].val < old[small].val {
-			small = l
-		}
-		if r < n && old[r].val < old[small].val {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-	return top
-}
-
-// computeBounds solves, as a least fixpoint, the per-process next-action
-// lower bounds
-//
-//	B(q) = max(clock_q, wake-bound from what q is parked on)
-//
-// where a channel's forward bound is min(head ready, close time,
-// sender bound + latency). Dijkstra with per-node floors: processes settle
-// in increasing bound order, so latency-0 cycles terminate and genuinely
-// stuck subgraphs settle at infinity. Parked processes' clocks are lifted
-// to their bounds (safe: a bound never exceeds the clock value the
-// process adopts when it actually wakes).
-func (e *parEngine) computeBounds() []Time {
-	procs := e.sim.procs
-	n := len(procs)
-	if cap(e.bndVal) < n {
-		e.bndVal = make([]Time, n)
-		e.bndSet = make([]uint64, n)
-		e.bndVis = make([]uint64, n)
-		e.bndRev = make([][]int, n)
-	}
-	val := e.bndVal[:n]
-	set := e.bndSet[:n]
-	vis := e.bndVis[:n]
-	rev := e.bndRev[:n]
-	e.bndVer++
-	ver := e.bndVer
-	stack := e.bndStack[:0]
-
-	// Collect only the sub-graph that can influence a parked Select: the
-	// empty-open channels' senders, transitively through parked processes.
-	push := func(q *Process) {
-		if q != nil && vis[q.id] != ver {
-			vis[q.id] = ver
-			rev[q.id] = rev[q.id][:0]
-			stack = append(stack, q.id)
-		}
-	}
-	for _, p := range e.selParkedList {
-		for _, c := range p.par.parkSels {
-			if Time(c.headReadyA.Load()) == timeInf && !c.closedA.Load() {
-				push(c.sender.Load())
-			}
-		}
-	}
-	dep := func(on *Process, dependent int) {
-		push(on)
-		if on != nil {
-			rev[on.id] = append(rev[on.id], dependent)
-		}
-	}
-	for i := 0; i < len(stack); i++ {
-		q := procs[stack[i]]
-		switch q.par.kind {
-		case parkRecv:
-			dep(q.par.parkCh.sender.Load(), q.id)
-		case parkSend:
-			dep(q.par.parkCh.recver.Load(), q.id)
-		case parkSel:
-			for _, c := range q.par.parkSels {
-				dep(c.sender.Load(), q.id)
-			}
-		}
-	}
-	e.bndStack = stack
-
-	// Settle base nodes, then seed parked tentatives from them.
-	for _, id := range stack {
-		q := procs[id]
-		pp := &q.par
-		switch {
-		case pp.finished:
-			val[id] = timeInf
-			set[id] = ver
-		case pp.kind == parkReq:
-			val[id] = pp.reqT
-			set[id] = ver
-		case pp.kind == parkNone || pp.kind == parkGranted:
-			val[id] = clockOf(q)
-			set[id] = ver
-		}
-	}
-	pq := e.bndPQ[:0]
-	for _, id := range stack {
-		q := procs[id]
-		switch q.par.kind {
-		case parkRecv, parkSend, parkSel:
-			if set[id] == ver {
-				continue
-			}
-			val[id] = e.parkedTentative(q, val, set, ver)
-			if val[id] != timeInf {
-				pq.push(boundItem{val[id], id})
-			}
-		}
-	}
-
-	for len(pq) > 0 {
-		it := pq.pop()
-		i := it.pid
-		if set[i] == ver || it.val > val[i] {
-			continue
-		}
-		set[i] = ver
-		// Lift the parked process's clock to its settled bound.
-		p := procs[i]
-		switch p.par.kind {
-		case parkRecv, parkSend, parkSel:
-			if val[i] != timeInf {
-				liftClockRaw(p, val[i])
-			}
-		}
-		for _, j := range rev[i] {
-			if set[j] == ver {
-				continue
-			}
-			q := procs[j]
-			switch q.par.kind {
-			case parkRecv, parkSend, parkSel:
-				if nv := e.parkedTentative(q, val, set, ver); nv < val[j] {
-					val[j] = nv
-					if nv != timeInf {
-						pq.push(boundItem{nv, j})
-					}
-				}
-			}
-		}
-	}
-	e.bndPQ = pq[:0]
-	// Unsettled visited nodes are unreachable from any clock source: stuck.
-	for _, id := range stack {
-		if set[id] != ver {
-			val[id] = timeInf
-			set[id] = ver
-		}
-	}
-	return val
-}
-
-// parkedTentative evaluates a parked process's wake-bound rule using only
-// settled neighbor values (unsettled neighbors contribute infinity).
-func (e *parEngine) parkedTentative(p *Process, val []Time, set []uint64, ver uint64) Time {
-	pp := &p.par
-	floor := clockOf(p)
-	// A parked receiver can be woken by an element (sender clock +
-	// latency) or by a close (sender clock, latency-free), so the
-	// sender-dependent wake bound carries NO latency. Select's commit
-	// rule, which reasons about elements only, adds the latency itself.
-	senderTerm := func(c *chanCore) Time {
-		sender := c.sender.Load()
-		if sender == nil {
-			return timeInf
-		}
-		j := sender.id
-		if set[j] != ver || val[j] == timeInf {
-			return timeInf
-		}
-		return val[j]
-	}
-	fwd := func(c *chanCore) Time {
-		b := Time(c.headReadyA.Load())
-		if c.closedA.Load() {
-			if ct := Time(c.closeTimeA.Load()); ct < b {
-				b = ct
-			}
-			return b
-		}
-		if st := senderTerm(c); st < b {
-			b = st
-		}
-		return b
-	}
-	switch pp.kind {
-	case parkRecv:
-		b := fwd(pp.parkCh)
-		if b == timeInf {
-			return timeInf
-		}
-		if b < floor {
-			b = floor
-		}
-		return b
-	case parkSend:
-		c := pp.parkCh
-		if c.closedA.Load() || c.nRecvA.Load() >= pp.parkNeed {
-			return floor
-		}
-		recver := c.recver.Load()
-		if recver == nil {
-			return floor
-		}
-		j := recver.id
-		if set[j] != ver || val[j] == timeInf {
-			return timeInf
-		}
-		b := val[j]
-		if b < floor {
-			b = floor
-		}
-		return b
-	case parkSel:
-		b := timeInf
-		for _, c := range pp.parkSels {
-			if f := fwd(c); f < b {
-				b = f
-			}
-		}
-		if b == timeInf {
-			return timeInf
-		}
-		if b < floor {
-			b = floor
-		}
-		return b
-	default:
-		return floor
-	}
 }
 
 // --- channel protocol --------------------------------------------------
@@ -1228,115 +867,16 @@ func (e *parEngine) closeChan(c *chanCore, p *Process) {
 	c.mu.Unlock()
 }
 
-// selSnapshot captures the decision inputs of one channel. The frontier
-// fields are filled strictly before the head fields (see selDecision).
-type selSnapshot struct {
-	sender     *Process
-	senderDone bool
-	frontier   Time
-	headReady  Time
-	closed     bool
-	closeTime  Time
-}
-
-// selDecision evaluates the conservative EagerMerge rule: commit the
-// earliest-visible head (ties to the lowest index) once every empty open
-// channel's frontier — the bound of its sender's local clock plus the
-// channel latency — proves no element can still become visible at or
-// before the committed (time, index). bounds, when non-nil, supplies
-// evaluator-computed sender bounds; otherwise raw sender clocks are used.
-// Callers need no channel locks: all inputs are published atomically and
-// the rule is stable (once committable, always committable).
-func (e *parEngine) selDecision(cores []*chanCore, bounds []Time) (idx int, lift Time, decided bool) {
-	var buf [32]selSnapshot
-	var snaps []selSnapshot
-	if len(cores) <= len(buf) {
-		snaps = buf[:len(cores)]
-	} else {
-		snaps = make([]selSnapshot, len(cores))
-	}
-	// Frontiers MUST be read before the head snapshots: an element pushed
-	// after the frontier read is either visible in the later head
-	// snapshot or was sent at a clock >= the frontier we read (clocks are
-	// monotone), so its ready time cannot undercut the frontier. Reading
-	// heads first would let a send+advance race hide an earlier-ready
-	// element behind an already-advanced frontier.
-	for i, c := range cores {
-		sn := &snaps[i]
-		sn.sender = c.sender.Load()
-		if sn.sender != nil {
-			sn.senderDone = sn.sender.par.finishedA.Load()
-			sn.frontier = clockOf(sn.sender)
-		}
-	}
-	for i, c := range cores {
-		sn := &snaps[i]
-		sn.headReady = Time(c.headReadyA.Load())
-		sn.closed = c.closedA.Load()
-		sn.closeTime = Time(c.closeTimeA.Load())
-	}
-	best := -1
-	var bestAt Time
-	allDrained := true
-	var maxClose Time
-	for i, s := range snaps {
-		if s.headReady != timeInf {
-			allDrained = false
-			if best == -1 || s.headReady < bestAt {
-				best, bestAt = i, s.headReady
-			}
-			continue
-		}
-		if s.closed {
-			if s.closeTime > maxClose {
-				maxClose = s.closeTime
-			}
-			continue
-		}
-		allDrained = false
-	}
-	if allDrained {
-		return -1, maxClose, true
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	for j, sn := range snaps {
-		if sn.headReady != timeInf || sn.closed {
-			continue
-		}
-		if sn.sender == nil {
-			panic(fmt.Sprintf("des: parallel Select requires a bound sender on channel %q (use BindSender)", cores[j].label()))
-		}
-		if sn.senderDone {
-			// A finished sender can never enqueue (nor close) this
-			// channel: its frontier is infinite, so it cannot beat any
-			// committed head. (The sequential engine behaves the same
-			// way — nothing will ever wake the selector earlier.)
-			continue
-		}
-		f := sn.frontier
-		if bounds != nil && bounds[sn.sender.id] != timeInf && bounds[sn.sender.id] > f {
-			f = bounds[sn.sender.id]
-		}
-		f += cores[j].latency
-		if f < bestAt || (f == bestAt && j < best) {
-			return 0, 0, false
-		}
-	}
-	return best, bestAt, true
-}
-
 func (e *parEngine) sel(p *Process, cores []*chanCore) int {
 	e.checkAbort()
 	pp := &p.par
 	for {
-		if idx, lift, decided := e.selDecision(cores, nil); decided {
+		if idx, lift, decided := selDecision(e, cores, nil); decided {
 			e.liftClock(p, lift)
 			return idx
 		}
 		g0 := pp.snapshotGen()
-		wt := e.selMinHead(cores)
+		wt := selMinHead(e, cores)
 		// Publish this selector's commit threshold BEFORE registering on
 		// the channels: a sender walking a waiter list always sees the
 		// current episode's threshold, never a stale lower one that
@@ -1348,9 +888,7 @@ func (e *parEngine) sel(p *Process, cores []*chanCore) int {
 			c.mu.Unlock()
 		}
 		e.stateMu.Lock()
-		pp.kind = parkSel
-		pp.blockedVerb = "select"
-		pp.parkSels = cores
+		p.park = parkState{kind: parkSel, verb: "select", sels: cores}
 		e.selParkedList = append(e.selParkedList, p)
 		e.stateMu.Unlock()
 		// Arm per-sender triggers, then re-check: any frontier crossing
@@ -1359,11 +897,9 @@ func (e *parEngine) sel(p *Process, cores []*chanCore) int {
 		// re-check (sequentially consistent atomics). Either way no
 		// wake is missed.
 		e.armSelTriggers(cores, wt)
-		if idx, lift, decided := e.selDecision(cores, nil); decided {
+		if idx, lift, decided := selDecision(e, cores, nil); decided {
 			e.stateMu.Lock()
-			pp.kind = parkNone
-			pp.blockedVerb = ""
-			pp.parkSels = nil
+			p.park = parkState{}
 			pp.watchTA.Store(uint64(timeInf))
 			e.dropSelParked(p)
 			e.stateMu.Unlock()
@@ -1480,12 +1016,8 @@ func (e *parEngine) dropSelParked(p *Process) {
 // unparkSel is unparkProc plus parked-selector list maintenance.
 func (e *parEngine) unparkSel(p *Process) {
 	e.stateMu.Lock()
-	pp := &p.par
-	pp.kind = parkNone
-	pp.blockedVerb, pp.blockedCh = "", nil
-	pp.parkCh = nil
-	pp.parkSels = nil
-	pp.watchTA.Store(uint64(timeInf))
+	p.park = parkState{}
+	p.par.watchTA.Store(uint64(timeInf))
 	e.dropSelParked(p)
 	e.unparkCommit(p)
 	e.stateMu.Unlock()

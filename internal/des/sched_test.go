@@ -164,8 +164,10 @@ func TestSchedStressEquivalence(t *testing.T) {
 				if seqTrace != parTrace {
 					t.Fatalf("engine traces diverge:\nseq:\n%s\npar:\n%s", seqTrace, parTrace)
 				}
-				// The sequential engine has no wake-up scans or evaluator
-				// passes; it grants the same Serialized sections.
+				// The sequential engine does no wake-up scans, and here it
+				// always has a runnable process until the end, so it never
+				// runs a quiescent evaluation; it grants the same Serialized
+				// sections.
 				if seqStats.Kicks != 0 || seqStats.Scanned != 0 {
 					t.Fatalf("sequential engine reported scan work: %+v", seqStats)
 				}

@@ -7,131 +7,47 @@ import (
 	"sync"
 )
 
-// procState tracks where a process is in its lifecycle (sequential engine).
-type procState int
-
-const (
-	stateReady procState = iota // spawned, not yet run
-	stateRunning
-	stateWaiting // yielded: sleeping on an event or parked on channels
-	stateFinished
-)
-
 // seqProc is the sequential-engine per-process state.
 type seqProc struct {
-	state   procState
-	episode uint64 // wait-episode counter; stale wake events are dropped
+	// clock is the process's local virtual clock.
+	clock Time
 	// next and stop drive the process body's coroutine (iter.Pull),
 	// created on the process's first dispatch: next resumes it until it
 	// yields or returns, stop unwinds a parked one. yield is the
 	// coroutine's side of the switch, returning false once stop has
 	// been called.
-	next    func() (struct{}, bool)
-	stop    func()
-	yield   func(struct{}) bool
-	aborted bool
-	serSeq  uint64
-	// blockedVerb/blockedCh describe what the process is waiting for.
-	// Kept as a static verb plus an optional channel so blocking never
-	// allocates; the human-readable description is materialized only for
-	// deadlock reports.
-	blockedVerb string
-	blockedCh   *chanCore
-	// blockedSels is the channel set of a blocked Select (diagnostics
-	// only; a slice-header assignment, so recording it never allocates).
-	blockedSels []*chanCore
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	finished bool
+	aborted  bool
+	serSeq   uint64
 }
 
-// event is a scheduled wake-up of a process.
-type event struct {
-	at      Time
-	seq     uint64
-	proc    *Process
-	episode uint64
+// runEntry is a runnable process, keyed by its local clock when it
+// became runnable.
+type runEntry struct {
+	t Time
+	p *Process
 }
 
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a manual binary min-heap of events. container/heap would
-// box every event into an interface on Push and Pop — two allocations per
-// simulated wake — which profiling showed to be the simulator's single
-// largest allocation source. The manual heap keeps events as values.
-type eventHeap []event
-
-func (h *eventHeap) pushEvent(ev event) {
-	hs := append(*h, ev)
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(hs[i], hs[parent]) {
-			break
-		}
-		hs[i], hs[parent] = hs[parent], hs[i]
-		i = parent
-	}
-	*h = hs
-}
-
-func (h *eventHeap) popEvent() event {
-	hs := *h
-	top := hs[0]
-	n := len(hs) - 1
-	hs[0] = hs[n]
-	hs[n] = event{} // drop the proc reference
-	hs = hs[:n]
-	*h = hs
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(hs[l], hs[small]) {
-			small = l
-		}
-		if r < n && eventLess(hs[r], hs[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		hs[i], hs[small] = hs[small], hs[i]
-		i = small
-	}
-	return top
-}
-
-// serReq is a pending Serialized critical section.
-type serReq struct {
-	t   Time
-	pid int
-	seq uint64
-	p   *Process
-}
-
-func serLess(a, b serReq) bool {
+func runLess(a, b runEntry) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.pid != b.pid {
-		return a.pid < b.pid
-	}
-	return a.seq < b.seq
+	return a.p.id < b.p.id
 }
 
-// serHeap is a manual binary min-heap of Serialized requests (value-typed
-// for the same no-boxing reason as eventHeap). Shared by both engines.
-type serHeap []serReq
+// runQueue is a manual binary min-heap of runnable processes in
+// (clock, pid) order.
+type runQueue []runEntry
 
-func (h *serHeap) pushReq(r serReq) {
+func (h *runQueue) push(r runEntry) {
 	hs := append(*h, r)
 	i := len(hs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !serLess(hs[i], hs[parent]) {
+		if !runLess(hs[i], hs[parent]) {
 			break
 		}
 		hs[i], hs[parent] = hs[parent], hs[i]
@@ -140,22 +56,22 @@ func (h *serHeap) pushReq(r serReq) {
 	*h = hs
 }
 
-func (h *serHeap) popReq() serReq {
+func (h *runQueue) pop() *Process {
 	hs := *h
-	top := hs[0]
+	top := hs[0].p
 	n := len(hs) - 1
 	hs[0] = hs[n]
-	hs[n] = serReq{}
+	hs[n] = runEntry{}
 	hs = hs[:n]
 	*h = hs
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && serLess(hs[l], hs[small]) {
+		if l < n && runLess(hs[l], hs[small]) {
 			small = l
 		}
-		if r < n && serLess(hs[r], hs[small]) {
+		if r < n && runLess(hs[r], hs[small]) {
 			small = r
 		}
 		if small == i {
@@ -167,186 +83,121 @@ func (h *serHeap) popReq() serReq {
 	return top
 }
 
-// seqEngine runs exactly one process at a time, dispatching wake events in
-// (time, sequence) order so simulations are bit-for-bit reproducible
-// regardless of goroutine scheduling.
+// seqEngine runs the parallel engine's virtual-time protocol on one
+// goroutine, one process at a time, with no locks and no atomics on the
+// per-element path. Every process keeps a local clock: Advance bumps it,
+// a receiver adopts the head element's ready time, and a backpressured
+// sender resumes at its slot's recorded dequeue time. A process runs
+// until it blocks on a channel (or waits for a Serialized grant); the
+// dispatch loop then resumes the runnable process with the lowest
+// (clock, pid). Select and Serialized are the conservative sync points,
+// decided by the rules in sched.go.
 //
-// Each process body is a coroutine. run is the dispatch loop: it pops the
-// next event or Serialized request, resumes that process's coroutine, and
-// takes control back when the process blocks (yield) or returns. A process
-// switch is therefore two coroutine switches and never passes through the
-// Go scheduler. Only the running coroutine or the loop touches engine
-// state, never both at once, so the one-at-a-time discipline needs no
-// locks.
+// Each process body is a coroutine. run is the dispatch loop: it grants
+// the pending Serialized head when no process can still act at or before
+// its time, otherwise resumes the next runnable process, and takes
+// control back when the process blocks (yield) or returns. A process
+// switch is therefore two coroutine switches and never passes through
+// the Go scheduler.
 type seqEngine struct {
-	sim      *Simulation
-	nowT     Time
-	wakes    wakeQueue
-	seq      uint64
-	pending  serHeap
-	live     int
-	finish   Time
-	firstErr error
-	stats    SchedStats
+	sim       *Simulation
+	runq      runQueue
+	pending   serHeap
+	selParked []*Process // processes parked in Select
+	bounds    boundSolver
+	live      int
+	failed    bool // a process failed, or the run is being unwound
+	deadlock  error
+	stats     SchedStats
 }
-
-// wakeQueue holds the pending wake events by due time: the FIFOs cur
-// (due now) and next (due one cycle later), and the heap far for the
-// rest, so the common wake, due now or next cycle, costs a FIFO pop
-// rather than a heap pop. Dispatching far's entries due now before cur
-// is (time, seq) order; see "Determinism invariants" in doc.go.
-type wakeQueue struct {
-	cur, next fifo
-	far       eventHeap
-	buf       []event // the allocation backing all three until one regrows
-}
-
-// fifo is a queue of wake events due at one cycle, in seq order.
-type fifo struct {
-	evs  []event
-	head int
-}
-
-// prune drops stale events (staleness is permanent) off the front and
-// reports whether a valid one is left.
-func (f *fifo) prune() bool {
-	for ; f.head < len(f.evs); f.head++ {
-		if eventValid(f.evs[f.head]) {
-			return true
-		}
-	}
-	f.reset()
-	return false
-}
-
-func (f *fifo) reset() { f.evs, f.head = f.evs[:0], 0 }
 
 func newSeqEngine(s *Simulation) *seqEngine {
 	return &seqEngine{sim: s}
 }
 
-func (e *seqEngine) now(p *Process) Time { return e.nowT }
+func (e *seqEngine) now(p *Process) Time { return p.seq.clock }
 
-// schedule queues a wake of p at time at, routed by its due time.
-func (e *seqEngine) schedule(at Time, p *Process, episode uint64) {
-	e.seq++
-	ev := event{at: at, seq: e.seq, proc: p, episode: episode}
-	switch at {
-	case e.nowT:
-		e.wakes.cur.evs = append(e.wakes.cur.evs, ev)
-	case e.nowT + 1:
-		e.wakes.next.evs = append(e.wakes.next.evs, ev)
-	default:
-		e.wakes.far.pushEvent(ev)
+// The view the shared rules read.
+func (e *seqEngine) clock(p *Process) Time             { return p.seq.clock }
+func (e *seqEngine) done(p *Process) bool              { return p.seq.finished }
+func (e *seqEngine) closedAt(c *chanCore) (Time, bool) { return c.closeTime, c.closed }
+func (e *seqEngine) received(c *chanCore) int64        { return c.nRecv }
+func (e *seqEngine) lift(p *Process, t Time)           { p.seq.clock = max(p.seq.clock, t) }
+func (e *seqEngine) headReady(c *chanCore) Time {
+	if c.count == 0 {
+		return timeInf
 	}
+	return c.ready[c.head]
 }
 
-// yield suspends the process's coroutine back to the dispatch loop until
-// a wake event (or Serialized grant) resumes it.
-func (e *seqEngine) yield(p *Process, verb string, ch *chanCore) {
-	sp := &p.seq
-	sp.episode++
-	sp.state = stateWaiting
-	sp.blockedVerb, sp.blockedCh = verb, ch
-	if !sp.yield(struct{}{}) {
+func (e *seqEngine) advance(p *Process, d Time) { p.seq.clock += d }
+
+func (e *seqEngine) advanceTo(p *Process, t Time) { e.lift(p, t) }
+
+// park blocks the running process on ps, yielding its coroutine to the
+// dispatch loop until a waker makes it runnable again.
+func (e *seqEngine) park(p *Process, ps parkState) {
+	p.park = ps
+	if !p.seq.yield(struct{}{}) {
 		panic(errAborted)
 	}
-	sp.blockedVerb, sp.blockedCh = "", nil
+	p.park = parkState{}
 }
 
-// pick pops the next process to run: the earliest valid wake event, or
-// the first Serialized request when it is due no later. It advances the
-// clock to the dispatch time and returns nil when nothing can ever
-// progress again (deadlock).
-//
-// A Serialized request is queued at the current time, and neither pick
-// nor an inline clock move passes a queued request, so every pending
-// request is due now: a wake due now goes first, then the requests.
-func (e *seqEngine) pick() *Process {
-	at, ok := e.earliest()
-	if len(e.pending) > 0 && (!ok || at > e.nowT) {
-		return e.pending.popReq().p
+// wake makes a parked process runnable at its clock lifted to t, the
+// time it adopts when it resumes.
+func (e *seqEngine) wake(q *Process, t Time) {
+	if q.park.kind == parkSel {
+		e.dropSelParked(q)
 	}
-	if !ok {
-		return nil
-	}
-	e.setNow(at)
-	// earliest left a valid event at the front of far or cur.
-	q := &e.wakes
-	if len(q.far) > 0 && q.far[0].at <= e.nowT {
-		return q.far.popEvent().proc
-	}
-	ev := q.cur.evs[q.cur.head]
-	q.cur.head++
-	return ev.proc
+	q.park.kind = parkNone
+	e.lift(q, t)
+	e.runq.push(runEntry{q.seq.clock, q})
 }
 
-// earliest prunes stale events off the queue fronts and returns the due
-// time of the earliest valid one.
-func (e *seqEngine) earliest() (Time, bool) {
-	q := &e.wakes
-	for len(q.far) > 0 && !eventValid(q.far[0]) {
-		q.far.popEvent()
-	}
-	haveFar := len(q.far) > 0
-	switch {
-	case haveFar && q.far[0].at <= e.nowT:
-		return q.far[0].at, true
-	case q.cur.prune():
-		return e.nowT, true
-	case haveFar && q.far[0].at == e.nowT+1 || q.next.prune():
-		return e.nowT + 1, true
-	case haveFar:
-		return q.far[0].at, true
-	}
-	return 0, false
-}
-
-// setNow moves the clock forward to t. No valid event is due before t,
-// so cur holds only stale ones, and so does next unless t is now+1.
-func (e *seqEngine) setNow(t Time) {
-	if t <= e.nowT {
-		return
-	}
-	q := &e.wakes
-	q.cur.reset()
-	if t == e.nowT+1 {
-		q.cur, q.next = q.next, q.cur
-	} else {
-		q.next.reset()
-	}
-	e.nowT = t
-}
-
-// inlineTo moves the clock to t with no dispatch round trip, and reports
-// whether it did, when no other wake or critical section is due at or
-// before t: the dispatcher would pick the caller's own wake at t next.
-func (e *seqEngine) inlineTo(t Time) bool {
-	if at, ok := e.earliest(); len(e.pending) > 0 || ok && at <= t {
+// recheck wakes q if it is parked in a Select whose decision has become
+// decidable, and reports whether it did.
+func (e *seqEngine) recheck(q *Process) bool {
+	if q.park.kind != parkSel {
 		return false
 	}
-	e.setNow(t)
+	_, lift, ok := selDecision(e, q.park.sels, nil)
+	if ok {
+		e.wake(q, lift)
+	}
+	return ok
+}
+
+func (e *seqEngine) dropSelParked(q *Process) {
+	for i, s := range e.selParked {
+		if s == q {
+			e.selParked = append(e.selParked[:i], e.selParked[i+1:]...)
+			return
+		}
+	}
+}
+
+// grantable reports whether a Serialized request at t is first in
+// (time, pid, seq) order beyond doubt: no runnable process's clock is at
+// or below t, and no parked selector could still commit at or below t.
+// Parked processes need no check: whatever wakes one is a process this
+// check already requires to be past t, and channel latency >= 1 puts the
+// wake later still. A blocking selector whose decision has become
+// decidable (its senders' clocks moved past its frontier) is woken here.
+func (e *seqEngine) grantable(t Time) bool {
+	if len(e.runq) > 0 && e.runq[0].t <= t {
+		return false
+	}
+	for _, q := range e.selParked {
+		// A parked selector can commit at the ready time of an element
+		// it already holds once a frontier catches up. New elements can
+		// only arrive from processes past t.
+		if q.seq.clock <= t && selMinHead(e, q.park.sels) <= t {
+			e.recheck(q)
+			return false
+		}
+	}
 	return true
-}
-
-func (e *seqEngine) advance(p *Process, d Time) {
-	nt := e.nowT + d
-	e.stats.Lifts++
-	// Fast path: common whenever the rest of the pipeline is parked on
-	// channels (backpressured or starved), which is exactly when a lone
-	// active stage ticks through its elements.
-	if e.inlineTo(nt) {
-		e.stats.LiftFastPath++
-		return
-	}
-	e.schedule(nt, p, p.seq.episode+1)
-	e.yield(p, "advance", nil)
-}
-
-func (e *seqEngine) advanceTo(p *Process, t Time) {
-	if t > e.nowT {
-		e.advance(p, t-e.nowT)
-	}
 }
 
 func (e *seqEngine) serialized(p *Process, fn func()) {
@@ -354,76 +205,98 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 		panic(errAborted)
 	}
 	e.stats.Grants++
-	// Fast path: with no queued request and no other wake at or before the
-	// current time, this request is first in (time, pid, seq) order — no
-	// other process can act before it, so run inline. This mirrors the
-	// parallel engine's "all other local clocks have passed t" condition.
-	if e.inlineTo(e.nowT) {
+	req := serReq{t: p.seq.clock, pid: p.id, seq: p.seq.serSeq, p: p}
+	p.seq.serSeq++
+	if (len(e.pending) == 0 || serLess(req, e.pending[0])) && e.grantable(req.t) {
 		e.stats.GrantFastPath++
 		fn()
 		return
 	}
-	e.pending.pushReq(serReq{t: e.nowT, pid: p.id, seq: p.seq.serSeq, p: p})
-	p.seq.serSeq++
-	e.yield(p, "serialized", nil)
+	e.pending.pushReq(req)
+	e.park(p, parkState{kind: parkReq, verb: "serialized", reqT: req.t})
 	fn()
 }
 
-func eventValid(ev event) bool {
-	sp := &ev.proc.seq
-	if sp.state == stateFinished || sp.state == stateRunning {
-		return false
+// pick returns the next process to resume: the pending Serialized head
+// when it is grantable, else the runnable process with the lowest
+// (clock, pid), else nil.
+func (e *seqEngine) pick() *Process {
+	if len(e.pending) > 0 && e.grantable(e.pending[0].t) {
+		p := e.pending.popReq().p
+		p.park.kind = parkNone
+		return p
 	}
-	// Episode 0 events are the initial dispatch; otherwise the episode
-	// must match the process's current wait episode.
-	return ev.episode == 0 || ev.episode == sp.episode
+	if len(e.runq) == 0 {
+		return nil
+	}
+	return e.runq.pop()
 }
 
-// wakeQueuePool recycles the wake queues' backing arrays across runs.
-// Entries are zeroed before Put (they hold process pointers).
-var wakeQueuePool = sync.Pool{New: func() any { return new(wakeQueue) }}
+// quiesce runs when nothing is runnable and no request is grantable: it
+// solves the parked processes' next-action bounds, lifting their clocks,
+// and wakes every Select those bounds decide. It reports whether any
+// process can now run; false means deadlock.
+func (e *seqEngine) quiesce() bool {
+	e.stats.Kicks++
+	if len(e.selParked) == 0 {
+		return false
+	}
+	bounds := e.bounds.solve(e, e.sim.procs, e.selParked)
+	woke := false
+	for i := 0; i < len(e.selParked); {
+		q := e.selParked[i]
+		if _, lift, ok := selDecision(e, q.park.sels, bounds); ok {
+			e.wake(q, lift) // drops q from selParked
+			woke = true
+			continue
+		}
+		i++
+	}
+	return woke || len(e.pending) > 0 && e.grantable(e.pending[0].t)
+}
+
+// runQueuePool recycles run-queue backing arrays across runs. Entries are
+// zeroed before Put (they hold process pointers).
+var runQueuePool = sync.Pool{New: func() any { return new(runQueue) }}
 
 func (e *seqEngine) run() (Time, error) {
-	pooled := wakeQueuePool.Get().(*wakeQueue)
-	e.wakes = *pooled
-	// Seeding puts every process's first wake in cur, and a process
-	// seldom has more than one wake queued, so n slots per queue seldom
-	// regrow; one allocation backs all three.
-	n := max(64, len(e.sim.procs))
-	if q := &e.wakes; cap(q.cur.evs) < n || cap(q.next.evs) < n || cap(q.far) < n {
-		buf := make([]event, 3*n)
-		*q = wakeQueue{cur: fifo{evs: buf[:0:n]}, next: fifo{evs: buf[n : n : 2*n]}, far: buf[2*n : 2*n : 3*n], buf: buf}
+	procs := e.sim.procs
+	pooled := runQueuePool.Get().(*runQueue)
+	if cap(*pooled) < len(procs) {
+		*pooled = make(runQueue, 0, max(64, len(procs)))
+	}
+	// Every process starts runnable at time 0; in spawn order the
+	// entries already form a heap.
+	e.runq = (*pooled)[:0]
+	for _, p := range procs {
+		e.runq = append(e.runq, runEntry{0, p})
 	}
 	defer func() {
-		q := &e.wakes
-		for _, s := range [][]event{q.cur.evs, q.next.evs, q.far, q.buf} {
-			clear(s[:cap(s)])
-		}
-		*pooled = wakeQueue{cur: fifo{evs: q.cur.evs[:0]}, next: fifo{evs: q.next.evs[:0]}, far: q.far[:0], buf: q.buf}
-		wakeQueuePool.Put(pooled)
-		e.wakes = wakeQueue{}
+		clear(e.runq[:cap(e.runq)])
+		*pooled = e.runq[:0]
+		runQueuePool.Put(pooled)
+		e.runq = nil
 	}()
-	// Seed: every process starts at time 0 in spawn order.
-	for _, p := range e.sim.procs {
-		e.schedule(0, p, 0)
-	}
-	e.live = len(e.sim.procs)
+	e.live = len(procs)
 	// A process that calls runtime.Goexit ends this goroutine too (see
 	// iter.Pull); the deferred sweep still unwinds the parked rest.
 	defer e.abortAll()
-	for e.live > 0 && e.firstErr == nil {
+	for e.live > 0 && !e.failed {
 		p := e.pick()
 		if p == nil {
-			e.firstErr = e.deadlockError()
+			if e.quiesce() {
+				continue
+			}
+			e.deadlock = deadlockAt(e, procs)
 			break
 		}
 		e.resume(p)
 	}
 	e.abortAll()
-	if e.finish < e.nowT {
-		e.finish = e.nowT
+	if c := schedSink.Load(); c != nil {
+		c.add(e.stats)
 	}
-	return e.finish, e.firstErr
+	return runResult(procs, e.deadlock)
 }
 
 // resume runs p's coroutine, starting it on first dispatch, until it
@@ -433,7 +306,6 @@ func (e *seqEngine) resume(p *Process) {
 	if sp.next == nil {
 		sp.next, sp.stop = pull(p.seqBody)
 	}
-	sp.state = stateRunning
 	e.stats.Woken++
 	if _, more := sp.next(); !more {
 		e.finishProc(p)
@@ -452,9 +324,10 @@ func (p *Process) seqBody(yield func(struct{}) bool) {
 // errAborted so the body's deferred code runs; one never dispatched has
 // no coroutine to stop. It leaves no coroutine goroutine behind.
 func (e *seqEngine) abortAll() {
+	e.failed = true
 	for _, p := range e.sim.procs {
 		sp := &p.seq
-		if sp.state == stateFinished {
+		if sp.finished {
 			continue
 		}
 		sp.aborted = true
@@ -466,45 +339,36 @@ func (e *seqEngine) abortAll() {
 }
 
 // finishProc retires a process whose body has returned or been unwound.
+// A failure ends the run; otherwise the process's frontier is now
+// infinite, which may decide Selects waiting on its channels.
 func (e *seqEngine) finishProc(p *Process) {
 	sp := &p.seq
-	sp.state = stateFinished
+	sp.finished = true
 	sp.next, sp.stop, sp.yield = nil, nil, nil
+	p.finishClock = sp.clock
 	e.live--
-	if e.nowT > e.finish {
-		e.finish = e.nowT
+	if p.err != nil {
+		e.failed = true
 	}
-	if p.err != nil && e.firstErr == nil {
-		e.firstErr = procError(p)
+	if e.failed {
+		return
 	}
-}
-
-func (e *seqEngine) deadlockError() error {
-	var refs []blockedRef
-	for _, p := range e.sim.procs {
-		if p.seq.state == stateFinished {
-			continue
+	for i := 0; i < len(e.selParked); {
+		if q := e.selParked[i]; sendsTo(p, q.park.sels) && e.recheck(q) {
+			continue // recheck dropped q from selParked
 		}
-		refs = append(refs, blockedRef{
-			name: p.Name(),
-			verb: p.seq.blockedVerb,
-			on:   seqBlockedOn(&p.seq),
-		})
+		i++
 	}
-	return deadlockError(e.nowT, refs)
 }
 
-// seqBlockedOn names the resource a blocked process waits on, for
-// grouping deadlock reports. Materialized only once deadlock is certain.
-func seqBlockedOn(sp *seqProc) string {
-	if sp.blockedCh != nil {
-		//lint:allow hotpath deadlock-report formatting; runs once after the engine has already stopped
-		return "chan " + sp.blockedCh.label()
+// sendsTo reports whether p is the bound sender of any of cores.
+func sendsTo(p *Process, cores []*chanCore) bool {
+	for _, c := range cores {
+		if c.sender.Load() == p {
+			return true
+		}
 	}
-	if len(sp.blockedSels) > 0 {
-		return selectLabel(sp.blockedSels)
-	}
-	return ""
+	return false
 }
 
 func (e *seqEngine) schedStats() SchedStats { return e.stats }
@@ -512,58 +376,69 @@ func (e *seqEngine) schedStats() SchedStats { return e.stats }
 // --- channel protocol -------------------------------------------------
 
 func (e *seqEngine) sendReserve(c *chanCore, p *Process) int {
-	if c.closed {
-		panic(fmt.Sprintf("des: send on closed channel %q", c.label()))
-	}
-	for c.count >= c.cap {
-		if c.seqSendWaiter != nil && c.seqSendWaiter != p {
+	if s := c.sender.Load(); s != p {
+		if s != nil {
 			panic(fmt.Sprintf("des: channel %q has two senders", c.label()))
 		}
-		c.seqSendWaiter = p
-		e.yield(p, "send", c)
-		c.seqSendWaiter = nil
+		c.sender.Store(p)
+	}
+	for {
 		if c.closed {
 			panic(fmt.Sprintf("des: send on closed channel %q", c.label()))
 		}
+		if t, ok := c.sendDeadline(c.nSent + 1); ok {
+			// Backpressure time bridging: the send completes no earlier
+			// than the virtual time its ring slot was freed.
+			e.lift(p, t)
+			return c.tail()
+		}
+		c.sendParked, c.sendParkedNeed = p, c.nSent+1-int64(c.cap)
+		e.park(p, parkState{kind: parkSend, verb: "send", ch: c, need: c.sendParkedNeed})
 	}
-	return c.tail()
 }
 
 func (e *seqEngine) sendPublish(c *chanCore, p *Process) {
-	ready := e.nowT + c.latency
+	ready := p.seq.clock + c.latency
 	c.push(ready)
-	if w := c.seqRecvWaiter; w != nil {
-		e.schedule(ready, w, w.seq.episode)
+	if w := c.recvParked; w != nil {
+		// The receiver parked on an empty ring, so this element is its
+		// head: it adopts ready.
+		c.recvParked = nil
+		e.wake(w, ready)
+	}
+	for _, q := range c.selParked {
+		e.recheck(q)
 	}
 }
 
 func (e *seqEngine) recvWait(c *chanCore, p *Process) (int, bool) {
+	if r := c.recver.Load(); r != p {
+		if r != nil {
+			panic(fmt.Sprintf("des: channel %q has two receivers", c.label()))
+		}
+		c.recver.Store(p)
+	}
 	for {
 		if c.count > 0 {
-			if ready := c.ready[c.head]; ready > e.nowT {
-				// Sleep until the head becomes visible.
-				e.schedule(ready, p, p.seq.episode+1)
-				e.yield(p, "recv-latency", c)
-				continue
-			}
+			// Time bridging: adopt the element's visibility time.
+			e.lift(p, c.ready[c.head])
 			return c.head, true
 		}
 		if c.closed {
+			e.lift(p, c.closeTime)
 			return 0, false
 		}
-		if c.seqRecvWaiter != nil && c.seqRecvWaiter != p {
-			panic(fmt.Sprintf("des: channel %q has two receivers", c.label()))
-		}
-		c.seqRecvWaiter = p
-		e.yield(p, "recv", c)
-		c.seqRecvWaiter = nil
+		c.recvParked = p
+		e.park(p, parkState{kind: parkRecv, verb: "recv", ch: c})
 	}
 }
 
 func (e *seqEngine) recvRelease(c *chanCore, p *Process) {
-	c.pop(e.nowT)
-	if w := c.seqSendWaiter; w != nil {
-		e.schedule(e.nowT, w, w.seq.episode)
+	c.pop(p.seq.clock)
+	if w := c.sendParked; w != nil && c.nRecv >= c.sendParkedNeed {
+		// The sender resumes at this dequeue's time.
+		c.sendParked = nil
+		e.wake(w, p.seq.clock)
 	}
 }
 
@@ -573,7 +448,7 @@ func (e *seqEngine) recvRelease(c *chanCore, p *Process) {
 // recvRelease followed by a recvWait that found the element visible.
 func (e *seqEngine) recvMore(c *chanCore, p *Process) (int, bool) {
 	e.recvRelease(c, p)
-	if c.count > 0 && c.ready[c.head] <= e.nowT {
+	if c.count > 0 && c.ready[c.head] <= p.seq.clock {
 		return c.head, true
 	}
 	return 0, false
@@ -583,78 +458,41 @@ func (e *seqEngine) closeChan(c *chanCore, p *Process) {
 	if c.closed {
 		panic(fmt.Sprintf("des: double close of channel %q", c.label()))
 	}
-	c.markClosed(e.nowT)
-	if w := c.seqRecvWaiter; w != nil {
-		e.schedule(e.nowT, w, w.seq.episode)
+	c.closed, c.closeTime = true, p.seq.clock
+	if w := c.recvParked; w != nil {
+		c.recvParked = nil
+		e.wake(w, c.closeTime)
 	}
 	// A sender parked on a full channel must also observe the close (it
 	// panics with the canonical "send on closed channel" report instead
 	// of surfacing as a deadlocked process).
-	if w := c.seqSendWaiter; w != nil {
-		e.schedule(e.nowT, w, w.seq.episode)
+	if w := c.sendParked; w != nil {
+		c.sendParked = nil
+		e.wake(w, 0)
 	}
-}
-
-func (e *seqEngine) setSelWaiter(c *chanCore, p *Process) {
-	if c.seqRecvWaiter != nil && c.seqRecvWaiter != p {
-		panic(fmt.Sprintf("des: channel %q has two receivers", c.label()))
-	}
-	c.seqRecvWaiter = p
-}
-
-func (e *seqEngine) clearSelWaiter(c *chanCore, p *Process) {
-	if c.seqRecvWaiter == p {
-		c.seqRecvWaiter = nil
+	for _, q := range c.selParked {
+		e.recheck(q)
 	}
 }
 
 func (e *seqEngine) sel(p *Process, cores []*chanCore) int {
 	for {
-		best := -1
-		var bestAt Time
-		allDrained := true
-		for i, c := range cores {
-			if !(c.closed && c.count == 0) {
-				allDrained = false
-			}
-			if c.count == 0 {
-				continue
-			}
-			at := c.ready[c.head]
-			if best == -1 || at < bestAt {
-				best, bestAt = i, at
-			}
+		if idx, lift, ok := selDecision(e, cores, nil); ok {
+			e.lift(p, lift)
+			return idx
 		}
-		if best >= 0 {
-			if bestAt > e.nowT {
-				// Wait until the earliest head is visible, but remain
-				// wakeable by earlier arrivals on the other channels.
-				for _, c := range cores {
-					e.setSelWaiter(c, p)
-				}
-				e.schedule(bestAt, p, p.seq.episode+1)
-				p.seq.blockedSels = cores
-				e.yield(p, "select-latency", nil)
-				p.seq.blockedSels = nil
-				for _, c := range cores {
-					e.clearSelWaiter(c, p)
-				}
-				continue
-			}
-			return best
-		}
-		if allDrained {
-			return -1
-		}
-		// Nothing queued anywhere: park on all channels.
 		for _, c := range cores {
-			e.setSelWaiter(c, p)
+			c.selParked = append(c.selParked, p)
 		}
-		p.seq.blockedSels = cores
-		e.yield(p, "select", nil)
-		p.seq.blockedSels = nil
+		e.selParked = append(e.selParked, p)
+		e.park(p, parkState{kind: parkSel, verb: "select", sels: cores})
 		for _, c := range cores {
-			e.clearSelWaiter(c, p)
+			for i, q := range c.selParked {
+				if q == p {
+					c.selParked = append(c.selParked[:i], c.selParked[i+1:]...)
+					break
+				}
+			}
 		}
 	}
 }

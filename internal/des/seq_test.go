@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// TestSeqSchedStatsPipe pins the sequential engine's dispatch counters
-// for the 5000-element producer/consumer pipe. Every element costs one
-// clock-moving Advance on each side and two coroutine resumes (the
-// producer and consumer alternate); the inline-advance fast path fires
-// only once, at the end, when the consumer is alone. The counters are a
-// pure function of the program, so repeated runs must agree exactly.
+// TestSeqSchedStatsPipe pins the sequential engine's counters for the
+// 5000-element producer/consumer pipe on a capacity-16 channel. Advance
+// is a local clock bump, so a process runs until it blocks: the producer
+// fills the ring and parks, the consumer drains it and parks, and each
+// round moves 16 elements for two coroutine resumes (313 rounds). The
+// counters are a pure function of the program, so repeated runs must
+// agree exactly.
 func TestSeqSchedStatsPipe(t *testing.T) {
 	const n = 5000
-	want := SchedStats{Lifts: 2 * n, LiftFastPath: 1, Woken: 2*n + 2}
+	want := SchedStats{Woken: 2 * ((n + 15) / 16)}
 	for run := 0; run < 3; run++ {
 		if got := runPipe(n); got != want {
 			t.Fatalf("run %d: SchedStats = %+v, want %+v", run, got, want)
@@ -24,8 +25,7 @@ func TestSeqSchedStatsPipe(t *testing.T) {
 	}
 }
 
-// TestSeqSchedStatsSerialized checks the Serialized grant counters: a
-// lone caller is granted inline, contended same-cycle callers queue.
+// TestSeqSchedStatsSerialized checks the Serialized grant counters.
 func TestSeqSchedStatsSerialized(t *testing.T) {
 	sim := New()
 	for i := 0; i < 3; i++ {
@@ -39,13 +39,29 @@ func TestSeqSchedStatsSerialized(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// At t=0 every process's start is due, so all three first calls
-	// queue (3 starts + 3 grants resumed) and so do the Advances issued
-	// while grants are still pending (3 wakes). The staggered second
-	// calls each run alone and are granted inline.
-	want := SchedStats{Grants: 6, GrantFastPath: 3, Lifts: 3, Woken: 9}
+	// All three start runnable at t=0, so each first call finds another
+	// process at or below its time and queues (3 resumes). Each grant
+	// resumes its process, which advances and queues its second call
+	// behind the remaining t=0 requests (3 resumes), and the second
+	// calls are granted in time order (3 resumes). With no runnable
+	// process left, none of the six is inline.
+	want := SchedStats{Grants: 6, Woken: 9}
 	if got := sim.SchedStats(); got != want {
 		t.Fatalf("SchedStats = %+v, want %+v", got, want)
+	}
+	// A lone caller is granted inline.
+	sim = New()
+	sim.Spawn("s", func(p *Process) error {
+		p.Serialized(func() {})
+		p.Advance(5)
+		p.Serialized(func() {})
+		return nil
+	})
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sim.SchedStats(), (SchedStats{Grants: 2, GrantFastPath: 2, Woken: 1}); got != want {
+		t.Fatalf("lone caller: SchedStats = %+v, want %+v", got, want)
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 // wall-clock interleaving, so a 1-CPU CI runner can assert the same
 // O(waiters-on-this-endpoint) bounds a 64-core box would see.
 //
-// The sequential engine has no wake-up scans, so Kicks and Scanned stay
-// zero there. It counts clock-moving Advance/AdvanceTo calls as Lifts
-// (the inline ones as LiftFastPath), every coroutine resume by its
-// dispatch loop as Woken, and Serialized calls as Grants (the inline ones
-// as GrantFastPath).
+// The sequential engine's counters are a pure function of the program.
+// Its Advance is a plain clock bump with nothing to notify, and it does
+// no wake-up scans, so Lifts, LiftFastPath and Scanned stay zero there. It
+// counts every coroutine resume by its dispatch loop as Woken, each
+// quiescent evaluation (the bound solver run when nothing is runnable) as
+// a Kick, and Serialized calls as Grants (the inline ones as
+// GrantFastPath).
 type SchedStats struct {
 	// Lifts is the number of committed local-clock lifts (Advance,
 	// channel time bridging, Select commits). Every lift must answer
@@ -66,7 +68,7 @@ func (s *SchedStats) Add(o SchedStats) {
 // SchedCollector accumulates SchedStats across simulation runs. Install
 // one with SetSchedCollector to observe runs constructed deep inside a
 // harness (stepctl exp -schedstats aggregates a whole experiment sweep
-// this way); each parallel-engine run adds its totals on completion.
+// this way); each run adds its totals on completion.
 type SchedCollector struct {
 	mu    sync.Mutex
 	total SchedStats
@@ -81,7 +83,7 @@ func (c *SchedCollector) add(s SchedStats) {
 }
 
 // Snapshot returns the accumulated totals and the number of
-// parallel-engine runs that contributed to them.
+// runs that contributed to them.
 func (c *SchedCollector) Snapshot() (SchedStats, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

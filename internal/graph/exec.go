@@ -66,9 +66,8 @@ type Result struct {
 	TotalFLOPs int64
 	// AllocatedComputeBW sums the FLOPs/cycle allocated across operators.
 	AllocatedComputeBW int64
-	// Sched reports the parallel DES engine's scheduler-contention
-	// counters for the run (all zeroes under the sequential engine, whose
-	// dispatch counters des.Simulation.SchedStats reports). Deliberately
+	// Sched reports the DES engine's scheduler counters for the run
+	// (see des.SchedStats for what each engine counts). Deliberately
 	// excluded from result equality: the counters describe how the
 	// engine coordinated, not what the simulation computed.
 	Sched des.SchedStats
@@ -231,9 +230,7 @@ func (g *Graph) run(cfg Config, b *binding) (Result, []any, error) {
 		TotalFLOPs:          counters.FLOPs,
 		AllocatedComputeBW:  g.AllocatedComputeBW(),
 	}
-	if sim.Parallel() {
-		res.Sched = sim.SchedStats()
-	}
+	res.Sched = sim.SchedStats()
 	if err == nil {
 		err = spadErr
 	}

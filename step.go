@@ -148,9 +148,8 @@ type (
 	// Time is the virtual clock in cycles.
 	Time = des.Time
 	// SchedStats is the DES engines' scheduler counter block. Result.Sched
-	// holds the parallel engine's counters for one run and is all zeroes
-	// under the sequential engine. The counters describe how the engine
-	// coordinated, so Result.Equal ignores them.
+	// holds the counters of one run, on either engine. The counters
+	// describe how the engine coordinated, so Result.Equal ignores them.
 	SchedStats = des.SchedStats
 	// SchedCollector aggregates SchedStats across every simulation run in
 	// the process while installed (see SetSchedCollector); tools like
