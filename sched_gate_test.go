@@ -23,7 +23,8 @@ import (
 // The gate asserts scanned/lift <= 10 — a 51x margin over the measured
 // value and still 51x below the pre-shard engine — so it fails loudly if
 // a global scan ever creeps back into the lift path, without flaking on
-// benign scheduling jitter.
+// benign scheduling jitter. It also pins the sequential engine's
+// counters, which are exact, on the same layer and on an attention run.
 func TestSchedStatsGate(t *testing.T) {
 	m := workloads.Qwen3Config().Scaled(8)
 	routing, err := trace.SampleExpertRouting(64, m.NumExperts, m.TopK, trace.SkewHeavy, 7)
@@ -56,19 +57,37 @@ func TestSchedStatsGate(t *testing.T) {
 	if frac := float64(s.LiftFastPath) / float64(s.Lifts); frac < 0.5 {
 		t.Errorf("lift fast-path fraction = %.2f, want >= 0.5 (measured ~0.93)", frac)
 	}
-	// The sequential engine must stay out of the counters entirely.
+	// The sequential engine's counters are a pure function of the
+	// program, so they are pinned exactly: the same MoE layer, and a
+	// dynamic-parallel attention run. Woken counts coroutine resumes,
+	// Kicks the bound-solver runs when nothing was runnable.
 	l2, err := workloads.BuildMoELayer(workloads.MoELayerConfig{
 		Model: m, Batch: 64, Dynamic: true, Routing: routing, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessSeq, err := l2.Program.Run()
+	a, err := workloads.BuildAttention(workloads.AttentionConfig{
+		Model: m, KVLens: trace.SampleKVLengths(64, 2048, trace.VarHigh, 7),
+		Strategy: workloads.DynamicParallel, Regions: 4, KVChunk: 64,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSeq := sessSeq.Result
-	if resSeq.Sched != (step.SchedStats{}) {
-		t.Errorf("sequential engine reported non-zero SchedStats: %+v", resSeq.Sched)
+	for _, tc := range []struct {
+		name string
+		prog *step.Program
+		want step.SchedStats
+	}{
+		{"moe-layer", l2.Program, step.SchedStats{Woken: 8720, Grants: 783}},
+		{"attention", a.Program, step.SchedStats{Kicks: 33, Woken: 5008, Grants: 2217, GrantFastPath: 318}},
+	} {
+		sess, err := tc.prog.Run(step.WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Result.Sched; got != tc.want {
+			t.Errorf("%s: sequential SchedStats = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
