@@ -651,3 +651,30 @@ func TestSerializedPanicUnwinds(t *testing.T) {
 		})
 	}
 }
+
+// TestSelectRequiresBoundSender: a Select input that is empty, open and
+// has no sender (neither bound nor inferred from a send) panics on both
+// engines, since its frontier is unknown.
+func TestSelectRequiresBoundSender(t *testing.T) {
+	for name, mk := range engines() {
+		t.Run(name, func(t *testing.T) {
+			sim := mk()
+			a := NewChan[int](sim, "a", 1, 1)
+			orphan := NewChan[int](sim, "orphan", 1, 1)
+			pa := sim.Spawn("pa", func(p *Process) error {
+				a.Send(p, 1)
+				a.Close(p)
+				return nil
+			})
+			a.BindSender(pa)
+			sim.Spawn("sel", func(p *Process) error {
+				Select(p, a, orphan)
+				return nil
+			})
+			_, err := sim.Run()
+			if err == nil || !strings.Contains(err.Error(), `Select requires a bound sender on channel "orphan"`) {
+				t.Fatalf("err = %v, want the unbound-sender panic", err)
+			}
+		})
+	}
+}

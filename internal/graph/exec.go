@@ -190,11 +190,7 @@ func (g *Graph) run(cfg Config, b *binding) (Result, []any, error) {
 	off := 0
 	for i, s := range g.streams {
 		depth := streamDepth(s)
-		lat := cfg.ChannelLatency
-		if s.latency >= 0 {
-			lat = des.Time(s.latency)
-		}
-		b.chans[i].InitOn(sim, b.chanNames[i], depth, lat,
+		b.chans[i].InitOn(sim, b.chanNames[i], depth, cfg.ChannelLatency,
 			slab.times[2*off:2*off+depth], slab.times[2*off+depth:2*off+2*depth],
 			slab.vals[off:off+depth])
 		off += depth

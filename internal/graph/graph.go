@@ -22,8 +22,6 @@ type Stream struct {
 	cons  *Node
 	// depth overrides the graph's default channel capacity when > 0.
 	depth int
-	// latency overrides the default channel latency when >= 0.
-	latency int
 	// shapeOverridden / dtypeOverridden record programmer overrides so
 	// the program IR can replay them on load.
 	shapeOverridden bool
@@ -141,7 +139,7 @@ func (g *Graph) Errf(format string, args ...any) {
 // NewStream registers a fresh stream produced by node n.
 func (g *Graph) NewStream(prod *Node, sh shape.Shape, dt DType) *Stream {
 	g.checkMutable("NewStream")
-	s := &Stream{id: len(g.streams), g: g, Shape: sh, DType: dt, prod: prod, latency: -1}
+	s := &Stream{id: len(g.streams), g: g, Shape: sh, DType: dt, prod: prod}
 	g.streams = append(g.streams, s)
 	if prod != nil {
 		prod.Outputs = append(prod.Outputs, s)

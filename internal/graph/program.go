@@ -170,7 +170,9 @@ func WithChannelDepth(n int) RunOption {
 	return func(rs *runSettings) { rs.cfg.ChannelDepth = n }
 }
 
-// WithChannelLatency overrides the default FIFO latency in cycles.
+// WithChannelLatency overrides the default FIFO latency in cycles. It
+// must be at least 1 (Run refuses 0): a cycle of latency is what lets
+// Select and Serialized decide identically on every DES engine.
 func WithChannelLatency(t des.Time) RunOption {
 	return func(rs *runSettings) { rs.cfg.ChannelLatency = t }
 }
@@ -212,6 +214,9 @@ func (p *Program) Run(opts ...RunOption) (*Session, error) {
 	rs := runSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
 		o(&rs)
+	}
+	if rs.cfg.ChannelLatency < 1 {
+		return nil, fmt.Errorf("graph: channel latency %d: must be >= 1 for Select and Serialized to decide identically on every engine", rs.cfg.ChannelLatency)
 	}
 	b := p.idle.Swap(nil)
 	if b == nil {

@@ -443,3 +443,23 @@ func TestProgramSeedReachesEveryDecoder(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramRunRefusesZeroLatency: a zero channel latency would let a
+// Select or Serialized decision depend on the engine, so Run refuses it
+// on both engines and runs nothing.
+func TestProgramRunRefusesZeroLatency(t *testing.T) {
+	g, _ := buildDoubler(4)
+	prog, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		s, err := prog.Run(graph.WithChannelLatency(0), graph.WithSimWorkers(workers))
+		if err == nil || s != nil {
+			t.Fatalf("workers=%d: Run with latency 0 = (%v, %v), want an error", workers, s, err)
+		}
+	}
+	if _, err := prog.Run(graph.WithChannelLatency(2)); err != nil {
+		t.Fatalf("latency 2: %v", err)
+	}
+}
