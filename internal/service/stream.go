@@ -56,12 +56,17 @@ type StreamEvent struct {
 // that arrives late replays the buffered prefix instantly and then
 // follows live — every subscriber observes the same sequence. The
 // buffer closes when the terminal done event lands and is bounded by
-// the sweep's row/point count, which MaxHistory bounds in aggregate.
+// the sweep's row/point count. Once a successful job's stream is closed
+// and no subscriber is attached, the buffer shrinks to the done event:
+// the committed entry's journal holds the rows, and later subscribers
+// replay them from there (replayStream), so a finished job keeps no
+// history in memory.
 type broadcast struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	events []StreamEvent
 	closed bool
+	subs   int // attached subscribers
 }
 
 func newBroadcast() *broadcast {
@@ -78,10 +83,38 @@ func (b *broadcast) publish(ev StreamEvent) {
 		b.events = append(b.events, ev)
 		if ev.Type == EventDone {
 			b.closed = true
+			b.compact()
 		}
 	}
 	b.mu.Unlock()
 	b.cond.Broadcast()
+}
+
+// attach registers a subscriber; detach releases it. A subscriber that
+// has attached reads a stable buffer until it detaches.
+func (b *broadcast) attach() {
+	b.mu.Lock()
+	b.subs++
+	b.mu.Unlock()
+}
+
+func (b *broadcast) detach() {
+	b.mu.Lock()
+	b.subs--
+	b.compact()
+	b.mu.Unlock()
+}
+
+// compact drops everything but the done event of a successful, closed
+// stream with no subscriber attached. Callers hold b.mu.
+func (b *broadcast) compact() {
+	if !b.closed || b.subs > 0 || len(b.events) == 1 {
+		return
+	}
+	done := b.events[len(b.events)-1]
+	if done.State == string(StateDone) || done.State == string(StateCached) {
+		b.events = []StreamEvent{done}
+	}
 }
 
 // next returns the event at cursor i, blocking until it exists. ok is
@@ -139,6 +172,8 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
+	j.bc.attach()
+	defer j.bc.detach()
 	stop := j.bc.wakeOn(ctx)
 	defer stop()
 	sawRow := false

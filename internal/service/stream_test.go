@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"step/internal/harness"
+	"step/internal/store"
 )
 
 // openStream connects to a job's NDJSON stream and returns a reader of
@@ -369,5 +372,54 @@ func TestHTTPStreamUnknownJob(t *testing.T) {
 	code, body, _ := get(t, srv.URL+"/sweeps/job-999/stream")
 	if code != http.StatusNotFound {
 		t.Fatalf("GET stream of unknown job: %d %s", code, body)
+	}
+}
+
+// TestHTTPStreamFinishedJobCompacts: once a successful job's stream has
+// closed and its subscribers have detached, the job's buffer holds only
+// the done event, and a later subscriber still receives the full table,
+// replayed from the committed journal.
+func TestHTTPStreamFinishedJobCompacts(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(st, Options{Executors: 1, Workers: 2})
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { srv.Close(); svc.Close() })
+	buffered := func(id string) int {
+		svc.mu.Lock()
+		j := svc.jobs[id]
+		svc.mu.Unlock()
+		j.bc.mu.Lock()
+		defer j.bc.mu.Unlock()
+		return len(j.bc.events)
+	}
+
+	resp, err := http.Post(srv.URL+"/sweeps?name=gqa-ratio&seed=7&quick=1", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := decodeJob(t, resp.Body)
+	resp.Body.Close()
+	sc, closeLive := openStream(t, srv.URL+"/sweeps/"+job.ID+"/stream")
+	live := drainStream(t, sc)
+	if done := live[len(live)-1]; done.State != string(StateDone) {
+		t.Fatalf("terminal state %q (%s), want done", done.State, done.Error)
+	}
+	closeLive()
+	deadline := time.Now().Add(5 * time.Second)
+	for buffered(job.ID) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("finished job still buffers %d events after its subscriber left", buffered(job.ID))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	sc, closeLate := openStream(t, srv.URL+"/sweeps/"+job.ID+"/stream")
+	defer closeLate()
+	late := drainStream(t, sc)
+	if got, want := reassembleStream(t, late).String(), reassembleStream(t, live).String(); got != want {
+		t.Fatalf("replay after compaction diverges:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
