@@ -242,17 +242,18 @@ func (e *seqEngine) quiesce() bool {
 		return false
 	}
 	bounds := e.bounds.solve(e, e.sim.procs, e.selParked)
-	woke := false
 	for i := 0; i < len(e.selParked); {
 		q := e.selParked[i]
 		if _, lift, ok := selDecision(e, q.park.sels, bounds); ok {
 			e.wake(q, lift) // drops q from selParked
-			woke = true
 			continue
 		}
 		i++
 	}
-	return woke || len(e.pending) > 0 && e.grantable(e.pending[0].t)
+	if len(e.pending) > 0 && e.grantable(e.pending[0].t) {
+		return true
+	}
+	return len(e.runq) > 0
 }
 
 // runQueuePool recycles run-queue backing arrays across runs. Entries are
