@@ -24,12 +24,11 @@ type chanCore struct {
 	cap     int
 	latency Time
 
-	// Endpoint bindings. The sequential engine infers endpoints
-	// dynamically (and panics on MPSC misuse); the parallel engine
-	// requires a bound sender on any channel used by Select, and uses
-	// both bindings for conservative frontier/bound propagation. Atomic:
-	// lazily bound on first use under the channel mutex but read
-	// lock-free by the evaluator.
+	// Endpoint bindings. Both engines bind an unbound endpoint on its
+	// first use (and panic on MPSC misuse); Select requires a sender on
+	// every empty open input, and the bound solver follows both bindings.
+	// Atomic: the parallel engine binds lazily under the channel mutex
+	// but reads the bindings lock-free.
 	sender atomic.Pointer[Process]
 	recver atomic.Pointer[Process]
 
@@ -208,10 +207,10 @@ func (c *Chan[T]) Name() string { return c.core.label() }
 // Sent returns the number of elements sent so far.
 func (c *Chan[T]) Sent() int64 { return c.core.nSent }
 
-// BindSender declares p as the channel's only sending process. The
-// parallel engine requires the binding on any channel used by Select (the
-// sender's local clock is the channel's conservative time frontier); the
-// sequential engine uses it only for earlier misuse diagnostics.
+// BindSender declares p as the channel's only sending process. Select
+// needs the sender of every input (its local clock is the input's
+// conservative time frontier); a first send binds it too, but only a
+// binding made before Run covers a Select that may run first.
 func (c *Chan[T]) BindSender(p *Process) *Chan[T] {
 	c.core.sender.Store(p)
 	// The parallel engine's sharded Select triggers walk a sender's
