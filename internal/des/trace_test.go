@@ -222,49 +222,53 @@ func (tr netTrace) pinLine() string {
 	return strings.Join(parts, " ")
 }
 
-const tracePins = "testdata/trace_pins.txt"
+const (
+	tracePins  = "testdata/trace_pins.txt"
+	traceSeeds = 200
+)
 
-// TestSeqTracePinned checks each seed's per-process traces and Serialized
-// order against the committed pins, on the sequential engine and on the
-// parallel engine with two workers. Regenerate with -update only for an
+// TestSeqTracePinned checks each seed's per-process traces and
+// Serialized order against the committed pins, on the sequential engine
+// and on the parallel engine with two workers; one subtest per seed.
+// The pins were generated on the global-clock sequential engine that
+// preceded the local-clock one. Regenerate with -update only for an
 // intended change of the engines' virtual-time semantics.
 func TestSeqTracePinned(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("# seed sha256(serialized log) sha256(process 0 log) ... (first 8 bytes each)\n")
-	lines := map[int]map[int64]string{}
-	for _, workers := range []int{1, 2} {
-		lines[workers] = map[int64]string{}
-		for seed := int64(1); seed <= 100; seed++ {
-			lines[workers][seed] = runNet(t, workers, genNet(seed)).pinLine()
-		}
-	}
-	for seed := int64(1); seed <= 100; seed++ {
-		fmt.Fprintf(&b, "%d %s\n", seed, lines[1][seed])
-	}
-	got := b.String()
-	if *update {
-		if err := os.WriteFile(tracePins, []byte(got), 0o644); err != nil {
+	want := map[string]string{}
+	if !*update {
+		f, err := os.ReadFile(tracePins)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(tracePins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		ws := bufio.NewScanner(strings.NewReader(string(want)))
-		ws.Scan() // header
-		for seed := int64(1); seed <= 100; seed++ {
-			w := ""
-			if ws.Scan() {
-				w = ws.Text()
-			}
-			if g := fmt.Sprintf("%d %s", seed, lines[workers][seed]); g != w {
-				t.Errorf("workers=%d: trace moved:\n got %s\nwant %s", workers, g, w)
+		sc := bufio.NewScanner(strings.NewReader(string(f)))
+		for sc.Scan() {
+			if seed, line, ok := strings.Cut(sc.Text(), " "); ok && seed != "#" {
+				want[seed] = line
 			}
 		}
-		if ws.Scan() {
-			t.Errorf("pin file has extra lines from %q", ws.Text())
+		if len(want) != traceSeeds {
+			t.Fatalf("%s pins %d seeds, want %d", tracePins, len(want), traceSeeds)
+		}
+	}
+	var b strings.Builder
+	b.WriteString("# seed sha256(serialized log) sha256(process 0 log) ... (first 8 bytes each)\n")
+	for seed := int64(1); seed <= traceSeeds; seed++ {
+		name := fmt.Sprint(seed)
+		t.Run(name, func(t *testing.T) {
+			ns := genNet(seed)
+			got := runNet(t, 1, ns).pinLine()
+			fmt.Fprintf(&b, "%s %s\n", name, got)
+			if par := runNet(t, 2, ns).pinLine(); par != got {
+				t.Errorf("parallel engine diverges:\n seq %s\n par %s", got, par)
+			}
+			if !*update && got != want[name] {
+				t.Errorf("trace moved:\n got %s\nwant %s", got, want[name])
+			}
+		})
+	}
+	if *update {
+		if err := os.WriteFile(tracePins, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
