@@ -75,12 +75,11 @@ func genNet(seed int64) netSpec {
 	return ns
 }
 
-// netTrace is one run's result: each process's Now log, the Serialized
-// log, and the engine's counters.
+// netTrace is one run's result: each process's Now log and the
+// Serialized log.
 type netTrace struct {
 	procs [][]byte
 	ser   []byte
-	stats SchedStats
 }
 
 // runNet runs ns on a simulation with the given worker count.
@@ -204,7 +203,6 @@ func runNet(t *testing.T, workers int, ns netSpec) netTrace {
 	if _, err := sim.Run(); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	tr.stats = sim.SchedStats()
 	return tr
 }
 
