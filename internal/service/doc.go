@@ -35,17 +35,19 @@
 //	                             with state failed|canceled and an error
 //
 // Rows reassembled in index order are byte-identical to the stored
-// table (`stepctl watch` does exactly this). Subscribers of a running
-// job observe the same event sequence: events buffer per job, late
-// subscribers replay the buffered prefix and then follow live. Jobs
-// whose stream holds no rows — cached submissions, single-flight
-// followers, and successful jobs whose buffer was dropped once their
-// stream closed with no subscriber attached, so a finished job keeps
-// no history in memory — replay the start and row events (no progress
-// events) from the store's row journal, which
-// every entry carries whether the service or `stepctl sweep -cache`
-// wrote it. There is no fallback to the rendered CSV: an entry whose
-// journal cannot be read ends its stream with a failed done event.
+// table (`stepctl watch` does exactly this). Every subscriber of a job
+// observes the same event sequence: events buffer per job, late
+// subscribers replay the buffered prefix and then follow live. Once a
+// successful job's stream has closed with no subscriber attached, its
+// buffer keeps only the done event and the order of the others, and
+// later subscribers get the same sequence with the rows read back from
+// the store's row journal, so a finished job keeps almost no history
+// in memory. Jobs that finished without broadcasting rows — cached
+// submissions, single-flight followers — replay the journal's start
+// and row events (no progress events). Every entry carries the
+// journal, whether the service or `stepctl sweep -cache` wrote it.
+// There is no fallback to the rendered CSV: an entry whose journal
+// cannot be read ends its stream with a failed done event.
 //
 // Invariants:
 //

@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"sync"
+
+	"step/internal/store"
 )
 
 // Stream event types, in the order a successful stream delivers them:
@@ -57,9 +60,10 @@ type StreamEvent struct {
 // follows live — every subscriber observes the same sequence. The
 // buffer closes when the terminal done event lands and is bounded by
 // the sweep's row/point count. Once a successful job's stream is closed
-// and no subscriber is attached, the buffer shrinks to the done event:
-// the committed entry's journal holds the rows, and later subscribers
-// replay them from there (replayStream), so a finished job keeps no
+// and no subscriber is attached, the buffer shrinks to the done event
+// plus order, one int32 per earlier event: the committed entry's
+// journal holds the rows, and later subscribers replay the same
+// sequence from there (replayStream), so a finished job keeps almost no
 // history in memory.
 type broadcast struct {
 	mu     sync.Mutex
@@ -67,7 +71,14 @@ type broadcast struct {
 	events []StreamEvent
 	closed bool
 	subs   int // attached subscribers
+	// order is the compacted sequence before the done event, nil until
+	// compaction: startMark, a row's index, or a progress event's
+	// negated PointsDone.
+	order []int32
 }
+
+// startMark stands for the start event in broadcast.order.
+const startMark = math.MinInt32
 
 func newBroadcast() *broadcast {
 	b := &broadcast{}
@@ -105,16 +116,35 @@ func (b *broadcast) detach() {
 	b.mu.Unlock()
 }
 
-// compact drops everything but the done event of a successful, closed
-// stream with no subscriber attached. Callers hold b.mu.
+// compact reduces a successful, closed stream with no subscriber
+// attached to its done event and order. Callers hold b.mu.
 func (b *broadcast) compact() {
 	if !b.closed || b.subs > 0 || len(b.events) == 1 {
 		return
 	}
 	done := b.events[len(b.events)-1]
-	if done.State == string(StateDone) || done.State == string(StateCached) {
-		b.events = []StreamEvent{done}
+	if done.State != string(StateDone) && done.State != string(StateCached) {
+		return
 	}
+	order := make([]int32, 0, len(b.events)-1)
+	for _, ev := range b.events[:len(b.events)-1] {
+		switch ev.Type {
+		case EventStart:
+			order = append(order, startMark)
+		case EventRow:
+			order = append(order, int32(ev.Index))
+		case EventProgress:
+			order = append(order, -int32(ev.PointsDone))
+		}
+	}
+	b.events, b.order = []StreamEvent{done}, order
+}
+
+// replayOrder returns the compacted order, or nil.
+func (b *broadcast) replayOrder() []int32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.order
 }
 
 // next returns the event at cursor i, blocking until it exists. ok is
@@ -187,7 +217,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		if ev.Type == EventDone && !sawRow &&
 			(ev.State == string(StateDone) || ev.State == string(StateCached)) {
-			s.replayStream(write, j, ev)
+			s.replayStream(write, j, ev, j.bc.replayOrder())
 			return
 		}
 		if !write(ev) {
@@ -199,12 +229,14 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// replayStream synthesizes the start/row sequence of a successful job
-// whose broadcast buffered no rows from the entry's journal — exactly
-// the original stream, coords included — then writes the terminal
-// event. A journal that cannot be read turns the terminal event into a
-// failure naming the store's error.
-func (s *Service) replayStream(write func(StreamEvent) bool, j *job, terminal StreamEvent) {
+// replayStream synthesizes the stream of a successful job whose
+// broadcast holds no rows from the entry's journal — exactly the
+// original stream, coords included — then writes the terminal event.
+// order, when the broadcast was compacted, is the original sequence,
+// progress events included; otherwise the journal's order is used and
+// there are no progress events. A journal that cannot be read turns the
+// terminal event into a failure naming the store's error.
+func (s *Service) replayStream(write func(StreamEvent) bool, j *job, terminal StreamEvent, order []int32) {
 	recs, err := s.st.ReadRows(j.key)
 	if err != nil {
 		terminal.State = string(StateFailed)
@@ -212,24 +244,46 @@ func (s *Service) replayStream(write func(StreamEvent) bool, j *job, terminal St
 		write(terminal)
 		return
 	}
-	for _, rec := range recs {
+	var start *store.JournalRecord
+	rows := make(map[int32]*store.JournalRecord, len(recs))
+	journalOrder := order == nil
+	for i := range recs {
+		rec := &recs[i]
 		switch rec.Type {
 		case "start":
-			if !write(StreamEvent{
-				Type: EventStart, JobID: j.id, SpecID: rec.SpecID, Key: j.key,
-				Title: rec.Title, Header: rec.Header,
-				RowsTotal: rec.Rows, PointsTotal: rec.Points,
-			}) {
-				return
+			start = rec
+			if journalOrder {
+				order = append(order, startMark)
 			}
 		case "row":
-			if !write(StreamEvent{Type: EventRow, Index: rec.Index, Cells: rec.Cells, Coords: rec.Coords}) {
-				return
+			rows[int32(rec.Index)] = rec
+			if journalOrder {
+				order = append(order, int32(rec.Index))
 			}
 		case "done":
 			if len(terminal.Notes) == 0 {
 				terminal.Notes = rec.Notes
 			}
+		}
+	}
+	for _, o := range order {
+		var ev StreamEvent
+		switch {
+		case o == startMark && start != nil:
+			ev = StreamEvent{
+				Type: EventStart, JobID: j.id, SpecID: start.SpecID, Key: j.key,
+				Title: start.Title, Header: start.Header,
+				RowsTotal: start.Rows, PointsTotal: start.Points,
+			}
+		case o >= 0 && rows[o] != nil:
+			ev = StreamEvent{Type: EventRow, Index: rows[o].Index, Cells: rows[o].Cells, Coords: rows[o].Coords}
+		case o < 0 && o != startMark:
+			ev = StreamEvent{Type: EventProgress, PointsDone: int(-o)}
+		default:
+			continue
+		}
+		if !write(ev) {
+			return
 		}
 	}
 	write(terminal)
