@@ -117,7 +117,6 @@ type Simulation struct {
 	// replaced, never grown, so handed-out *Process pointers stay valid.
 	slab    []Process
 	eng     engine
-	workers int
 	started bool
 	finish  Time
 }
@@ -131,26 +130,14 @@ func New() *Simulation { return NewWithWorkers(1) }
 // goroutine per process and relies on the Go scheduler to spread them
 // over up to GOMAXPROCS cores).
 func NewWithWorkers(workers int) *Simulation {
-	s := &Simulation{workers: workers}
+	s := &Simulation{}
 	if workers > 1 {
 		s.eng = newParEngine(s)
 	} else {
-		s.eng = newSeqEngine(s)
+		s.eng = &seqEngine{sim: s}
 	}
 	return s
 }
-
-// Workers returns the worker count the simulation was created with
-// (normalized to 1 for the sequential engine).
-func (s *Simulation) Workers() int {
-	if s.workers > 1 {
-		return s.workers
-	}
-	return 1
-}
-
-// Parallel reports whether the conservative parallel engine is active.
-func (s *Simulation) Parallel() bool { return s.workers > 1 }
 
 // Spawn registers a process. The function runs when Run is called; its
 // returned error aborts the simulation. Spawn must not be called after Run.

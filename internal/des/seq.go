@@ -111,10 +111,6 @@ type seqEngine struct {
 	stats     SchedStats
 }
 
-func newSeqEngine(s *Simulation) *seqEngine {
-	return &seqEngine{sim: s}
-}
-
 func (e *seqEngine) now(p *Process) Time { return p.seq.clock }
 
 // The view the shared rules read.

@@ -22,8 +22,9 @@
 //
 // Determinism: channel latency is at least 1 (Program.Run refuses
 // WithChannelLatency(0)), and every stream binds its producer and
-// consumer, so a graph produces identical Results under the sequential and the conservative-parallel
-// DES engine at any worker count (WithSimWorkers). The experiment
+// consumer, so a graph produces identical Results under the sequential
+// and the conservative-parallel DES engine at any worker count
+// (WithSimWorkers). The experiment
 // harness and scenario sweeps rely on this to certify byte-identical
 // tables across the engine matrix. stepvet (make lint) certifies the
 // static half: the determinism analyzer rejects order-leaking map
