@@ -99,7 +99,8 @@
 // slabs until Run has returned. The engine's own recycling is limited
 // to storage with no user-visible identity: the pooled backing array
 // of the sequential engine's run queue (pointer slots cleared before
-// returning it to the pool) and the per-process Select scratch buffer. Elements themselves are never recycled by this
-// package — whatever values flow through channels are owned by the
-// processes that sent them.
+// returning it to the pool) and the per-process Select scratch buffer.
+// Elements themselves are never recycled by this package — whatever
+// values flow through channels are owned by the processes that sent
+// them.
 package des
