@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/trace_pins.txt")
+var update = flag.Bool("update", false, "rewrite the pin files under testdata")
 
 // --- per-process trace pins ---------------------------------------------
 //
@@ -76,10 +76,14 @@ func genNet(seed int64) netSpec {
 }
 
 // netTrace is one run's result: each process's Now log and the
-// Serialized log.
+// Serialized log. A sequential run also keeps the dispatch log, every
+// process's log entries as (pid, Now) in the order they were made, and
+// the engine's counters.
 type netTrace struct {
 	procs [][]byte
 	ser   []byte
+	order []byte
+	stats SchedStats
 }
 
 // runNet runs ns on a simulation with the given worker count.
@@ -90,6 +94,10 @@ func runNet(t *testing.T, workers int, ns netSpec) netTrace {
 	// tr.procs is sized before Run; each process appends only to its own log.
 	rec := func(p *Process) {
 		tr.procs[p.ID()] = binary.LittleEndian.AppendUint64(tr.procs[p.ID()], uint64(p.Now()))
+		if workers == 1 {
+			tr.order = binary.LittleEndian.AppendUint32(tr.order, uint32(p.ID()))
+			tr.order = binary.LittleEndian.AppendUint64(tr.order, uint64(p.Now()))
+		}
 	}
 	serialize := func(p *Process, st stageSpec, k int) {
 		if st.ser == 0 || k%st.ser != 0 {
@@ -203,6 +211,7 @@ func runNet(t *testing.T, workers int, ns netSpec) netTrace {
 	if _, err := sim.Run(); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
+	tr.stats = sim.SchedStats()
 	return tr
 }
 
@@ -268,5 +277,52 @@ func TestSeqTracePinned(t *testing.T) {
 		if err := os.WriteFile(tracePins, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+const dispatchPins = "testdata/dispatch_order.txt"
+
+// TestSeqDispatchOrderPinned checks each seed's sequential dispatch log
+// and work counters against the committed pins. The dispatch order is
+// the local-clock engine's (lowest (clock, pid) first, a process running
+// until it blocks); unlike the traces it is not shared with the parallel
+// engine. Regenerate with -update only for an intended change of
+// dispatch order.
+func TestSeqDispatchOrderPinned(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# seed sha256(dispatch log) entries Woken Kicks Grants GrantFastPath\n")
+	for seed := int64(1); seed <= 64; seed++ {
+		tr := runNet(t, 1, genNet(seed))
+		sum := sha256.Sum256(tr.order)
+		st := tr.stats
+		fmt.Fprintf(&b, "%d %s %d %d %d %d %d\n", seed, hex.EncodeToString(sum[:]), len(tr.order)/12,
+			st.Woken, st.Kicks, st.Grants, st.GrantFastPath)
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(dispatchPins, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(dispatchPins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gs, ws := bufio.NewScanner(strings.NewReader(got)), bufio.NewScanner(strings.NewReader(string(want)))
+	for gs.Scan() {
+		w := ""
+		if ws.Scan() {
+			w = ws.Text()
+		}
+		if gs.Text() != w {
+			t.Errorf("dispatch order moved:\n got %s\nwant %s", gs.Text(), w)
+		}
+	}
+	if ws.Scan() {
+		t.Errorf("pin file has extra lines from %q", ws.Text())
 	}
 }

@@ -7,81 +7,79 @@ import (
 	"testing"
 )
 
-// refDispatcher is the sequential engine's dispatcher as a single
-// (time, seq) binary heap: the reference the three-queue wakeQueue must
-// match pop for pop.
+// refDispatcher is the sequential engine's dispatch rule written as
+// linear scans over unordered lists: the reference the engine's run
+// queue and Serialized request heap must match pick for pick. Runnable
+// processes go in (clock, pid) order, requests in (time, pid, seq)
+// order. Parked selectors in the model hold no elements, so they never
+// hold back a grant.
 type refDispatcher struct {
-	nowT    Time
-	seq     uint64
-	events  eventHeap
-	pending serHeap
+	runnable []runEntry
+	pending  []serReq
 }
 
-func (r *refDispatcher) schedule(at Time, p *Process, episode uint64) {
-	r.seq++
-	r.events.pushEvent(event{at: at, seq: r.seq, proc: p, episode: episode})
+func refRunLess(a, b runEntry) bool {
+	return a.t < b.t || a.t == b.t && a.p.id < b.p.id
 }
 
-func (r *refDispatcher) hasValidEventAtOrBefore(t Time) bool {
-	for len(r.events) > 0 {
-		if !eventValid(r.events[0]) {
-			r.events.popEvent()
-			continue
+func refSerLess(a, b serReq) bool {
+	return a.t < b.t || a.t == b.t && (a.pid < b.pid || a.pid == b.pid && a.seq < b.seq)
+}
+
+func (r *refDispatcher) grantable(t Time) bool {
+	for _, re := range r.runnable {
+		if re.t <= t {
+			return false
 		}
-		return r.events[0].at <= t
 	}
-	return false
-}
-
-func (r *refDispatcher) pick() *Process {
-	haveEv := r.hasValidEventAtOrBefore(timeInf)
-	switch {
-	case haveEv && (len(r.pending) == 0 || r.events[0].at <= r.pending[0].t):
-		ev := r.events.popEvent()
-		if ev.at > r.nowT {
-			r.nowT = ev.at
-		}
-		return ev.proc
-	case len(r.pending) > 0:
-		return r.pending.popReq().p
-	}
-	return nil
-}
-
-func (r *refDispatcher) inlineTo(t Time) bool {
-	if len(r.pending) > 0 || r.hasValidEventAtOrBefore(t) {
-		return false
-	}
-	r.nowT = t
 	return true
 }
 
-// validEvents lists the dispatchable events in (time, seq) order.
-func validEvents(evs ...[]event) []event {
-	var out []event
-	for _, s := range evs {
-		for _, ev := range s {
-			if eventValid(ev) {
-				out = append(out, ev)
-			}
+func (r *refDispatcher) firstPending() int {
+	best := -1
+	for i, q := range r.pending {
+		if best < 0 || refSerLess(q, r.pending[best]) {
+			best = i
 		}
 	}
-	slices.SortFunc(out, func(a, b event) int {
-		if eventLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-	return out
+	return best
 }
 
-// TestWakeQueueMatchesHeap drives the sequential engine's dispatcher and
-// refDispatcher through the same seeded operation sequences: wakes due
-// now, one cycle ahead and further out; inline clock moves (the Advance
-// and Serialized fast paths); wakes made stale by a process running,
-// re-parking or finishing; and pending Serialized requests. After every
-// step both must agree on the process picked, the clock, and the exact
-// set of dispatchable events left.
+func (r *refDispatcher) pick() *Process {
+	if i := r.firstPending(); i >= 0 && r.grantable(r.pending[i].t) {
+		p := r.pending[i].p
+		r.pending = slices.Delete(r.pending, i, i+1)
+		return p
+	}
+	best := -1
+	for i, re := range r.runnable {
+		if best < 0 || refRunLess(re, r.runnable[best]) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	p := r.runnable[best].p
+	r.runnable = slices.Delete(r.runnable, best, best+1)
+	return p
+}
+
+// wakeCoverage counts the dispatcher paths a model run took: grants of a
+// queued request, Serialized calls granted inline and queued, wakes that
+// lifted a clock and wakes that did not, and selector wakes.
+type wakeCoverage struct {
+	grants, inline, queued, lifted, unlifted, selWakes int
+}
+
+// TestWakeQueueMatchesHeap drives the sequential engine's wake path (the
+// run queue, the Serialized request heap and the grant rule) and
+// refDispatcher through the same seeded operation sequences: wakes that
+// lift a parked process's clock or leave it, Advance, Serialized calls
+// granted inline or queued, processes parking on a channel or in a
+// Select, and processes finishing. After every step both must agree on
+// the process picked, its clock, the runnable set, the pending requests
+// and the parked selectors, and both heaps must keep their order.
 func TestWakeQueueMatchesHeap(t *testing.T) {
 	var cov wakeCoverage
 	for seed := int64(1); seed <= 200; seed++ {
@@ -89,18 +87,11 @@ func TestWakeQueueMatchesHeap(t *testing.T) {
 	}
 	// Every dispatcher path must have been exercised.
 	t.Logf("%+v", cov)
-	for _, n := range []int{cov.sameCycle, cov.nextCycle, cov.jump, cov.grants, cov.inline, cov.queued} {
+	for _, n := range []int{cov.grants, cov.inline, cov.queued, cov.lifted, cov.unlifted, cov.selWakes} {
 		if n == 0 {
 			t.Fatalf("a dispatcher path went unexercised: %+v", cov)
 		}
 	}
-}
-
-// wakeCoverage counts the dispatcher paths a model run took: picks at the
-// current cycle, one cycle ahead and further out, Serialized grants, and
-// fast-path clock moves taken and refused.
-type wakeCoverage struct {
-	sameCycle, nextCycle, jump, grants, inline, queued int
 }
 
 func runWakeQueueModel(t *testing.T, seed int64, cov *wakeCoverage) {
@@ -108,118 +99,146 @@ func runWakeQueueModel(t *testing.T, seed int64, cov *wakeCoverage) {
 	procs := make([]*Process, 2+rng.Intn(7))
 	e := &seqEngine{}
 	ref := &refDispatcher{}
-	schedule := func(at Time, p *Process, episode uint64) {
-		e.schedule(at, p, episode)
-		ref.schedule(at, p, episode)
-	}
 	for i := range procs {
 		procs[i] = &Process{id: i}
-		schedule(0, procs[i], 0)
+		e.runq.push(runEntry{0, procs[i]})
+		ref.runnable = append(ref.runnable, runEntry{0, procs[i]})
 	}
-	delays := []Time{0, 0, 1, 1, 1, 1, 2, 3, 7}
+	var selParked []*Process
+	delays := []Time{0, 1, 1, 1, 2, 3, 7}
+	ids := func(ps []*Process) []int {
+		out := make([]int, len(ps))
+		for i, p := range ps {
+			out[i] = p.id
+		}
+		slices.Sort(out)
+		return out
+	}
 	check := func(step int, what string) {
 		t.Helper()
-		if e.nowT != ref.nowT {
-			t.Fatalf("step %d (%s): clock %d, reference %d", step, what, e.nowT, ref.nowT)
+		for i := 1; i < len(e.runq); i++ {
+			if runLess(e.runq[i], e.runq[(i-1)/2]) {
+				t.Fatalf("step %d (%s): run queue out of heap order at %d", step, what, i)
+			}
 		}
-		q := &e.wakes
-		got := validEvents(q.cur.evs[q.cur.head:], q.next.evs[q.next.head:], q.far)
-		want := validEvents(ref.events)
+		for i := 1; i < len(e.pending); i++ {
+			if serLess(e.pending[i], e.pending[(i-1)/2]) {
+				t.Fatalf("step %d (%s): request heap out of order at %d", step, what, i)
+			}
+		}
+		got, want := slices.Clone([]runEntry(e.runq)), slices.Clone(ref.runnable)
+		for _, s := range [][]runEntry{got, want} {
+			slices.SortFunc(s, func(a, b runEntry) int {
+				if refRunLess(a, b) {
+					return -1
+				}
+				return 1
+			})
+		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("step %d (%s): dispatchable events\n got %v\nwant %v", step, what, got, want)
+			t.Fatalf("step %d (%s): runnable\n got %v\nwant %v", step, what, got, want)
 		}
-		for _, ev := range q.cur.evs[q.cur.head:] {
-			if ev.at != e.nowT {
-				t.Fatalf("step %d (%s): cur holds an event due at %d, clock %d", step, what, ev.at, e.nowT)
-			}
+		gotReq, wantReq := slices.Clone([]serReq(e.pending)), slices.Clone(ref.pending)
+		for _, s := range [][]serReq{gotReq, wantReq} {
+			slices.SortFunc(s, func(a, b serReq) int {
+				if refSerLess(a, b) {
+					return -1
+				}
+				return 1
+			})
 		}
-		for _, ev := range q.next.evs[q.next.head:] {
-			if ev.at != e.nowT+1 {
-				t.Fatalf("step %d (%s): next holds an event due at %d, clock %d", step, what, ev.at, e.nowT)
-			}
+		if !slices.Equal(gotReq, wantReq) {
+			t.Fatalf("step %d (%s): pending requests\n got %v\nwant %v", step, what, gotReq, wantReq)
+		}
+		if g, w := ids(e.selParked), ids(selParked); !slices.Equal(g, w) {
+			t.Fatalf("step %d (%s): parked selectors %v, reference %v", step, what, g, w)
 		}
 	}
-	// park ends p's turn like the engine's yield: a new wait episode, so
-	// every wake queued for an earlier one is stale.
-	park := func(p *Process) {
-		p.seq.episode++
-		p.seq.state = stateWaiting
+	// wake makes a parked process runnable at its clock lifted to at, in
+	// the engine and the reference.
+	wake := func(w *Process, at Time) {
+		want := max(w.seq.clock, at)
+		if want > w.seq.clock {
+			cov.lifted++
+		} else {
+			cov.unlifted++
+		}
+		if w.park.kind == parkSel {
+			cov.selWakes++
+			selParked = slices.DeleteFunc(selParked, func(q *Process) bool { return q == w })
+		}
+		ref.runnable = append(ref.runnable, runEntry{want, w})
+		e.wake(w, at)
+		if w.seq.clock != want || w.park.kind != parkNone {
+			t.Fatalf("wake of %d at %d: clock %d park %d, want clock %d running", w.id, at, w.seq.clock, w.park.kind, want)
+		}
+	}
+	// wakeable reports whether a channel or a Select can wake w: it is
+	// parked, but not on a Serialized request, which only a grant ends.
+	wakeable := func(w *Process) bool {
+		return !w.seq.finished && w.park.kind != parkNone && w.park.kind != parkReq
 	}
 	for step := 0; step < 400; step++ {
-		before, grants := e.nowT, len(e.pending)
+		queued := len(e.pending)
 		p, rp := e.pick(), ref.pick()
 		if p != rp {
 			t.Fatalf("step %d: picked %v, reference %v", step, p, rp)
 		}
 		check(step, "pick")
-		switch {
-		case p == nil:
-			// Everyone is parked: wake one from outside, or stop
-			// once every process has finished.
-			for _, w := range procs {
-				if w.seq.state == stateWaiting {
-					schedule(e.nowT+delays[rng.Intn(len(delays))], w, w.seq.episode)
-					break
-				}
-			}
-			if len(e.wakes.cur.evs)+len(e.wakes.next.evs)+len(e.wakes.far) == 0 {
+		if p == nil {
+			// Everyone is parked or finished: wake one from outside, or
+			// stop once every process has finished.
+			i := slices.IndexFunc(procs, wakeable)
+			if i < 0 {
 				return
 			}
+			wake(procs[i], procs[i].seq.clock+delays[rng.Intn(len(delays))])
+			check(step, "outside wake")
 			continue
-		case len(e.pending) < grants:
-			cov.grants++
-		case e.nowT == before:
-			cov.sameCycle++
-		case e.nowT == before+1:
-			cov.nextCycle++
-		default:
-			cov.jump++
 		}
-		p.seq.state = stateRunning
-		// The running process acts until it parks or finishes.
+		if len(e.pending) < queued {
+			cov.grants++
+		}
+		if p.park.kind != parkNone {
+			t.Fatalf("step %d: picked process %d is still parked (%d)", step, p.id, p.park.kind)
+		}
+		// The picked process acts until it parks or finishes.
 		for turn := true; turn; {
 			switch op := rng.Intn(100); {
-			case op < 40: // wake another process, like a send or a close
-				if w := procs[rng.Intn(len(procs))]; w.seq.state == stateWaiting {
-					ep := w.seq.episode
-					if ep > 1 && rng.Intn(4) == 0 {
-						ep-- // a wake for an episode already over
-					}
-					schedule(e.nowT+delays[rng.Intn(len(delays))], w, ep)
+			case op < 35: // wake another process, like a send or a close
+				if w := procs[rng.Intn(len(procs))]; wakeable(w) {
+					wake(w, p.seq.clock+1+delays[rng.Intn(len(delays))])
 				}
-			case op < 65: // Advance
-				nt := e.nowT + delays[rng.Intn(len(delays))]
-				in, rin := e.inlineTo(nt), ref.inlineTo(nt)
+			case op < 55: // Advance
+				e.advance(p, delays[rng.Intn(len(delays))])
+			case op < 75: // Serialized: granted inline, or queued until granted
+				req := serReq{t: p.seq.clock, pid: p.id, seq: p.seq.serSeq, p: p}
+				p.seq.serSeq++
+				i := ref.firstPending()
+				in := (len(e.pending) == 0 || serLess(req, e.pending[0])) && e.grantable(req.t)
+				rin := (i < 0 || refSerLess(req, ref.pending[i])) && ref.grantable(req.t)
 				if in != rin {
-					t.Fatalf("step %d: inline advance to %d: %v, reference %v", step, nt, in, rin)
+					t.Fatalf("step %d: inline grant at %d: %v, reference %v", step, req.t, in, rin)
 				}
-				check(step, "advance")
 				if in {
 					cov.inline++
-				} else {
-					cov.queued++
-					schedule(nt, p, p.seq.episode+1)
-					park(p)
-					turn = false
+					continue
 				}
-			case op < 85: // Serialized
-				in, rin := e.inlineTo(e.nowT), ref.inlineTo(ref.nowT)
-				if in != rin {
-					t.Fatalf("step %d: inline grant: %v, reference %v", step, in, rin)
-				}
-				if !in {
-					r := serReq{t: e.nowT, pid: p.id, seq: p.seq.serSeq, p: p}
-					p.seq.serSeq++
-					e.pending.pushReq(r)
-					ref.pending.pushReq(r)
-					park(p)
-					turn = false
-				}
+				cov.queued++
+				e.pending.pushReq(req)
+				ref.pending = append(ref.pending, req)
+				p.park = parkState{kind: parkReq, verb: "serialized", reqT: req.t}
+				turn = false
+			case op < 85: // park in a Select
+				p.park = parkState{kind: parkSel, verb: "select"}
+				e.selParked = append(e.selParked, p)
+				selParked = append(selParked, p)
+				turn = false
 			case op < 99: // park on a channel until someone wakes it
-				park(p)
+				p.park = parkState{kind: parkRecv, verb: "recv"}
 				turn = false
 			default:
-				p.seq.state = stateFinished
+				p.seq.finished = true
 				turn = false
 			}
 		}
