@@ -45,6 +45,15 @@
 // program; testdata/ir/paper-*.json pins one of each. Only a custom Go
 // closure makes a program inexpressible, and IR names its node.
 //
+// Each operator kind is one entry of the ops package's op table
+// (registerOp): its name, its typed attrs and their bounds, its input
+// count, and a build calling the exported constructor. The entry
+// registers the kind's decoder here (RegisterIROp) and is the only way
+// a constructor records a node's IR (Node.SetIR), so encoding refuses
+// attrs the loader would refuse, with the loader's message. BuildIR
+// replays each node through its decoder, and a rebuilt node records the
+// attrs it decoded, so a loaded program re-encodes as loaded.
+//
 // # The run arena
 //
 // The executor carves every stream channel's ring storage (ready and

@@ -707,7 +707,12 @@ func (g *Graph) EncodeIR(name string) (*ProgramIR, error) {
 		if n.irAttrs != nil {
 			b, err := json.Marshal(n.irAttrs)
 			if err != nil {
-				return nil, fmt.Errorf("ir: node n%d (%s): marshal attrs: %w", n.ID, n.Op.Name(), err)
+				// Name the node as the loader does, and drop the
+				// wrapping encoding/json adds around the attrs' error.
+				for me, ok := err.(*json.MarshalerError); ok; me, ok = err.(*json.MarshalerError) {
+					err = me.Unwrap()
+				}
+				return nil, fmt.Errorf("ir: %s %q: %w", n.irOp, n.Op.Name(), err)
 			}
 			if !bytes.Equal(b, []byte("{}")) && !bytes.Equal(b, []byte("null")) {
 				nir.Attrs = b
@@ -900,7 +905,9 @@ var (
 )
 
 // RegisterIROp registers the decoder for an operator kind. The ops
-// package registers every library operator from its init function.
+// package registers every library operator from its op table. A decoder
+// records the rebuilt node's IR (SetIR): a loaded program re-encodes
+// what its decoders record.
 func RegisterIROp(op string, dec IRDecoder) {
 	irRegistryMu.Lock()
 	defer irRegistryMu.Unlock()
@@ -949,10 +956,6 @@ func BuildIR(ir *ProgramIR) (*Graph, error) {
 		if len(g.nodes) != before+1 {
 			return nil, fmt.Errorf("ir: node %d (%q): decoder created %d nodes, want 1", i, n.Name, len(g.nodes)-before)
 		}
-		// Re-bind the original attributes so load -> encode preserves
-		// provenance forms (seeded random tiles, constant fills) and the
-		// round trip is byte-stable under canonicalization.
-		g.nodes[before].SetIR(n.Op, n.Attrs)
 	}
 	for _, fn := range defers {
 		if err := fn(); err != nil {

@@ -311,6 +311,76 @@ func TestProgramIRGolden(t *testing.T) {
 	}
 }
 
+// TestOpTable holds every registered op kind to the op table's
+// contract: a committed testdata/ir golden (so FuzzProgramIR's seed
+// corpus) has a node of the kind, every such node's attrs re-encode
+// byte-identically after decoding, and an irFamilies program builds a
+// node of the kind in Go that encodes under the kind's name.
+func TestOpTable(t *testing.T) {
+	canon := func(raw json.RawMessage) string {
+		if raw == nil {
+			return ""
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(v)
+		return string(b)
+	}
+	inGolden := map[string]bool{}
+	paths, err := filepath.Glob(filepath.Join("testdata", "ir", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("goldens: %v", err)
+	}
+	for _, path := range paths {
+		ir, err := graph.LoadProgramIR(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := graph.CompileIR(ir)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		re, err := prog.IR()
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", path, err)
+		}
+		for i, n := range ir.Nodes {
+			inGolden[n.Op] = true
+			got := re.Nodes[i]
+			if got.Op != n.Op || got.Name != n.Name || canon(got.Attrs) != canon(n.Attrs) {
+				t.Errorf("%s: %s node %q re-encodes as %s %q %s, want attrs %s",
+					path, n.Op, n.Name, got.Op, got.Name, got.Attrs, n.Attrs)
+			}
+		}
+	}
+	goBuilt := map[string]bool{}
+	for _, f := range irFamilies {
+		ir, err := buildFamily(t, f.name).IR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ir.Nodes {
+			goBuilt[n.Op] = true
+		}
+	}
+	kinds := graph.RegisteredIROps()
+	if len(kinds) == 0 {
+		t.Fatal("no registered op kinds")
+	}
+	for _, kind := range kinds {
+		if !inGolden[kind] {
+			t.Errorf("op %q has no node in any testdata/ir golden", kind)
+		}
+		if !goBuilt[kind] {
+			t.Errorf("op %q: no irFamilies program builds a node of it", kind)
+		}
+	}
+}
+
 // TestProgramIRInexpressible verifies that a custom closure keeps the
 // program runnable but not serializable, with a diagnostic naming the
 // node.

@@ -3,7 +3,7 @@
 // to state but expensive to re-verify dynamically — byte-identical
 // tables across engines and worker counts, lazily materialized names on
 // the DES hot path, a thin stateMu in the parallel engine, explicit
-// field coverage in Result.Equal, complete IR decoder registration. Each
+// field coverage in Result.Equal, a complete op table. Each
 // analyzer is the static certificate that a change *cannot* break one of
 // those invariants, run before the expensive determinism-matrix tests.
 //

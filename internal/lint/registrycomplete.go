@@ -5,21 +5,20 @@ import (
 	"go/types"
 )
 
-// RegistryComplete keeps the op decode registry and the function
-// library honest. Every exported op constructor in internal/ops (first
-// parameter *graph.Graph, second a name string) must be reachable from
-// an IR decoder registered via RegisterIROp, or carry an explicit
-// suppression explaining why it has no IR spelling (composite
-// convenience constructors). Every exported function returning a
-// MapFn, AccumFn or FlatMapFn must be one return of a registry
-// constructor (a package variable set by registerFn), so no library
-// function is a bare closure or edits a registered one. Without this, a
-// new op or function works through the Go API but silently cannot
-// round-trip through the IR, and nothing fails until a user's program
-// does.
+// RegistryComplete keeps the op table and the function library honest.
+// Every exported op constructor in internal/ops (first parameter
+// *graph.Graph, second a name string) must be named in the build of
+// some registerOp call, or carry an explicit suppression explaining why
+// it has no IR spelling (composite convenience constructors). Every
+// exported function returning a MapFn, AccumFn or FlatMapFn must be one
+// return of a registry constructor (a package variable set by
+// registerFn), so no library function is a bare closure or edits a
+// registered one. Without this, a new op or function works through the
+// Go API but silently cannot round-trip through the IR, and nothing
+// fails until a user's program does.
 var RegistryComplete = &Analyzer{
 	Name:      "registrycomplete",
-	Doc:       "every exported op constructor must be called from a registered IR decoder, and every library function must resolve through the function registry",
+	Doc:       "every exported op constructor must be called from a registerOp build, and every library function must resolve through the function registry",
 	AppliesTo: func(path string) bool { return pathHasSuffix(path, "internal/ops") },
 	Run:       runRegistryComplete,
 }
@@ -45,8 +44,8 @@ func runRegistryComplete(pass *Pass) {
 				continue
 			}
 			if !covered[fn.Name.Name] {
-				pass.Reportf(fn.Pos(), "register a decoder in ir.go calling "+fn.Name.Name+", or suppress with the reason it has no IR spelling",
-					"exported op constructor %s has no decode-registry entry", fn.Name.Name)
+				pass.Reportf(fn.Pos(), "register its kind with registerOp in ir.go, building the node with "+fn.Name.Name+", or suppress with the reason it has no IR spelling",
+					"exported op constructor %s has no op-table entry", fn.Name.Name)
 			}
 		}
 	}
@@ -72,73 +71,28 @@ func isOpConstructor(fn *types.Func) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// collectRegisteredConstructors finds every RegisterIROp call (direct,
-// through a selector, or through a local alias like
-// `reg := graph.RegisterIROp`) and marks the package-level functions
-// called inside the registered decoder as covered.
+// collectRegisteredConstructors marks the package-level functions named
+// inside a registerOp call (its build calls the kind's constructor) as
+// covered.
 func collectRegisteredConstructors(pass *Pass, file *ast.File, covered map[string]bool) {
 	info := pass.TypesInfo()
-	// First pass: objects aliasing RegisterIROp.
-	aliases := map[types.Object]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || len(asg.Lhs) != len(asg.Rhs) {
-			return true
-		}
-		for i, rhs := range asg.Rhs {
-			if !namesRegisterIROp(rhs) {
-				continue
-			}
-			if id, ok := asg.Lhs[i].(*ast.Ident); ok {
-				if obj := info.ObjectOf(id); obj != nil {
-					aliases[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	// Second pass: registration calls; mark constructors called in the
-	// decoder argument.
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) < 2 {
+		if !ok || calleeIdent(call) != "registerOp" {
 			return true
 		}
-		isReg := namesRegisterIROp(call.Fun)
-		if !isReg {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				isReg = aliases[info.ObjectOf(id)]
-			}
-		}
-		if !isReg {
-			return true
-		}
-		ast.Inspect(call.Args[1], func(m ast.Node) bool {
-			inner, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := ast.Unparen(inner.Fun).(*ast.Ident); ok {
-				if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() == pass.TypesPkg() {
-					covered[fn.Name()] = true
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok {
+					if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() == pass.TypesPkg() {
+						covered[fn.Name()] = true
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 		return true
 	})
-}
-
-// namesRegisterIROp reports whether the expression is an identifier or
-// selector literally named RegisterIROp.
-func namesRegisterIROp(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name == "RegisterIROp"
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "RegisterIROp"
-	}
-	return false
 }
 
 // returnsLibFn reports whether fn returns exactly one MapFn, AccumFn or

@@ -1,4 +1,4 @@
-// Fixture: an op constructor the decode registry misses.
+// Fixture: an op constructor the op table misses.
 package ops
 
 type Graph struct{}
@@ -10,18 +10,22 @@ type DecodeCtx struct {
 	Name string
 }
 
-func RegisterIROp(kind string, decode func(*DecodeCtx) error) {}
+type opKind[A any] struct{ name string }
 
-// Source is registered (through the alias) below.
+func registerOp[A any](name string, nIn int, build func(dc *DecodeCtx, a A) (*Stream, error)) opKind[A] {
+	return opKind[A]{name}
+}
+
+// Source is in the op table below.
 func Source(g *Graph, name string) *Stream { return nil }
 
-// Orphan has no decode-registry entry and no suppression.
+// Orphan has no op-table entry and no suppression.
 func Orphan(g *Graph, name string) *Stream { return nil }
 
+var sourceKind opKind[struct{}]
+
 func init() {
-	reg := RegisterIROp
-	reg("source", func(dc *DecodeCtx) error {
-		Source(dc.G, dc.Name)
-		return nil
+	sourceKind = registerOp("source", 0, func(dc *DecodeCtx, _ struct{}) (*Stream, error) {
+		return Source(dc.G, dc.Name), nil
 	})
 }

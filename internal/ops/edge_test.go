@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,6 +30,23 @@ func TestTakeUnderflowErrors(t *testing.T) {
 	Capture(g, "cap", tk)
 	if _, err := runGraph(g); err == nil {
 		t.Fatal("expected underflow error")
+	}
+}
+
+// TestTakeRejectsNegativeCount: a negative count fails at build, on the
+// Go path and on the IR path.
+func TestTakeRejectsNegativeCount(t *testing.T) {
+	build := func(g *graph.Graph, n int) {
+		Sink(g, "s", Take(g, "take", CountSource(g, "in", 2), n))
+	}
+	g := graph.New()
+	build(g, -5)
+	if err := g.Finalize(); err == nil || !strings.Contains(err.Error(), "take count -5") {
+		t.Fatalf("Finalize = %v, want a negative-count error", err)
+	}
+	err := loadWithAttrs(t, func(g *graph.Graph) { build(g, 1) }, "take", `{"n":-5}`)
+	if err == nil || !strings.Contains(err.Error(), "n -5 < 0") {
+		t.Fatalf("load = %v, want a negative-count error", err)
 	}
 }
 
@@ -185,6 +203,37 @@ func TestStreamifyAffineNeedsStaticBuffer(t *testing.T) {
 	Capture(g, "cap", out)
 	if err := g.Finalize(); err == nil {
 		t.Fatal("expected static-buffer requirement error")
+	}
+}
+
+// TestStreamifyAffineBounds: an affine read with a non-positive out
+// shape, or one reaching past the static buffer, fails at build on the
+// Go path and at load on the IR path, not mid-run.
+func TestStreamifyAffineBounds(t *testing.T) {
+	build := func(g *graph.Graph, stride, outShape [2]int) {
+		s := Source(g, "src", shape.OfInts(1, 2), graph.StaticTile(1, 1), []element.Element{tl(1), tl(2), st(1), dn})
+		bufs := Bufferize(g, "buf", s, 1) // one buffer of 2 tiles
+		Sink(g, "s", Streamify(g, "str", bufs, CountSource(g, "ref", 1), &stride, &outShape))
+	}
+	for _, c := range []struct {
+		stride, outShape [2]int
+		want             string
+	}{
+		{[2]int{1, 1}, [2]int{-1, 2}, "out shape"},
+		{[2]int{1, 1}, [2]int{0, 2}, "out shape"},
+		{[2]int{1, 1}, [2]int{1, 9}, "index 8 beyond buffer of 2"},
+		{[2]int{2, 50}, [2]int{1, 2}, "index 50 beyond buffer of 2"},
+	} {
+		g := graph.New()
+		build(g, c.stride, c.outShape)
+		if err := g.Finalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("stride %v out %v: Finalize = %v, want %q", c.stride, c.outShape, err, c.want)
+		}
+		attrs := fmt.Sprintf(`{"stride":[%d,%d],"out_shape":[%d,%d]}`, c.stride[0], c.stride[1], c.outShape[0], c.outShape[1])
+		err := loadWithAttrs(t, func(g *graph.Graph) { build(g, [2]int{1, 1}, [2]int{1, 2}) }, "str", attrs)
+		if want := strings.Replace(c.want, "out shape", "out_shape", 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("load %s = %v, want %q", attrs, err, want)
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func Map(g *graph.Graph, name string, in *graph.Stream, fn MapFn, opts ComputeOp
 	}
 	n := g.AddNode(op, in)
 	if fn.IR.Name != "" {
-		n.SetIR("map", mapAttrs{Fn: fn.IR, Opts: optsToIR(opts)})
+		mapKind.set(n, mapAttrs{Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, in.Shape.Clone(), outType)
 	op.onchip = opts.onchipExpr(outType.Bytes())
@@ -195,7 +195,7 @@ func Accum(g *graph.Graph, name string, in *graph.Stream, b int, fn AccumFn, opt
 	}
 	n := g.AddNode(op, in)
 	if fn.IR.Name != "" {
-		n.SetIR("accum", accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
+		accumKind.set(n, accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, outShape, outType)
 	// §4.2: Accum holds |output dtype|; with matmul, the full equation.
@@ -222,7 +222,7 @@ func Scan(g *graph.Graph, name string, in *graph.Stream, b int, fn AccumFn, opts
 	}
 	n := g.AddNode(op, in)
 	if fn.IR.Name != "" {
-		n.SetIR("scan", accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
+		scanKind.set(n, accumAttrs{B: b, Fn: fn.IR, Opts: optsToIR(opts)})
 	}
 	out := g.NewStream(n, in.Shape.Clone(), outType)
 	op.onchip = outType.Bytes()
@@ -313,12 +313,12 @@ func FlatMap(g *graph.Graph, name string, in *graph.Stream, b int, fn FlatMapFn,
 		outType = fn.OutType(in.DType)
 	}
 	n := g.AddNode(op, in)
-	if fn.IR.Name != "" && b >= 0 && b <= graph.MaxIRRank {
+	if fn.IR.Name != "" {
 		dimIRs := make([]graph.DimIR, len(innerDims))
 		for i, d := range innerDims {
 			dimIRs[i] = graph.DimToIR(d)
 		}
-		n.SetIR("flatmap", flatMapAttrs{B: b, Fn: fn.IR, InnerDims: dimIRs})
+		flatMapKind.set(n, flatMapAttrs{B: b, Fn: fn.IR, InnerDims: dimIRs})
 	}
 	dims := make([]shape.Dim, 0, in.Shape.Rank()+b)
 	dims = append(dims, in.Shape.Dims[:in.Shape.Rank()-1]...)

@@ -191,47 +191,113 @@ func optsFromIR(ir computeOptsIR) (ComputeOpts, error) {
 	}, nil
 }
 
-// tensorIR serializes an OffChipTensor.
-type tensorIR struct {
-	Tile     graph.TileIR `json:"tile"`
-	TileRows int          `json:"tile_rows"`
-	TileCols int          `json:"tile_cols"`
-}
+// --- the op table ---
 
-func tensorToIR(t OffChipTensor) (tensorIR, error) {
-	ti, err := graph.TileToIR(t.Data)
-	if err != nil {
-		return tensorIR{}, err
+// opKind is one operator kind of the program IR, made by registerOp:
+// its name and its typed attrs A. A constructor records a node's IR
+// only through set and the loader rebuilds a node only through the
+// kind's decoder, so a kind's name, attrs and bounds are defined once.
+type opKind[A any] struct{ name string }
+
+// set records n's IR as this kind with attrs a.
+func (k opKind[A]) set(n *graph.Node, a A) { n.SetIR(k.name, opAttrs[A]{a}) }
+
+// opAttrs wraps a node's attrs so that encoding checks them first:
+// Program.IR refuses what the loader would refuse, with its message.
+type opAttrs[A any] struct{ a A }
+
+func (w opAttrs[A]) MarshalJSON() ([]byte, error) {
+	if err := checkAttrs(w.a); err != nil {
+		return nil, err
 	}
-	return tensorIR{Tile: *ti, TileRows: t.TileRows, TileCols: t.TileCols}, nil
+	return json.Marshal(w.a)
 }
 
-func (ir tensorIR) decode(env *graph.DecodeEnv) (OffChipTensor, error) {
-	data, err := graph.TileFromIR(&ir.Tile, env)
-	if err != nil {
-		return OffChipTensor{}, err
+// checkAttrs runs the bounds of an attrs type that has a check method.
+func checkAttrs(a any) error {
+	if c, ok := a.(interface{ check() error }); ok {
+		return c.check()
 	}
-	return NewOffChipTensor(data, ir.TileRows, ir.TileCols)
+	return nil
 }
 
-// --- attribute schemas (one struct per op kind) ---
+// Input arities besides an exact count.
+const (
+	someIn = -1 // one or more inputs
+	feedIn = -2 // a relay's feedback input, which build resolves once every node exists
+)
 
+// registerOp adds the op kind name, with nIn inputs, to the IR's decode
+// registry and returns it. Its decoder unmarshals the node's attrs
+// strictly into A, runs their check, resolves the inputs, and calls
+// build, which rebuilds the node through the kind's exported
+// constructor and returns the node's outputs in order. The rebuilt node
+// records the decoded attrs, so a loaded program re-encodes them as
+// loaded (seeded and fill tiles keep their form).
+func registerOp[A any](name string, nIn int, build func(dc *graph.DecodeCtx, a A, in []*graph.Stream) ([]*graph.Stream, error)) opKind[A] {
+	k := opKind[A]{name}
+	graph.RegisterIROp(name, func(dc *graph.DecodeCtx) error {
+		var a A
+		if err := dc.Attrs(&a); err != nil {
+			return err
+		}
+		if err := checkAttrs(a); err != nil {
+			return fmt.Errorf("ir: %s %q: %w", name, dc.Node.Name, err)
+		}
+		var in []*graph.Stream
+		if nIn != feedIn {
+			n := dc.NIn()
+			if nIn == someIn && n == 0 {
+				return fmt.Errorf("ir: %s %q needs an input", name, dc.Node.Name)
+			}
+			if nIn >= 0 && n != nIn {
+				return fmt.Errorf("ir: %s %q has %d inputs, want %d", name, dc.Node.Name, n, nIn)
+			}
+			var err error
+			if in, err = dc.Inputs(); err != nil {
+				return err
+			}
+		}
+		before := len(dc.G.Nodes())
+		ss, err := build(dc, a, in)
+		if err != nil {
+			return err
+		}
+		if nodes := dc.G.Nodes(); len(nodes) == before+1 {
+			k.set(nodes[before], a)
+		}
+		return dc.BindOutputs(ss...)
+	})
+	return k
+}
+
+// --- attrs: one type per kind, whose check holds its load bounds ---
+
+// noAttrs is the attrs of a kind that has none; it encodes no attrs key.
+type noAttrs struct{}
+
+// sourceAttrs holds a source's constructor arguments, converted to wire
+// form only when the IR is encoded, so building a graph costs nothing
+// when its IR is never asked for (workload builders construct thousands
+// of sources per sweep). A loaded source holds the wire form instead.
 type sourceAttrs struct {
+	sh    shape.Shape
+	dt    graph.DType
+	elems []element.Element
+	ir    *sourceIR
+}
+
+// sourceIR is a source's wire form.
+type sourceIR struct {
 	Shape graph.ShapeIR     `json:"shape"`
 	DType graph.DTypeIR     `json:"dtype"`
 	Elems []graph.ElementIR `json:"elems"`
 }
 
-// sourceAttrsLazy defers the element-sequence conversion to encode
-// time, so building a graph costs nothing when its IR is never asked
-// for (workload builders construct thousands of sources per sweep).
-type sourceAttrsLazy struct {
-	sh    shape.Shape
-	dt    graph.DType
-	elems []element.Element
-}
-
-func (a sourceAttrsLazy) MarshalJSON() ([]byte, error) {
+func (a sourceAttrs) MarshalJSON() ([]byte, error) {
+	if a.ir != nil {
+		return json.Marshal(a.ir)
+	}
 	elems, err := graph.ElemsToIR(a.elems)
 	if err != nil {
 		return nil, err
@@ -240,15 +306,70 @@ func (a sourceAttrsLazy) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(sourceAttrs{Shape: *graph.ShapeToIR(a.sh), DType: *dt, Elems: elems})
+	return json.Marshal(sourceIR{Shape: *graph.ShapeToIR(a.sh), DType: *dt, Elems: elems})
 }
 
-// tilesLazy defers tile-table serialization to encode time.
-type tilesLazy []*tile.Tile
+func (a *sourceAttrs) UnmarshalJSON(b []byte) error {
+	a.ir = new(sourceIR)
+	return strictUnmarshal(b, a.ir)
+}
 
-func (ts tilesLazy) MarshalJSON() ([]byte, error) {
-	out := make([]graph.TileIR, len(ts))
-	for i, t := range ts {
+// tensorAttr is an off-chip tensor: a Go-built one, serialized only
+// when the IR is encoded, or the wire form a loaded node holds.
+type tensorAttr struct {
+	t  OffChipTensor
+	ir *tensorIR
+}
+
+// tensorIR is an off-chip tensor's wire form.
+type tensorIR struct {
+	Tile     graph.TileIR `json:"tile"`
+	TileRows int          `json:"tile_rows"`
+	TileCols int          `json:"tile_cols"`
+}
+
+func (x tensorAttr) MarshalJSON() ([]byte, error) {
+	if x.ir != nil {
+		return json.Marshal(x.ir)
+	}
+	ti, err := graph.TileToIR(x.t.Data)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(tensorIR{Tile: *ti, TileRows: x.t.TileRows, TileCols: x.t.TileCols})
+}
+
+func (x *tensorAttr) UnmarshalJSON(b []byte) error {
+	x.ir = new(tensorIR)
+	return strictUnmarshal(b, x.ir)
+}
+
+// decode rebuilds a loaded tensor.
+func (x tensorAttr) decode(env *graph.DecodeEnv) (OffChipTensor, error) {
+	var ir tensorIR
+	if x.ir != nil {
+		ir = *x.ir
+	}
+	data, err := graph.TileFromIR(&ir.Tile, env)
+	if err != nil {
+		return OffChipTensor{}, err
+	}
+	return NewOffChipTensor(data, ir.TileRows, ir.TileCols)
+}
+
+// tilesAttr is a tile table: Go-built tiles, serialized only when the
+// IR is encoded, or the wire form a loaded node holds.
+type tilesAttr struct {
+	ts []*tile.Tile
+	ir []graph.TileIR
+}
+
+func (x tilesAttr) MarshalJSON() ([]byte, error) {
+	if x.ir != nil {
+		return json.Marshal(x.ir)
+	}
+	out := make([]graph.TileIR, len(x.ts))
+	for i, t := range x.ts {
 		ti, err := graph.TileToIR(t)
 		if err != nil {
 			return nil, err
@@ -258,27 +379,44 @@ func (ts tilesLazy) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// tensorLazy defers off-chip tensor serialization to encode time.
-type tensorLazy struct{ t OffChipTensor }
+func (x *tilesAttr) UnmarshalJSON(b []byte) error { return strictUnmarshal(b, &x.ir) }
 
-func (tl tensorLazy) MarshalJSON() ([]byte, error) {
-	ir, err := tensorToIR(tl.t)
-	if err != nil {
-		return nil, err
+// decode rebuilds a loaded table.
+func (x tilesAttr) decode(env *graph.DecodeEnv) ([]*tile.Tile, error) {
+	table := make([]*tile.Tile, len(x.ir))
+	for i := range x.ir {
+		t, err := graph.TileFromIR(&x.ir[i], env)
+		if err != nil {
+			return nil, fmt.Errorf("table[%d]: %w", i, err)
+		}
+		table[i] = t
 	}
-	return json.Marshal(ir)
+	return table, nil
 }
 
 type countSourceAttrs struct {
 	N int `json:"n"`
 }
 
+// The count materializes N elements.
+func (a countSourceAttrs) check() error { return inRange("n", 0, graph.MaxIRCount)(a.N) }
+
 type broadcastAttrs struct {
 	K int `json:"k"`
 }
 
+// K materializes K streams.
+func (a broadcastAttrs) check() error { return inRange("k", 1, graph.MaxIRFanout)(a.K) }
+
 type takeAttrs struct {
 	N int `json:"n"`
+}
+
+func (a takeAttrs) check() error {
+	if a.N < 0 {
+		return fmt.Errorf("n %d < 0", a.N)
+	}
+	return nil
 }
 
 type relayAttrs struct {
@@ -287,26 +425,13 @@ type relayAttrs struct {
 }
 
 type linearLoadAttrs struct {
-	Tensor   tensorIR `json:"tensor"`
-	Stride   [2]int   `json:"stride"`
-	OutShape [2]int   `json:"out_shape"`
-}
-
-// linearLoadAttrsEnc is the encode-side twin of linearLoadAttrs with a
-// lazily-serialized tensor.
-type linearLoadAttrsEnc struct {
-	Tensor   tensorLazy `json:"tensor"`
+	Tensor   tensorAttr `json:"tensor"`
 	Stride   [2]int     `json:"stride"`
 	OutShape [2]int     `json:"out_shape"`
 }
 
 type randomLoadAttrs struct {
-	Table []graph.TileIR `json:"table"`
-}
-
-// randomLoadAttrsEnc is the encode-side twin of randomLoadAttrs.
-type randomLoadAttrsEnc struct {
-	Table tilesLazy `json:"table"`
+	Table tilesAttr `json:"table"`
 }
 
 type bufferizeAttrs struct {
@@ -318,14 +443,34 @@ type streamifyAttrs struct {
 	OutShape *[2]int `json:"out_shape,omitempty"`
 }
 
+func (a streamifyAttrs) check() error {
+	if s := a.OutShape; s != nil && (s[0] <= 0 || s[1] <= 0) {
+		return fmt.Errorf("out_shape %v not positive", *s)
+	}
+	return nil
+}
+
+// Rank-like attributes are bounded by graph.MaxIRRank: stream ranks are
+// tiny in practice, FlatMap, Partition and Reassemble size allocations
+// by them, and their Errf diagnostics only fire after those allocations.
+
 type partitionAttrs struct {
 	R   int `json:"r"`
 	Num int `json:"num"`
 }
 
+func (a partitionAttrs) check() error {
+	if err := inRange("num", 1, graph.MaxIRFanout)(a.Num); err != nil {
+		return err
+	}
+	return inRange("r", 0, graph.MaxIRRank)(a.R)
+}
+
 type reassembleAttrs struct {
 	A int `json:"a"`
 }
+
+func (a reassembleAttrs) check() error { return inRange("a", 0, graph.MaxIRRank)(a.A) }
 
 type mapAttrs struct {
 	Fn   FnRef         `json:"fn"`
@@ -343,6 +488,8 @@ type flatMapAttrs struct {
 	Fn        FnRef         `json:"fn"`
 	InnerDims []graph.DimIR `json:"inner_dims"`
 }
+
+func (a flatMapAttrs) check() error { return inRange("b", 0, graph.MaxIRRank)(a.B) }
 
 type flattenAttrs struct {
 	Min int `json:"min"`
@@ -363,126 +510,96 @@ type repeatAttrs struct {
 	Count int `json:"count"`
 }
 
-// --- decoders ---
+// --- the kinds ---
 
-// boundRank rejects rank-like attributes outside [0, 32]: stream ranks
-// are tiny in practice, several constructors size allocations by them
-// (FlatMap, Partition, Reassemble), and the builders' Errf diagnostics
-// only fire after those allocations — a hostile IR must fail before.
-func boundRank(node, field string, v int) error {
-	if v < 0 || v > graph.MaxIRRank {
-		return fmt.Errorf("ir: node %q: %s %d out of [0, %d]", node, field, v, graph.MaxIRRank)
-	}
-	return nil
-}
+// The op table. Each kind is registered in init, not in its
+// declaration, because its build calls the constructor that sets it.
+var (
+	sourceKind          opKind[sourceAttrs]
+	countSourceKind     opKind[countSourceAttrs]
+	captureKind         opKind[noAttrs]
+	sinkKind            opKind[noAttrs]
+	broadcastKind       opKind[broadcastAttrs]
+	takeKind            opKind[takeAttrs]
+	relayKind           opKind[relayAttrs]
+	linearLoadKind      opKind[linearLoadAttrs]
+	linearStoreKind     opKind[noAttrs]
+	randomLoadKind      opKind[randomLoadAttrs]
+	randomStoreKind     opKind[noAttrs]
+	bufferizeKind       opKind[bufferizeAttrs]
+	streamifyKind       opKind[streamifyAttrs]
+	streamifyLinearKind opKind[noAttrs]
+	partitionKind       opKind[partitionAttrs]
+	reassembleKind      opKind[reassembleAttrs]
+	eagerMergeKind      opKind[noAttrs]
+	mapKind             opKind[mapAttrs]
+	accumKind, scanKind opKind[accumAttrs]
+	flatMapKind         opKind[flatMapAttrs]
+	flattenKind         opKind[flattenAttrs]
+	reshapeKind         opKind[reshapeAttrs]
+	promoteKind         opKind[noAttrs]
+	expandKind          opKind[expandAttrs]
+	zipKind             opKind[noAttrs]
+	repeatKind          opKind[repeatAttrs]
+)
+
+// outs lists a build's output streams.
+func outs(ss ...*graph.Stream) ([]*graph.Stream, error) { return ss, nil }
 
 func init() {
-	reg := graph.RegisterIROp
-
-	reg("source", func(dc *graph.DecodeCtx) error {
-		var a sourceAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
+	sourceKind = registerOp("source", 0, func(dc *graph.DecodeCtx, a sourceAttrs, _ []*graph.Stream) ([]*graph.Stream, error) {
+		var w sourceIR
+		if a.ir != nil {
+			w = *a.ir
 		}
-		sh, err := graph.ShapeFromIR(&a.Shape)
+		sh, err := graph.ShapeFromIR(&w.Shape)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dt, err := graph.DTypeFromIR(&a.DType)
+		dt, err := graph.DTypeFromIR(&w.DType)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		elems, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) ([]element.Element, error) {
-			return graph.ElemsFromIR(a.Elems, env)
+			return graph.ElemsFromIR(w.Elems, env)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out := Source(dc.G, dc.Node.Name, sh, dt, elems)
 		out.Producer().Op.(*sourceOp).elemsAt = at
-		return dc.BindOutputs(out)
+		return outs(out)
 	})
-
-	reg("count-source", func(dc *graph.DecodeCtx) error {
-		var a countSourceAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		// The count materializes N elements; bound hostile IRs.
-		if a.N < 0 || a.N > graph.MaxIRCount {
-			return fmt.Errorf("ir: count-source %q: n %d out of [0, %d]", dc.Node.Name, a.N, graph.MaxIRCount)
-		}
-		return dc.BindOutputs(CountSource(dc.G, dc.Node.Name, a.N))
+	countSourceKind = registerOp("count-source", 0, func(dc *graph.DecodeCtx, a countSourceAttrs, _ []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(CountSource(dc.G, dc.Node.Name, a.N))
 	})
-
-	reg("capture", func(dc *graph.DecodeCtx) error {
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		Capture(dc.G, dc.Node.Name, in)
-		return dc.BindOutputs()
+	captureKind = registerOp("capture", 1, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		Capture(dc.G, dc.Node.Name, in[0])
+		return outs()
 	})
-
-	reg("sink", func(dc *graph.DecodeCtx) error {
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		Sink(dc.G, dc.Node.Name, in)
-		return dc.BindOutputs()
+	sinkKind = registerOp("sink", 1, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		Sink(dc.G, dc.Node.Name, in[0])
+		return outs()
 	})
-
-	reg("broadcast", func(dc *graph.DecodeCtx) error {
-		var a broadcastAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		// K materializes K streams; bound hostile IRs. The declared
-		// output count must match anyway, which bounds it transitively,
-		// but fail early with a clear message.
-		if a.K < 1 || a.K > graph.MaxIRFanout {
-			return fmt.Errorf("ir: broadcast %q: k %d out of [1, %d]", dc.Node.Name, a.K, graph.MaxIRFanout)
-		}
-		return dc.BindOutputs(Broadcast(dc.G, dc.Node.Name, in, a.K)...)
+	broadcastKind = registerOp("broadcast", 1, func(dc *graph.DecodeCtx, a broadcastAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Broadcast(dc.G, dc.Node.Name, in[0], a.K)...)
 	})
-
-	reg("take", func(dc *graph.DecodeCtx) error {
-		var a takeAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Take(dc.G, dc.Node.Name, in, a.N))
+	takeKind = registerOp("take", 1, func(dc *graph.DecodeCtx, a takeAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Take(dc.G, dc.Node.Name, in[0], a.N))
 	})
-
-	reg("relay", func(dc *graph.DecodeCtx) error {
-		var a relayAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
+	relayKind = registerOp("relay", feedIn, func(dc *graph.DecodeCtx, a relayAttrs, _ []*graph.Stream) ([]*graph.Stream, error) {
 		dt, err := graph.DTypeFromIR(&a.DType)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sh, err := graph.ShapeFromIR(&a.Shape)
 		if err != nil {
-			return err
-		}
-		h, out := Relay(dc.G, dc.Node.Name, dt, sh)
-		if err := dc.BindOutputs(out); err != nil {
-			return err
+			return nil, err
 		}
 		if dc.NIn() != 1 {
-			return fmt.Errorf("ir: relay %q needs exactly one (possibly forward) input, got %d", dc.Node.Name, dc.NIn())
+			return nil, fmt.Errorf("ir: relay %q needs exactly one (possibly forward) input, got %d", dc.Node.Name, dc.NIn())
 		}
+		h, out := Relay(dc.G, dc.Node.Name, dt, sh)
 		dc.Defer(func() error {
 			in, err := dc.In(0)
 			if err != nil {
@@ -491,267 +608,97 @@ func init() {
 			RelayFeed(dc.G, h, in)
 			return nil
 		})
-		return nil
+		return outs(out)
 	})
-
-	reg("linear-offchip-load", func(dc *graph.DecodeCtx) error {
-		var a linearLoadAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		ref, err := dc.In(0)
-		if err != nil {
-			return err
-		}
+	linearLoadKind = registerOp("linear-offchip-load", 1, func(dc *graph.DecodeCtx, a linearLoadAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
 		tensor, at, err := graph.Seeded(dc.Env, a.Tensor.decode)
 		if err != nil {
-			return fmt.Errorf("ir: node %q: %w", dc.Node.Name, err)
+			return nil, fmt.Errorf("ir: node %q: %w", dc.Node.Name, err)
 		}
-		out := LinearOffChipLoad(dc.G, dc.Node.Name, ref, tensor, a.Stride, a.OutShape)
+		out := LinearOffChipLoad(dc.G, dc.Node.Name, in[0], tensor, a.Stride, a.OutShape)
 		out.Producer().Op.(*linearLoadOp).tensorAt = at
-		return dc.BindOutputs(out)
+		return outs(out)
 	})
-
-	reg("linear-offchip-store", func(dc *graph.DecodeCtx) error {
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		LinearOffChipStore(dc.G, dc.Node.Name, in)
-		return dc.BindOutputs()
+	linearStoreKind = registerOp("linear-offchip-store", 1, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		LinearOffChipStore(dc.G, dc.Node.Name, in[0])
+		return outs()
 	})
-
-	reg("random-offchip-load", func(dc *graph.DecodeCtx) error {
-		var a randomLoadAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		raddr, err := dc.In(0)
+	randomLoadKind = registerOp("random-offchip-load", 1, func(dc *graph.DecodeCtx, a randomLoadAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		table, at, err := graph.Seeded(dc.Env, a.Table.decode)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("ir: node %q %w", dc.Node.Name, err)
 		}
-		table, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) ([]*tile.Tile, error) {
-			table := make([]*tile.Tile, len(a.Table))
-			for i := range a.Table {
-				t, err := graph.TileFromIR(&a.Table[i], env)
-				if err != nil {
-					return nil, fmt.Errorf("ir: node %q table[%d]: %w", dc.Node.Name, i, err)
-				}
-				table[i] = t
-			}
-			return table, nil
-		})
-		if err != nil {
-			return err
-		}
-		out := RandomOffChipLoad(dc.G, dc.Node.Name, raddr, table)
+		out := RandomOffChipLoad(dc.G, dc.Node.Name, in[0], table)
 		out.Producer().Op.(*randomLoadOp).tableAt = at
-		return dc.BindOutputs(out)
+		return outs(out)
 	})
-
-	reg("random-offchip-store", func(dc *graph.DecodeCtx) error {
-		waddr, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		wdata, err := dc.In(1)
-		if err != nil {
-			return err
-		}
-		ack, _ := RandomOffChipStore(dc.G, dc.Node.Name, waddr, wdata)
-		return dc.BindOutputs(ack)
+	randomStoreKind = registerOp("random-offchip-store", 2, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		ack, _ := RandomOffChipStore(dc.G, dc.Node.Name, in[0], in[1])
+		return outs(ack)
 	})
-
-	reg("bufferize", func(dc *graph.DecodeCtx) error {
-		var a bufferizeAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Bufferize(dc.G, dc.Node.Name, in, a.B))
+	bufferizeKind = registerOp("bufferize", 1, func(dc *graph.DecodeCtx, a bufferizeAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Bufferize(dc.G, dc.Node.Name, in[0], a.B))
 	})
-
-	reg("streamify", func(dc *graph.DecodeCtx) error {
-		var a streamifyAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		bufs, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		ref, err := dc.In(1)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Streamify(dc.G, dc.Node.Name, bufs, ref, a.Stride, a.OutShape))
+	streamifyKind = registerOp("streamify", 2, func(dc *graph.DecodeCtx, a streamifyAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Streamify(dc.G, dc.Node.Name, in[0], in[1], a.Stride, a.OutShape))
 	})
-
-	reg("streamify-linear", func(dc *graph.DecodeCtx) error {
-		bufs, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(StreamifyLinear(dc.G, dc.Node.Name, bufs))
+	streamifyLinearKind = registerOp("streamify-linear", 1, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(StreamifyLinear(dc.G, dc.Node.Name, in[0]))
 	})
-
-	reg("partition", func(dc *graph.DecodeCtx) error {
-		var a partitionAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		sel, err := dc.In(1)
-		if err != nil {
-			return err
-		}
-		if a.Num < 1 || a.Num > graph.MaxIRFanout {
-			return fmt.Errorf("ir: partition %q: num %d out of [1, %d]", dc.Node.Name, a.Num, graph.MaxIRFanout)
-		}
-		if err := boundRank(dc.Node.Name, "r", a.R); err != nil {
-			return err
-		}
-		return dc.BindOutputs(Partition(dc.G, dc.Node.Name, in, sel, a.R, a.Num)...)
+	partitionKind = registerOp("partition", 2, func(dc *graph.DecodeCtx, a partitionAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Partition(dc.G, dc.Node.Name, in[0], in[1], a.R, a.Num)...)
 	})
-
-	reg("reassemble", func(dc *graph.DecodeCtx) error {
-		var a reassembleAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
+	reassembleKind = registerOp("reassemble", someIn, func(dc *graph.DecodeCtx, a reassembleAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		if len(in) < 2 {
+			return nil, fmt.Errorf("ir: reassemble %q needs at least one input plus a selector", dc.Node.Name)
 		}
-		ins, err := dc.Inputs()
-		if err != nil {
-			return err
-		}
-		if len(ins) < 2 {
-			return fmt.Errorf("ir: reassemble %q needs at least one input plus a selector", dc.Node.Name)
-		}
-		if err := boundRank(dc.Node.Name, "a", a.A); err != nil {
-			return err
-		}
-		out := Reassemble(dc.G, dc.Node.Name, ins[:len(ins)-1], ins[len(ins)-1], a.A)
-		return dc.BindOutputs(out)
+		return outs(Reassemble(dc.G, dc.Node.Name, in[:len(in)-1], in[len(in)-1], a.A))
 	})
-
-	reg("eager-merge", func(dc *graph.DecodeCtx) error {
-		ins, err := dc.Inputs()
-		if err != nil {
-			return err
-		}
-		data, sel := EagerMerge(dc.G, dc.Node.Name, ins)
-		return dc.BindOutputs(data, sel)
+	eagerMergeKind = registerOp("eager-merge", someIn, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(EagerMerge(dc.G, dc.Node.Name, in))
 	})
-
-	reg("map", func(dc *graph.DecodeCtx) error {
-		var a mapAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
+	mapKind = registerOp("map", 1, func(dc *graph.DecodeCtx, a mapAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
 		fn, err := lookupFn[MapFn](dc.Node.Name, a.Fn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts, err := optsFromIR(a.Opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return dc.BindOutputs(Map(dc.G, dc.Node.Name, in, fn, opts))
+		return outs(Map(dc.G, dc.Node.Name, in[0], fn, opts))
 	})
-
-	reg("accum", func(dc *graph.DecodeCtx) error {
-		var a accumAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
+	// accum and scan share their attrs and their rebuild.
+	accumLike := func(mk func(g *graph.Graph, name string, in *graph.Stream, b int, fn AccumFn, opts ComputeOpts) *graph.Stream) func(*graph.DecodeCtx, accumAttrs, []*graph.Stream) ([]*graph.Stream, error) {
+		return func(dc *graph.DecodeCtx, a accumAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+			fn, err := lookupFn[AccumFn](dc.Node.Name, a.Fn)
+			if err != nil {
+				return nil, err
+			}
+			opts, err := optsFromIR(a.Opts)
+			if err != nil {
+				return nil, err
+			}
+			return outs(mk(dc.G, dc.Node.Name, in[0], a.B, fn, opts))
 		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		fn, err := lookupFn[AccumFn](dc.Node.Name, a.Fn)
-		if err != nil {
-			return err
-		}
-		opts, err := optsFromIR(a.Opts)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Accum(dc.G, dc.Node.Name, in, a.B, fn, opts))
-	})
-
-	reg("scan", func(dc *graph.DecodeCtx) error {
-		var a accumAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		fn, err := lookupFn[AccumFn](dc.Node.Name, a.Fn)
-		if err != nil {
-			return err
-		}
-		opts, err := optsFromIR(a.Opts)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Scan(dc.G, dc.Node.Name, in, a.B, fn, opts))
-	})
-
-	reg("flatmap", func(dc *graph.DecodeCtx) error {
-		var a flatMapAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		if err := boundRank(dc.Node.Name, "b", a.B); err != nil {
-			return err
-		}
+	}
+	accumKind = registerOp("accum", 1, accumLike(Accum))
+	scanKind = registerOp("scan", 1, accumLike(Scan))
+	flatMapKind = registerOp("flatmap", 1, func(dc *graph.DecodeCtx, a flatMapAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
 		fn, err := lookupFn[FlatMapFn](dc.Node.Name, a.Fn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		dims, err := graph.DimsFromIR(a.InnerDims)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return dc.BindOutputs(FlatMap(dc.G, dc.Node.Name, in, a.B, fn, dims))
+		return outs(FlatMap(dc.G, dc.Node.Name, in[0], a.B, fn, dims))
 	})
-
-	reg("flatten", func(dc *graph.DecodeCtx) error {
-		var a flattenAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Flatten(dc.G, dc.Node.Name, in, a.Min, a.Max))
+	flattenKind = registerOp("flatten", 1, func(dc *graph.DecodeCtx, a flattenAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Flatten(dc.G, dc.Node.Name, in[0], a.Min, a.Max))
 	})
-
-	reg("reshape", func(dc *graph.DecodeCtx) error {
-		var a reshapeAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
+	reshapeKind = registerOp("reshape", 1, func(dc *graph.DecodeCtx, a reshapeAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
 		pad, at, err := graph.Seeded(dc.Env, func(env *graph.DecodeEnv) (element.Value, error) {
 			if a.Pad == nil {
 				return nil, nil
@@ -759,58 +706,22 @@ func init() {
 			return graph.ValueFromIR(a.Pad, env)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		data, padding := Reshape(dc.G, dc.Node.Name, in, a.Rank, a.Chunk, pad)
+		data, padding := Reshape(dc.G, dc.Node.Name, in[0], a.Rank, a.Chunk, pad)
 		data.Producer().Op.(*reshapeOp).padAt = at
-		return dc.BindOutputs(data, padding)
+		return outs(data, padding)
 	})
-
-	reg("promote", func(dc *graph.DecodeCtx) error {
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Promote(dc.G, dc.Node.Name, in))
+	promoteKind = registerOp("promote", 1, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Promote(dc.G, dc.Node.Name, in[0]))
 	})
-
-	reg("expand", func(dc *graph.DecodeCtx) error {
-		var a expandAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		ref, err := dc.In(1)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Expand(dc.G, dc.Node.Name, in, ref, a.Rank))
+	expandKind = registerOp("expand", 2, func(dc *graph.DecodeCtx, a expandAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Expand(dc.G, dc.Node.Name, in[0], in[1], a.Rank))
 	})
-
-	reg("zip", func(dc *graph.DecodeCtx) error {
-		a, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		b, err := dc.In(1)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(Zip(dc.G, dc.Node.Name, a, b))
+	zipKind = registerOp("zip", 2, func(dc *graph.DecodeCtx, _ noAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(Zip(dc.G, dc.Node.Name, in[0], in[1]))
 	})
-
-	reg("repeat-elems", func(dc *graph.DecodeCtx) error {
-		var a repeatAttrs
-		if err := dc.Attrs(&a); err != nil {
-			return err
-		}
-		in, err := dc.In(0)
-		if err != nil {
-			return err
-		}
-		return dc.BindOutputs(RepeatElems(dc.G, dc.Node.Name, in, a.Count))
+	repeatKind = registerOp("repeat-elems", 1, func(dc *graph.DecodeCtx, a repeatAttrs, in []*graph.Stream) ([]*graph.Stream, error) {
+		return outs(RepeatElems(dc.G, dc.Node.Name, in[0], a.Count))
 	})
 }

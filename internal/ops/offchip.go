@@ -79,7 +79,7 @@ func LinearOffChipLoad(g *graph.Graph, name string, ref *graph.Stream, tensor Of
 			name, maxIdx, tensor.GridRows(), tensor.GridCols())
 	}
 	n := g.AddNode(op, ref)
-	n.SetIR("linear-offchip-load", linearLoadAttrsEnc{Tensor: tensorLazy{tensor}, Stride: stride, OutShape: outShape})
+	linearLoadKind.set(n, linearLoadAttrs{Tensor: tensorAttr{t: tensor}, Stride: stride, OutShape: outShape})
 	dims := make([]shape.Dim, 0, ref.Shape.Rank()+2)
 	dims = append(dims, ref.Shape.Dims...)
 	dims = append(dims, shape.Static(outShape[0]), shape.Static(outShape[1]))
@@ -144,7 +144,7 @@ func LinearOffChipStore(g *graph.Graph, name string, in *graph.Stream) *StoreHan
 	op.traffic = symCard(in)
 	op.onchip = symbolic.Mul(in.DType.Bytes(), symbolic.Const(2))
 	n := g.AddNode(op, in)
-	n.SetIR("linear-offchip-store", nil)
+	linearStoreKind.set(n, noAttrs{})
 	return &StoreHandle{node: n}
 }
 
@@ -208,7 +208,7 @@ func RandomOffChipLoad(g *graph.Graph, name string, raddr *graph.Stream, table [
 		}
 	}
 	n := g.AddNode(op, raddr)
-	n.SetIR("random-offchip-load", randomLoadAttrsEnc{Table: table})
+	randomLoadKind.set(n, randomLoadAttrs{Table: tilesAttr{ts: table}})
 	dt := graph.StaticTile(r0, c0)
 	out := g.NewStream(n, raddr.Shape.Clone(), dt)
 	op.traffic = symCard(out)
@@ -257,7 +257,7 @@ func RandomOffChipStore(g *graph.Graph, name string, waddr, wdata *graph.Stream)
 	op.traffic = symCard(wdata)
 	op.onchip = symbolic.Mul(wdata.DType.Bytes(), symbolic.Const(2))
 	n := g.AddNode(op, waddr, wdata)
-	n.SetIR("random-offchip-store", nil)
+	randomStoreKind.set(n, noAttrs{})
 	ack := g.NewStream(n, waddr.Shape.Clone(), graph.FlagType{})
 	return ack, &RandomStoreHandle{node: n}
 }

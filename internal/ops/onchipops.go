@@ -37,7 +37,7 @@ func Bufferize(g *graph.Graph, name string, in *graph.Stream, b int) *graph.Stre
 		outShape = in.Shape
 	}
 	n := g.AddNode(op, in)
-	n.SetIR("bufferize", bufferizeAttrs{B: b})
+	bufferizeKind.set(n, bufferizeAttrs{B: b})
 	dt := graph.BufferType{Elem: in.DType, Shape: bufShape}
 	out := g.NewStream(n, outShape, dt)
 	// §4.2: |input dtype| + ||buffer|| × |input dtype| × 2 (double buffering).
@@ -132,8 +132,16 @@ func Streamify(g *graph.Graph, name string, bufs, ref *graph.Stream, stride, out
 	op := &streamifyOp{base: newBase(name), c: c, free: true}
 	var readDims []shape.Dim
 	if stride != nil && outShape != nil {
-		if !bt.Shape.IsFullyStatic() {
+		maxIdx := (outShape[0]-1)*stride[0] + (outShape[1]-1)*stride[1]
+		switch {
+		case !bt.Shape.IsFullyStatic():
 			g.Errf("%s: affine read requires a fully static buffer shape, got %s", name, bt.Shape)
+		case outShape[0] <= 0 || outShape[1] <= 0:
+			g.Errf("%s: non-positive out shape %v", name, *outShape)
+		default:
+			if size, _ := bt.Shape.Cardinality().IsConst(); maxIdx >= int(size) || maxIdx < 0 {
+				g.Errf("%s: affine read reaches index %d beyond buffer of %d", name, maxIdx, size)
+			}
 		}
 		op.affine = true
 		op.stride = *stride
@@ -150,7 +158,7 @@ func Streamify(g *graph.Graph, name string, bufs, ref *graph.Stream, stride, out
 		st, os := *stride, *outShape
 		attrs.Stride, attrs.OutShape = &st, &os
 	}
-	n.SetIR("streamify", attrs)
+	streamifyKind.set(n, attrs)
 	dims := make([]shape.Dim, 0, ref.Shape.Rank()+len(readDims))
 	dims = append(dims, ref.Shape.Dims...)
 	dims = append(dims, readDims...)
@@ -168,7 +176,7 @@ func StreamifyLinear(g *graph.Graph, name string, bufs *graph.Stream) *graph.Str
 	op := &streamifyOp{base: newBase(name), c: -1, free: true}
 	op.outDims = bt.Shape.Rank()
 	n := g.AddNode(op, bufs)
-	n.SetIR("streamify-linear", nil)
+	streamifyLinearKind.set(n, noAttrs{})
 	dims := make([]shape.Dim, 0, bufs.Shape.Rank()+bt.Shape.Rank())
 	dims = append(dims, bufs.Shape.Dims...)
 	dims = append(dims, bt.Shape.Dims...)

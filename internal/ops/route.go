@@ -40,9 +40,7 @@ func Partition(g *graph.Graph, name string, in, sel *graph.Stream, r, numConsume
 	}
 	op := &partitionOp{base: newBase(name), r: r, num: numConsumers}
 	n := g.AddNode(op, in, sel)
-	if r >= 0 && r <= graph.MaxIRRank && numConsumers <= graph.MaxIRFanout {
-		n.SetIR("partition", partitionAttrs{R: r, Num: numConsumers})
-	}
+	partitionKind.set(n, partitionAttrs{R: r, Num: numConsumers})
 	outs := make([]*graph.Stream, numConsumers)
 	for i := range outs {
 		dims := make([]shape.Dim, 0, r+1)
@@ -161,9 +159,7 @@ func Reassemble(g *graph.Graph, name string, ins []*graph.Stream, sel *graph.Str
 	op := &reassembleOp{base: newBase(name), a: a}
 	args := append(append([]*graph.Stream{}, ins...), sel)
 	n := g.AddNode(op, args...)
-	if a >= 0 && a <= graph.MaxIRRank {
-		n.SetIR("reassemble", reassembleAttrs{A: a})
-	}
+	reassembleKind.set(n, reassembleAttrs{A: a})
 	// Output shape: [sel dims..., D^sel (new dynamic dim), inner a dims].
 	dims := make([]shape.Dim, 0, sel.Shape.Rank()+1+a)
 	dims = append(dims, sel.Shape.Dims...)
@@ -278,7 +274,7 @@ func EagerMerge(g *graph.Graph, name string, ins []*graph.Stream) (data, sel *gr
 	}
 	op := &eagerMergeOp{base: newBase(name), a: a}
 	n := g.AddNode(op, ins...)
-	n.SetIR("eager-merge", nil)
+	eagerMergeKind.set(n, noAttrs{})
 	// Output data shape: [ΣD^i_a, inner a dims].
 	dims := make([]shape.Dim, 0, a+1)
 	dims = append(dims, shape.FreshRagged("D"))

@@ -26,7 +26,7 @@ func Flatten(g *graph.Graph, name string, in *graph.Stream, min, max int) *graph
 	}
 	op := &flattenOp{base: newBase(name), min: min, max: max}
 	n := g.AddNode(op, in)
-	n.SetIR("flatten", flattenAttrs{Min: min, Max: max})
+	flattenKind.set(n, flattenAttrs{Min: min, Max: max})
 	return g.NewStream(n, outShape, in.DType)
 }
 
@@ -92,7 +92,7 @@ func Reshape(g *graph.Graph, name string, in *graph.Stream, rank, chunk int, pad
 		}
 	}
 	if serializable {
-		n.SetIR("reshape", attrs)
+		reshapeKind.set(n, attrs)
 	}
 	data = g.NewStream(n, outShape, in.DType)
 	padding = g.NewStream(n, outShape.Clone(), graph.FlagType{})
@@ -218,7 +218,7 @@ type promoteOp struct {
 func Promote(g *graph.Graph, name string, in *graph.Stream) *graph.Stream {
 	op := &promoteOp{base: newBase(name), oldDims: in.Shape.Rank()}
 	n := g.AddNode(op, in)
-	n.SetIR("promote", nil)
+	promoteKind.set(n, noAttrs{})
 	return g.NewStream(n, in.Shape.Promote(), in.DType)
 }
 
@@ -272,7 +272,7 @@ func Expand(g *graph.Graph, name string, in, ref *graph.Stream, rank int) *graph
 	}
 	op := &expandOp{base: newBase(name), rank: rank}
 	n := g.AddNode(op, in, ref)
-	n.SetIR("expand", expandAttrs{Rank: rank})
+	expandKind.set(n, expandAttrs{Rank: rank})
 	// On-chip requirement: |output dtype| (§4.2) — the held element.
 	op.onchip = in.DType.Bytes()
 	return g.NewStream(n, outShape, in.DType)
@@ -343,7 +343,7 @@ func Zip(g *graph.Graph, name string, a, b *graph.Stream) *graph.Stream {
 	}
 	op := &zipOp{base: newBase(name)}
 	n := g.AddNode(op, a, b)
-	n.SetIR("zip", nil)
+	zipKind.set(n, noAttrs{})
 	return g.NewStream(n, a.Shape.Clone(), graph.TupleType{A: a.DType, B: b.DType})
 }
 
@@ -387,7 +387,7 @@ func RepeatElems(g *graph.Graph, name string, in *graph.Stream, count int) *grap
 	}
 	op := &repeatOp{base: newBase(name), count: count}
 	n := g.AddNode(op, in)
-	n.SetIR("repeat-elems", repeatAttrs{Count: count})
+	repeatKind.set(n, repeatAttrs{Count: count})
 	dims := make([]shape.Dim, 0, in.Shape.Rank()+1)
 	dims = append(dims, in.Shape.Dims...)
 	dims = append(dims, shape.Static(count))

@@ -25,10 +25,10 @@ func Source(g *graph.Graph, name string, sh shape.Shape, dt graph.DType, elems [
 	}
 	op := &sourceOp{base: newBase(name), elems: elems}
 	n := g.AddNode(op)
-	// The IR attrs convert lazily at encode time (see sourceAttrsLazy):
+	// The IR attrs convert lazily at encode time (see sourceAttrs):
 	// element values without a wire form (buffer references, custom
 	// values) surface as an encode error naming this node.
-	n.SetIR("source", sourceAttrsLazy{sh: sh, dt: dt, elems: elems})
+	sourceKind.set(n, sourceAttrs{sh: sh, dt: dt, elems: elems})
 	return g.NewStream(n, sh, dt)
 }
 
@@ -57,8 +57,8 @@ func CountSource(g *graph.Graph, name string, n int) *graph.Stream {
 	// Replace the inner source description with the compact form — but
 	// only inside the loader's bound, so the IR stays loadable (larger
 	// counts keep the verbose literal-source form).
-	if n >= 0 && n <= graph.MaxIRCount {
-		out.Producer().SetIR("count-source", countSourceAttrs{N: n})
+	if a := (countSourceAttrs{N: n}); a.check() == nil {
+		countSourceKind.set(out.Producer(), a)
 	}
 	return out
 }
@@ -76,7 +76,7 @@ func Capture(g *graph.Graph, name string, in *graph.Stream) *CaptureOp {
 		}
 	}
 	op := &CaptureOp{base: newBase(name)}
-	g.AddNode(op, in).SetIR("capture", nil)
+	captureKind.set(g.AddNode(op, in), noAttrs{})
 	return op
 }
 
@@ -103,7 +103,7 @@ type sinkOp struct{ base }
 // region outside this graph).
 func Sink(g *graph.Graph, name string, in *graph.Stream) {
 	op := &sinkOp{base: newBase(name)}
-	g.AddNode(op, in).SetIR("sink", nil)
+	sinkKind.set(g.AddNode(op, in), noAttrs{})
 }
 
 func (o *sinkOp) Run(ctx *graph.Ctx) error {
@@ -135,9 +135,7 @@ func Broadcast(g *graph.Graph, name string, in *graph.Stream, k int) []*graph.St
 	}
 	op := &broadcastOp{base: newBase(name), k: k}
 	n := g.AddNode(op, in)
-	if k <= graph.MaxIRFanout {
-		n.SetIR("broadcast", broadcastAttrs{K: k})
-	}
+	broadcastKind.set(n, broadcastAttrs{K: k})
 	outs := make([]*graph.Stream, k)
 	for i := range outs {
 		outs[i] = g.NewStream(n, in.Shape.Clone(), in.DType)
@@ -175,9 +173,13 @@ func Take(g *graph.Graph, name string, in *graph.Stream, n int) *graph.Stream {
 	if in.Shape.Rank() != 1 {
 		g.Errf("%s: take requires a rank-0 stream, got %s", name, in.Shape)
 	}
+	if n < 0 {
+		g.Errf("%s: take count %d < 0", name, n)
+		n = 0
+	}
 	op := &takeOp{base: newBase(name), n: n}
 	node := g.AddNode(op, in)
-	node.SetIR("take", takeAttrs{N: n})
+	takeKind.set(node, takeAttrs{N: n})
 	return g.NewStream(node, shape.OfInts(n), in.DType)
 }
 
@@ -233,7 +235,7 @@ func Relay(g *graph.Graph, name string, dt graph.DType, sh shape.Shape) (*RelayH
 	op := &relayOp{base: newBase(name)}
 	n := g.AddNode(op)
 	if dtIR, err := graph.DTypeToIR(dt); err == nil {
-		n.SetIR("relay", relayAttrs{DType: *dtIR, Shape: *graph.ShapeToIR(sh)})
+		relayKind.set(n, relayAttrs{DType: *dtIR, Shape: *graph.ShapeToIR(sh)})
 	}
 	out := g.NewStream(n, sh, dt)
 	return &RelayHandle{node: n}, out
