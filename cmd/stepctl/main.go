@@ -569,12 +569,12 @@ func exp(args []string) error {
 		}
 		runners = []experiments.Runner{r}
 	}
+	// The suite owns the sweep's scheduler totals; every simulation in
+	// it adds to them.
+	suite := rf.Suite.EnsurePool()
 	if *schedStats {
-		col := &step.SchedCollector{}
-		step.SetSchedCollector(col)
 		defer func() {
-			step.SetSchedCollector(nil)
-			s, runs := col.Snapshot()
+			s, runs := suite.Sched()
 			fmt.Printf("sched stats over %d simulation runs:\n", runs)
 			fmt.Printf("  lifts=%d lift-fastpath=%d (%.1f%%) kicks=%d scanned=%d woken=%d grants=%d grant-fastpath=%d scanned/lift=%.3f\n",
 				s.Lifts, s.LiftFastPath, 100*safeFrac(s.LiftFastPath, s.Lifts),
@@ -583,7 +583,7 @@ func exp(args []string) error {
 	}
 	return rf.profiled(func() error {
 		failed := 0
-		experiments.RunAll(rf.Suite, runners, func(oc experiments.Outcome) {
+		experiments.RunAll(suite, runners, func(oc experiments.Outcome) {
 			if oc.Err == nil {
 				fmt.Println(oc.Table.String())
 				fmt.Fprintf(os.Stderr, "exp: %s (%.1fs)\n", oc.Runner.ID, oc.Elapsed.Seconds())

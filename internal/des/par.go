@@ -381,9 +381,6 @@ func (e *parEngine) run() (Time, error) {
 	st.Grants = e.stGrants
 	st.GrantFastPath = e.stGrantFast
 	e.stats = st
-	if c := schedSink.Load(); c != nil {
-		c.add(st)
-	}
 
 	return runResult(procs, e.deadlock)
 }

@@ -254,6 +254,8 @@ func (e *seqEngine) quiesce() bool {
 
 // runQueuePool recycles run-queue backing arrays across runs. Entries are
 // zeroed before Put (they hold process pointers).
+//
+//lint:allow determinism a pooled array is reset before reuse, so no run observes what an earlier one left
 var runQueuePool = sync.Pool{New: func() any { return new(runQueue) }}
 
 func (e *seqEngine) run() (Time, error) {
@@ -290,9 +292,6 @@ func (e *seqEngine) run() (Time, error) {
 		e.resume(p)
 	}
 	e.abortAll()
-	if c := schedSink.Load(); c != nil {
-		c.add(e.stats)
-	}
 	return runResult(procs, e.deadlock)
 }
 

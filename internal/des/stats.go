@@ -1,10 +1,5 @@
 package des
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // SchedStats counts the engines' scheduling work, making scheduler
 // contention observable on any hardware: the counters depend on the
 // virtual-time structure of the workload, not on core count or
@@ -18,6 +13,10 @@ import (
 // quiescent evaluation (the bound solver run when nothing is runnable) as
 // a Kick, and Serialized calls as Grants (the inline ones as
 // GrantFastPath).
+//
+// Each run reports its own counters (graph.Result.Sched). Nothing sums
+// them process-wide: a sweep that wants totals adds its runs' counters
+// itself (harness.Suite.Sched, printed by stepctl exp -schedstats).
 type SchedStats struct {
 	// Lifts is the number of committed local-clock lifts (Advance,
 	// channel time bridging, Select commits). Every lift must answer
@@ -64,36 +63,3 @@ func (s *SchedStats) Add(o SchedStats) {
 	s.Grants += o.Grants
 	s.GrantFastPath += o.GrantFastPath
 }
-
-// SchedCollector accumulates SchedStats across simulation runs. Install
-// one with SetSchedCollector to observe runs constructed deep inside a
-// harness (stepctl exp -schedstats aggregates a whole experiment sweep
-// this way); each run adds its totals on completion.
-type SchedCollector struct {
-	mu    sync.Mutex
-	total SchedStats
-	runs  uint64
-}
-
-func (c *SchedCollector) add(s SchedStats) {
-	c.mu.Lock()
-	c.total.Add(s)
-	c.runs++
-	c.mu.Unlock()
-}
-
-// Snapshot returns the accumulated totals and the number of
-// runs that contributed to them.
-func (c *SchedCollector) Snapshot() (SchedStats, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total, c.runs
-}
-
-// schedSink is the process-global collector; nil when disabled.
-var schedSink atomic.Pointer[SchedCollector]
-
-// SetSchedCollector installs (or, with nil, removes) the process-global
-// scheduler-stats collector. Intended for CLI/diagnostic aggregation,
-// not for concurrent test use.
-func SetSchedCollector(c *SchedCollector) { schedSink.Store(c) }

@@ -68,7 +68,7 @@ func Figure8(s Suite) (*Table, error) {
 			}
 			// The validation hardware (§4.5): on-chip memory units at
 			// 256 B/cycle.
-			sess, err := sw.Program.Run(graph.WithSimWorkers(s.SimWorkers),
+			sess, err := s.Run(sw.Program,
 				graph.WithOnchip(onchip.Config{BandwidthBytesPerCycle: 256}))
 			if err != nil {
 				return nil, err
@@ -83,6 +83,7 @@ func Figure8(s Suite) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			s.AddSched(ref.Sched)
 			xs = append(xs, float64(res.Cycles))
 			ys = append(ys, float64(ref.Cycles))
 			t.AddRow(fmt.Sprintf("(%d,256,%d)", bt, it),
@@ -156,7 +157,7 @@ func Figure18(s Suite) (*Table, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		sess, err := prog.Run(graph.WithSimWorkers(s.SimWorkers))
+		sess, err := s.Run(prog)
 		if err != nil {
 			return 0, nil, err
 		}

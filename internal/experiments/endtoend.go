@@ -4,7 +4,6 @@ import (
 	"math"
 	"strconv"
 
-	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
@@ -70,7 +69,7 @@ func Figure17(s Suite) (*Table, error) {
 			cfg.SampleLayers = sampleLayers
 			cfg.Skew = trace.SkewHeavy
 			cfg.Seed = s.Seed
-			return workloads.RunDecoder(cfg, graph.WithSimWorkers(s.SimWorkers))
+			return workloads.RunDecoderWith(cfg, s.Run)
 		})
 		if err != nil {
 			return modelRun{}, err

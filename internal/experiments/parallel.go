@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
@@ -25,7 +24,7 @@ func runAttention(s Suite, model workloads.ModelConfig, kv []int, strategy workl
 	if err != nil {
 		return 0, err
 	}
-	sess, err := a.Program.Run(graph.WithSimWorkers(s.SimWorkers))
+	sess, err := s.Run(a.Program)
 	if err != nil {
 		return 0, err
 	}

@@ -81,3 +81,74 @@ func TestRunAllProgressInInputOrder(t *testing.T) {
 		t.Fatalf("progress order %v, want %s", got, want)
 	}
 }
+
+// TestSuiteSchedTotals checks that a sweep's scheduler totals reach every
+// simulation it runs: the full evaluation at seed 7 sums to the counters
+// `stepctl exp -workers 2 -schedstats` printed when a process-global
+// collector observed every DES run (the figures did not move with the
+// worker count). The hdlsim reference runs of fig8 are among them.
+func TestSuiteSchedTotals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation grids")
+	}
+	s := Suite{Seed: 7, Workers: 2}.EnsurePool()
+	for _, oc := range RunAll(s, All(), nil) {
+		if oc.Err != nil {
+			t.Fatalf("%s: %v", oc.Runner.ID, oc.Err)
+		}
+	}
+	st, runs := s.Sched()
+	if runs != 219 || st.Kicks != 1424 || st.Woken != 1504434 || st.Grants != 300581 || st.GrantFastPath != 13307 {
+		t.Fatalf("sched totals over %d runs: %+v; want 219 runs, kicks=1424 woken=1504434 grants=300581 grant-fastpath=13307", runs, st)
+	}
+}
+
+// TestSuiteSchedTotalsSeparate runs two evaluations concurrently with
+// separate suites: each must count exactly its own runs, the totals one
+// evaluation alone reports.
+func TestSuiteSchedTotalsSeparate(t *testing.T) {
+	runners := All()
+	if testing.Short() {
+		runners = runners[:0]
+		for _, id := range []string{"fig8", "fig10", "fig13"} {
+			r, ok := Lookup(id)
+			if !ok {
+				t.Fatalf("no experiment %s", id)
+			}
+			runners = append(runners, r)
+		}
+	}
+	eval := func(s Suite) (string, uint64) {
+		for _, oc := range RunAll(s, runners, nil) {
+			if oc.Err != nil {
+				t.Errorf("%s: %v", oc.Runner.ID, oc.Err)
+			}
+		}
+		st, runs := s.Sched()
+		return fmt.Sprintf("%+v", st), runs
+	}
+	alone := Suite{Seed: 7, Quick: true, Workers: 2}.EnsurePool()
+	want, wantRuns := eval(alone)
+	if wantRuns == 0 {
+		t.Fatal("evaluation counted no simulation runs")
+	}
+	suites := []Suite{
+		Suite{Seed: 7, Quick: true, Workers: 2}.EnsurePool(),
+		Suite{Seed: 7, Quick: true, Workers: 2}.EnsurePool(),
+	}
+	done := make(chan struct{})
+	for _, s := range suites {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			eval(s)
+		}()
+	}
+	<-done
+	<-done
+	for i, s := range suites {
+		st, runs := s.Sched()
+		if got := fmt.Sprintf("%+v", st); runs != wantRuns || got != want {
+			t.Errorf("suite %d: %d runs %s; want %d runs %s", i, runs, got, wantRuns, want)
+		}
+	}
+}

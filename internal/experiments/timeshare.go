@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
@@ -38,7 +37,7 @@ func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]ti
 		if err != nil {
 			return timesharePoint{}, err
 		}
-		sess, err := l.Program.Run(graph.WithSimWorkers(s.SimWorkers))
+		sess, err := s.Run(l.Program)
 		if err != nil {
 			return timesharePoint{}, err
 		}

@@ -125,6 +125,7 @@ type ringSlab struct {
 	vals  []element.Element
 }
 
+//lint:allow determinism a slab's slots are overwritten before they are read, so no run observes what an earlier one left
 var ringSlabPool = sync.Pool{New: func() any { return &ringSlab{} }}
 
 // acquireRingSlab returns a slab with room for totalDepth channel slots.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"step/internal/element"
 	"step/internal/shape"
@@ -899,18 +898,16 @@ func (dc *DecodeCtx) Defer(fn func() error) {
 // IRDecoder rebuilds one operator kind from its NodeIR.
 type IRDecoder func(dc *DecodeCtx) error
 
-var (
-	irRegistryMu sync.RWMutex
-	irRegistry   = map[string]IRDecoder{}
-)
+//lint:allow determinism filled by RegisterIROp during package initialization; read-only afterwards
+var irRegistry = map[string]IRDecoder{}
 
-// RegisterIROp registers the decoder for an operator kind. The ops
-// package registers every library operator from its op table. A decoder
-// records the rebuilt node's IR (SetIR): a loaded program re-encodes
-// what its decoders record.
+// RegisterIROp registers the decoder for an operator kind. It must run
+// during package initialization: the ops package registers every
+// library operator from its op table's var initializers, and the
+// registry is read without locking afterwards. A decoder records the
+// rebuilt node's IR (SetIR): a loaded program re-encodes what its
+// decoders record.
 func RegisterIROp(op string, dec IRDecoder) {
-	irRegistryMu.Lock()
-	defer irRegistryMu.Unlock()
 	if _, dup := irRegistry[op]; dup {
 		panic(fmt.Sprintf("ir: duplicate decoder for op %q", op))
 	}
@@ -919,8 +916,6 @@ func RegisterIROp(op string, dec IRDecoder) {
 
 // RegisteredIROps lists the registered operator kinds, sorted.
 func RegisteredIROps() []string {
-	irRegistryMu.RLock()
-	defer irRegistryMu.RUnlock()
 	out := make([]string, 0, len(irRegistry))
 	for op := range irRegistry {
 		out = append(out, op)
@@ -939,9 +934,7 @@ func BuildIR(ir *ProgramIR) (*Graph, error) {
 	streams := make(map[int]*Stream)
 	var defers []func() error
 	for i, n := range ir.Nodes {
-		irRegistryMu.RLock()
 		dec, ok := irRegistry[n.Op]
-		irRegistryMu.RUnlock()
 		if !ok {
 			return nil, fmt.Errorf("ir: node %d (%q): unknown op %q", i, n.Name, n.Op)
 		}

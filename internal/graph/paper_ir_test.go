@@ -173,3 +173,49 @@ func TestPaperWorkloadIR(t *testing.T) {
 		})
 	}
 }
+
+// TestPaperWorkloadNamesStable checks that a paper workload's printed
+// form depends on its structure alone: its DOT, §4.2 equations and
+// canonical IR are byte-equal whether the program is Go-built, decoded
+// from its own IR, or built again after 100 other programs. Ragged dims
+// introduced inside operators are named from the producing node, so
+// neither the build path nor what the process built before can rename
+// one.
+func TestPaperWorkloadNamesStable(t *testing.T) {
+	render := func(t *testing.T, name string, p *graph.Program) string {
+		t.Helper()
+		canonical, err := p.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Dot(name) + "\n" + p.OnchipBytesExpr().String() + "\n" +
+			p.OffchipTrafficBytesExpr().String() + "\n" + string(canonical)
+	}
+	buildOthers := func(t *testing.T, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			buildFamily(t, irFamilies[i%len(irFamilies)].name)
+		}
+	}
+	for _, w := range paperWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			prog := w.build(t)
+			goBuilt := render(t, w.name, prog)
+			ir, err := prog.IR()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := graph.CompileIR(ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if decoded := render(t, w.name, back); decoded != goBuilt {
+				t.Fatalf("decoded program prints differently:\n go: %s\n ir: %s", goBuilt, decoded)
+			}
+			buildOthers(t, 100)
+			if again := render(t, w.name, w.build(t)); again != goBuilt {
+				t.Fatalf("rebuilt program prints differently after 100 other builds:\n first: %s\n again: %s", goBuilt, again)
+			}
+		})
+	}
+}

@@ -28,4 +28,8 @@
 //     (index, row, err, duration). Emission order is scheduling-
 //     dependent; only the assembled table is deterministic. Every
 //     firing happens before the point's ParMap call returns.
+//   - Sweep-owned counters: every simulation of a sweep runs through
+//     Suite.Run, which adds its scheduler counters to the totals
+//     EnsurePool gave the suite (Suite.Sched). Separate suites never
+//     share totals; nothing counts process-wide.
 package harness

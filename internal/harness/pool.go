@@ -7,6 +7,9 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"step/internal/des"
+	"step/internal/graph"
 )
 
 // Suite configures a run of the experiment set.
@@ -48,6 +51,15 @@ type Suite struct {
 	// nested sweeps draw from one budget so total concurrency stays
 	// bounded by Workers at any fan-out depth.
 	sem chan struct{}
+	// sched sums the scheduler counters of the sweep's runs (see Sched),
+	// shared like sem by the copies made after EnsurePool.
+	sched *schedTotals
+}
+
+type schedTotals struct {
+	sync.Mutex
+	total des.SchedStats
+	runs  uint64
 }
 
 // effectiveWorkers resolves a Suite.Workers setting to a concrete worker
@@ -59,15 +71,19 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// EnsurePool equips the suite with its shared worker budget: a token
-// pool holding Workers-1 spare tokens (the goroutine calling ParMap
-// always counts as the implicit first worker). Nested ParMap calls draw
-// from the same pool, so total concurrency stays bounded by Workers
-// regardless of fan-out depth — an outer sweep that grabbed every spare
-// token simply runs its inner sweeps inline. Entry points (RunAll and
-// each registered experiment) call this once; the zero Suite degrades
-// to a per-call pool inside ParMap.
+// EnsurePool equips the suite with its shared worker budget and its
+// scheduler totals (see Sched). The budget is a token pool holding
+// Workers-1 spare tokens (the goroutine calling ParMap always counts as
+// the implicit first worker). Nested ParMap calls draw from the same
+// pool, so total concurrency stays bounded by Workers regardless of
+// fan-out depth — an outer sweep that grabbed every spare token simply
+// runs its inner sweeps inline. Entry points (RunAll and each
+// registered experiment) call this once; the zero Suite degrades to a
+// per-call pool inside ParMap and keeps no totals.
 func (s Suite) EnsurePool() Suite {
+	if s.sched == nil {
+		s.sched = new(schedTotals)
+	}
 	if w := effectiveWorkers(s.Workers); s.sem == nil && w > 1 {
 		s.sem = make(chan struct{}, w-1)
 		for i := 0; i < w-1; i++ {
@@ -75,6 +91,40 @@ func (s Suite) EnsurePool() Suite {
 		}
 	}
 	return s
+}
+
+// Run runs p on the suite's DES engine (SimWorkers), with opts applied
+// after it, and adds the run's scheduler counters to the suite's totals.
+// Every simulation of a sweep runs through it.
+func (s Suite) Run(p *graph.Program, opts ...graph.RunOption) (*graph.Session, error) {
+	sess, err := p.Run(append([]graph.RunOption{graph.WithSimWorkers(s.SimWorkers)}, opts...)...)
+	if err == nil {
+		s.AddSched(sess.Result.Sched)
+	}
+	return sess, err
+}
+
+// AddSched adds one run's scheduler counters to the suite's totals (the
+// zero Suite keeps none). A sweep calls it for a DES run made without a
+// Program.
+func (s Suite) AddSched(st des.SchedStats) {
+	if t := s.sched; t != nil {
+		t.Lock()
+		t.total.Add(st)
+		t.runs++
+		t.Unlock()
+	}
+}
+
+// Sched returns the scheduler counters summed over the sweep's runs so
+// far, and the number of runs. Separate suites never see each other's.
+func (s Suite) Sched() (des.SchedStats, uint64) {
+	if t := s.sched; t != nil {
+		t.Lock()
+		defer t.Unlock()
+		return t.total, t.runs
+	}
+	return des.SchedStats{}, 0
 }
 
 // PointEvent describes one completed sweep point, delivered to

@@ -41,6 +41,8 @@ type Config struct {
 type Result struct {
 	Cycles       des.Time
 	TrafficBytes int64
+	// Sched is the DES engine's scheduler counters for the run.
+	Sched des.SchedStats
 }
 
 // physMACCycles returns the cycle count for an m×k×n matmul mapped onto
@@ -170,5 +172,5 @@ func Simulate(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hdlsim: %w", err)
 	}
-	return Result{Cycles: cycles, TrafficBytes: mem.TrafficBytes()}, nil
+	return Result{Cycles: cycles, TrafficBytes: mem.TrafficBytes(), Sched: sim.SchedStats()}, nil
 }

@@ -32,12 +32,14 @@ func isSimPackage(path string) bool {
 	return false
 }
 
-// Determinism flags the three ways nondeterminism has historically crept
-// into simulators: wall clocks, global rand, and Go's randomized map
-// iteration order leaking into ordered output or first-error selection.
+// Determinism flags the ways nondeterminism has historically crept into
+// simulators: wall clocks, global rand, Go's randomized map iteration
+// order leaking into ordered output or first-error selection, and
+// package-level state that makes a result depend on what the process
+// ran before.
 var Determinism = &Analyzer{
 	Name:      "determinism",
-	Doc:       "sim-affecting packages must not read wall clocks, use unseeded math/rand, or leak map iteration order",
+	Doc:       "sim-affecting packages must not read wall clocks, use unseeded math/rand, leak map iteration order, or write package-level variables outside init",
 	AppliesTo: isSimPackage,
 	Run:       runDeterminism,
 }
@@ -45,6 +47,7 @@ var Determinism = &Analyzer{
 func runDeterminism(pass *Pass) {
 	info := pass.TypesInfo()
 	for _, file := range pass.Files() {
+		checkGlobalWrites(pass, file)
 		sorted := collectSortedSlices(file, info)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -86,6 +89,91 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "construct a seeded rand.New(rand.NewSource(seed)) instead",
 			"unseeded math/rand.%s in a sim-affecting package", fn.Name())
 	}
+}
+
+// checkGlobalWrites flags writes to package-level variables in function
+// bodies other than init; var initializers are not function bodies. A
+// write is an assignment or ++/-- whose target is rooted at the variable
+// (x = …, x.f = …, x[k] = …), a delete or clear of it, or a call of a
+// pointer-receiver method on it (x.Add, x.Store, x.Lock, pool.Get). A
+// variable whose declaration carries //lint:allow determinism <reason>
+// may be written anywhere: that one line documents every write.
+func checkGlobalWrites(pass *Pass, file *ast.File) {
+	info := pass.TypesInfo()
+	report := func(target ast.Expr) {
+		v := rootVar(info, target)
+		if v == nil || v.Parent() == nil || v.Parent() != v.Pkg().Scope() {
+			return
+		}
+		if pass.Pkg.suppressed(pass.Analyzer.Name, pass.Fset().Position(v.Pos())) {
+			return
+		}
+		pass.Reportf(target.Pos(), "own the state in a value the caller passes, or document the variable with //lint:allow on its declaration",
+			"writes package-level variable %s outside init; results then depend on what the process ran before", v.Name())
+	}
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || (fd.Recv == nil && fd.Name.Name == "init") {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						report(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				report(n.X)
+			case *ast.CallExpr:
+				if (isBuiltin(info, n.Fun, "delete") || isBuiltin(info, n.Fun, "clear")) && len(n.Args) > 0 {
+					report(n.Args[0])
+				}
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && hasPointerReceiver(info, sel) {
+					report(sel.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// rootVar returns the variable an lvalue-like expression is rooted at
+// (x in x.f[k].g or *x), or nil. A qualified identifier pkg.X roots at X.
+func rootVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			v, _ := info.Uses[x].(*types.Var)
+			return v
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if _, ok := info.Uses[id].(*types.PkgName); ok {
+					e = x.Sel
+					continue
+				}
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// hasPointerReceiver reports whether sel is a method call selector whose
+// method takes a pointer receiver.
+func hasPointerReceiver(info *types.Info, sel *ast.SelectorExpr) bool {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	_, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
 }
 
 // calleeFunc resolves a call's callee to its types.Func, if it is one.

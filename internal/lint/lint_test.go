@@ -64,6 +64,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		fixture  string // fixture directory and golden name; the analyzer's name if empty
 	}{
 		{Determinism, "step/internal/workloads", ""},
+		{Determinism, "step/internal/workloads", "globalstate"},
 		{LockDiscipline, "step/internal/des", ""},
 		{Hotpath, "step/internal/hot", ""},
 		{EqualFields, "step/internal/graph", ""},

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestRelayClosesFeedbackLoop(t *testing.T) {
 	// decrements a budget; Take caps the observed stream.
 	g := graph.New()
 	seed := Source(g, "seed", shape.OfInts(1), graph.ScalarType{}, []element.Element{sc(0), dn})
-	relay, relayOut := Relay(g, "loop", graph.ScalarType{}, shape.New(shape.FreshRagged("L")))
+	relay, relayOut := Relay(g, "loop", graph.ScalarType{}, shape.New(shape.NamedRagged("L")))
 	merged, msel := EagerMerge(g, "merge", []*graph.Stream{seed, relayOut})
 	Sink(g, "mselsink", msel)
 	taken := Take(g, "take", merged, 5)
@@ -221,8 +222,11 @@ func TestStreamifyAffineBounds(t *testing.T) {
 	}{
 		{[2]int{1, 1}, [2]int{-1, 2}, "out shape"},
 		{[2]int{1, 1}, [2]int{0, 2}, "out shape"},
-		{[2]int{1, 1}, [2]int{1, 9}, "index 8 beyond buffer of 2"},
-		{[2]int{2, 50}, [2]int{1, 2}, "index 50 beyond buffer of 2"},
+		{[2]int{1, 1}, [2]int{1, 9}, "index 8 outside buffer of 2"},
+		{[2]int{2, 50}, [2]int{1, 2}, "index 50 outside buffer of 2"},
+		// A negative stride reaches below the buffer's first index even
+		// though the corner sum, (2-1)*-1 + (2-1)*1 = 0, stays inside.
+		{[2]int{-1, 1}, [2]int{2, 2}, "index -1 outside buffer of 2"},
 	} {
 		g := graph.New()
 		build(g, c.stride, c.outShape)
@@ -277,6 +281,49 @@ func TestLinearLoadStopMergesWithRefStops(t *testing.T) {
 	sess := run(t, g)
 	if got := fmtCap(sess, cap); got != "Tile[2x2],S2,Tile[2x2],S3,D" {
 		t.Fatalf("captured %s", got)
+	}
+}
+
+// TestLinearLoadNegativeStrideRejected: an affine read whose smallest
+// corner index falls below the grid fails at build on the Go path and at
+// load on the IR path, not mid-run with a negative tile index.
+func TestLinearLoadNegativeStrideRejected(t *testing.T) {
+	tensor := mustTensor(t, tile.Random(4, 4, 1), 1, 1) // a 4x4 grid of 1x1 tiles
+	build := func(g *graph.Graph, stride [2]int) {
+		Sink(g, "s", LinearOffChipLoad(g, "load", CountSource(g, "ref", 1), tensor, stride, [2]int{2, 2}))
+	}
+	const want = "tile -1 outside grid 4x4"
+	g := graph.New()
+	build(g, [2]int{-1, 5})
+	if err := g.Finalize(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Finalize = %v, want %q", err, want)
+	}
+
+	g = graph.New()
+	build(g, [2]int{1, 5})
+	p, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := p.IR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ir.Nodes {
+		if ir.Nodes[i].Name != "load" {
+			continue
+		}
+		var attrs map[string]json.RawMessage
+		if err := json.Unmarshal(ir.Nodes[i].Attrs, &attrs); err != nil {
+			t.Fatal(err)
+		}
+		attrs["stride"] = json.RawMessage(`[-1,5]`)
+		if ir.Nodes[i].Attrs, err = json.Marshal(attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := graph.CompileIR(ir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("load = %v, want %q", err, want)
 	}
 }
 

@@ -69,6 +69,8 @@ type fnEntry struct {
 
 // fnRegistry is the one function library: every MapFn, AccumFn and
 // FlatMapFn the ops package exports resolves through it.
+//
+//lint:allow determinism filled by registerFn from var initializers during package initialization; read-only afterwards
 var fnRegistry = map[string]fnEntry{}
 
 // registerFn adds the library function name to the registry and returns

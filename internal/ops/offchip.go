@@ -73,10 +73,9 @@ func LinearOffChipLoad(g *graph.Graph, name string, ref *graph.Stream, tensor Of
 		outShape = [2]int{1, 1}
 		op.outShape = outShape
 	}
-	maxIdx := (outShape[0]-1)*stride[0] + (outShape[1]-1)*stride[1]
-	if maxIdx >= tensor.GridRows()*tensor.GridCols() || maxIdx < 0 {
-		g.Errf("%s: affine read reaches tile %d beyond grid %dx%d",
-			name, maxIdx, tensor.GridRows(), tensor.GridCols())
+	if idx, out := affineOutOfRange(stride, outShape, tensor.GridRows()*tensor.GridCols()); out {
+		g.Errf("%s: affine read reaches tile %d outside grid %dx%d",
+			name, idx, tensor.GridRows(), tensor.GridCols())
 	}
 	n := g.AddNode(op, ref)
 	linearLoadKind.set(n, linearLoadAttrs{Tensor: tensorAttr{t: tensor}, Stride: stride, OutShape: outShape})
@@ -89,6 +88,21 @@ func LinearOffChipLoad(g *graph.Graph, name string, ref *graph.Stream, tensor Of
 	op.traffic = symCard(out)
 	op.onchip = symbolic.Mul(dt.Bytes(), symbolic.Const(2))
 	return out
+}
+
+// affineOutOfRange returns a corner of an affine read of outShape at
+// stride that falls outside [0, n): the smallest index (a negative stride
+// reaches below 0) or the largest.
+func affineOutOfRange(stride, outShape [2]int, n int) (int, bool) {
+	lo, hi := 0, 0
+	for i := range stride {
+		d := (outShape[i] - 1) * stride[i]
+		lo, hi = lo+min(0, d), hi+max(0, d)
+	}
+	if lo < 0 {
+		return lo, true
+	}
+	return hi, hi >= n
 }
 
 // LinearOffChipLoadStatic is the static-reference variant: the affine read

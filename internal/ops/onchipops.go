@@ -132,15 +132,15 @@ func Streamify(g *graph.Graph, name string, bufs, ref *graph.Stream, stride, out
 	op := &streamifyOp{base: newBase(name), c: c, free: true}
 	var readDims []shape.Dim
 	if stride != nil && outShape != nil {
-		maxIdx := (outShape[0]-1)*stride[0] + (outShape[1]-1)*stride[1]
 		switch {
 		case !bt.Shape.IsFullyStatic():
 			g.Errf("%s: affine read requires a fully static buffer shape, got %s", name, bt.Shape)
 		case outShape[0] <= 0 || outShape[1] <= 0:
 			g.Errf("%s: non-positive out shape %v", name, *outShape)
 		default:
-			if size, _ := bt.Shape.Cardinality().IsConst(); maxIdx >= int(size) || maxIdx < 0 {
-				g.Errf("%s: affine read reaches index %d beyond buffer of %d", name, maxIdx, size)
+			size, _ := bt.Shape.Cardinality().IsConst()
+			if idx, out := affineOutOfRange(*stride, *outShape, int(size)); out {
+				g.Errf("%s: affine read reaches index %d outside buffer of %d", name, idx, size)
 			}
 		}
 		op.affine = true

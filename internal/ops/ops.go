@@ -39,6 +39,14 @@ func (b *base) OffchipTrafficBytes() symbolic.Expr { return b.traffic }
 // AllocatedComputeBW implements graph.Operator.
 func (b *base) AllocatedComputeBW() int64 { return b.computeBW }
 
+// raggedName names the ragged dim node n introduces on output port. The
+// node's index keeps two same-named nodes from sharing a symbol, so the
+// name depends on the program's structure alone: a decoded program prints
+// the same shapes and §4.2 equations as its Go-built original.
+func raggedName(n *graph.Node, port int) string {
+	return fmt.Sprintf("%s#%d.%d", n.Op.Name(), n.ID, port)
+}
+
 // reseed returns an operator's content for this run: v, or its
 // re-derivation for the run seed when the IR decoder attached one
 // (content that drew seeded random tiles; see graph.Seeded).

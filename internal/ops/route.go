@@ -41,16 +41,13 @@ func Partition(g *graph.Graph, name string, in, sel *graph.Stream, r, numConsume
 	op := &partitionOp{base: newBase(name), r: r, num: numConsumers}
 	n := g.AddNode(op, in, sel)
 	partitionKind.set(n, partitionAttrs{R: r, Num: numConsumers})
+	inner, err := in.Shape.Inner(r)
+	if err != nil {
+		g.Errf("%s: %v", name, err)
+	}
 	outs := make([]*graph.Stream, numConsumers)
 	for i := range outs {
-		dims := make([]shape.Dim, 0, r+1)
-		dims = append(dims, shape.FreshRagged("D"))
-		inner, err := in.Shape.Inner(r)
-		if err != nil {
-			g.Errf("%s: %v", name, err)
-		}
-		dims = append(dims, inner.Dims...)
-		outs[i] = g.NewStream(n, shape.New(dims...), in.DType)
+		outs[i] = g.NewStream(n, shape.Concat(shape.New(shape.NamedRagged(raggedName(n, i))), inner), in.DType)
 	}
 	return outs
 }
@@ -161,15 +158,12 @@ func Reassemble(g *graph.Graph, name string, ins []*graph.Stream, sel *graph.Str
 	n := g.AddNode(op, args...)
 	reassembleKind.set(n, reassembleAttrs{A: a})
 	// Output shape: [sel dims..., D^sel (new dynamic dim), inner a dims].
-	dims := make([]shape.Dim, 0, sel.Shape.Rank()+1+a)
-	dims = append(dims, sel.Shape.Dims...)
-	dims = append(dims, shape.FreshRagged("D"))
 	inner, err := ins[0].Shape.Inner(a)
 	if err != nil {
 		g.Errf("%s: %v", name, err)
 	}
-	dims = append(dims, inner.Dims...)
-	return g.NewStream(n, shape.New(dims...), ins[0].DType)
+	group := shape.Concat(sel.Shape, shape.New(shape.NamedRagged(raggedName(n, 0))))
+	return g.NewStream(n, shape.Concat(group, inner), ins[0].DType)
 }
 
 func (o *reassembleOp) Run(ctx *graph.Ctx) error {
@@ -276,15 +270,12 @@ func EagerMerge(g *graph.Graph, name string, ins []*graph.Stream) (data, sel *gr
 	n := g.AddNode(op, ins...)
 	eagerMergeKind.set(n, noAttrs{})
 	// Output data shape: [ΣD^i_a, inner a dims].
-	dims := make([]shape.Dim, 0, a+1)
-	dims = append(dims, shape.FreshRagged("D"))
 	inner, err := ins[0].Shape.Inner(a)
 	if err != nil {
 		g.Errf("%s: %v", name, err)
 	}
-	dims = append(dims, inner.Dims...)
-	data = g.NewStream(n, shape.New(dims...), ins[0].DType)
-	sel = g.NewStream(n, shape.New(shape.FreshRagged("D")), graph.SelectorType{N: len(ins)})
+	data = g.NewStream(n, shape.Concat(shape.New(shape.NamedRagged(raggedName(n, 0))), inner), ins[0].DType)
+	sel = g.NewStream(n, shape.New(shape.NamedRagged(raggedName(n, 1))), graph.SelectorType{N: len(ins)})
 	return data, sel
 }
 

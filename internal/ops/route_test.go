@@ -34,6 +34,30 @@ func TestPartitionRoutesRows(t *testing.T) {
 	}
 }
 
+// Node names need not be unique, so two same-named Partitions must still
+// name their ragged output dims apart: a shared symbol would equate two
+// unrelated extents in the §4.2 equations.
+func TestSameNamedPartitionsGetDistinctRaggedDims(t *testing.T) {
+	g := graph.New()
+	var outs []*graph.Stream
+	for i := 0; i < 2; i++ {
+		in := Source(g, "in", shape.OfInts(2, 1), graph.ScalarType{}, []element.Element{sc(1), st(1), sc(2), st(1), dn})
+		sel := Source(g, "sel", shape.OfInts(2), graph.SelectorType{N: 2}, []element.Element{selElem(2, 0), selElem(2, 1), dn})
+		outs = append(outs, Partition(g, "part", in, sel, 1, 2)...)
+	}
+	seen := map[string]bool{}
+	for _, o := range outs {
+		d := o.Shape.Outer()
+		if d.Kind != shape.Ragged {
+			t.Fatalf("partition output %s: outer dim not ragged", o.Shape)
+		}
+		if seen[d.Size.String()] {
+			t.Fatalf("ragged symbol %s shared by two partition outputs", d.Size)
+		}
+		seen[d.Size.String()] = true
+	}
+}
+
 func TestPartitionMultiHotCopies(t *testing.T) {
 	g := graph.New()
 	in := Source(g, "in", shape.OfInts(2, 1), graph.ScalarType{},

@@ -19,14 +19,14 @@ type flattenOp struct {
 // pass through, levels in (min, max] are removed, and higher levels shift
 // down by max-min.
 func Flatten(g *graph.Graph, name string, in *graph.Stream, min, max int) *graph.Stream {
-	outShape, err := in.Shape.Flatten(min, max)
+	op := &flattenOp{base: newBase(name), min: min, max: max}
+	n := g.AddNode(op, in)
+	flattenKind.set(n, flattenAttrs{Min: min, Max: max})
+	outShape, err := in.Shape.Flatten(min, max, raggedName(n, 0))
 	if err != nil {
 		g.Errf("%s: %v", name, err)
 		outShape = in.Shape
 	}
-	op := &flattenOp{base: newBase(name), min: min, max: max}
-	n := g.AddNode(op, in)
-	flattenKind.set(n, flattenAttrs{Min: min, Max: max})
 	return g.NewStream(n, outShape, in.DType)
 }
 
@@ -75,13 +75,13 @@ type reshapeOp struct {
 // this to emit dynamically-sized tiles of at most `chunk` rows. When
 // rank > 0 the dimension must be static and divisible.
 func Reshape(g *graph.Graph, name string, in *graph.Stream, rank, chunk int, pad element.Value) (data, padding *graph.Stream) {
-	outShape, err := in.Shape.Reshape(rank, chunk)
+	op := &reshapeOp{base: newBase(name), rank: rank, chunk: chunk, pad: pad}
+	n := g.AddNode(op, in)
+	outShape, err := in.Shape.Reshape(rank, chunk, raggedName(n, 0))
 	if err != nil {
 		g.Errf("%s: %v", name, err)
 		outShape = in.Shape
 	}
-	op := &reshapeOp{base: newBase(name), rank: rank, chunk: chunk, pad: pad}
-	n := g.AddNode(op, in)
 	attrs := reshapeAttrs{Rank: rank, Chunk: chunk}
 	serializable := true
 	if pad != nil {

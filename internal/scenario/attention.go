@@ -153,7 +153,7 @@ func attentionPlan(sp Spec, s harness.Suite) (plan[attnResult], error) {
 		if err != nil {
 			return attnResult{}, err
 		}
-		sess, err := a.Program.Run(graph.WithSimWorkers(s.SimWorkers), graph.WithSeed(s.Seed))
+		sess, err := s.Run(a.Program, graph.WithSeed(s.Seed))
 		if err != nil {
 			return attnResult{}, err
 		}

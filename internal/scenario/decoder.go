@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"step/internal/graph"
 	"step/internal/harness"
 	"step/internal/workloads"
 )
@@ -69,7 +68,7 @@ func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 			if err != nil {
 				return decoderResult{}, err
 			}
-			res, err := workloads.RunDecoder(workloads.DecoderConfig{
+			res, err := workloads.RunDecoderWith(workloads.DecoderConfig{
 				Model:        models[mi],
 				Batch:        b,
 				KVLens:       ba.kvLens(b, sp.KVMean, variance, s.Seed),
@@ -81,7 +80,7 @@ func decoderPlan(sp Spec, s harness.Suite) (plan[decoderResult], error) {
 				SampleLayers: sampleLayers,
 				Skew:         skew,
 				Seed:         s.Seed,
-			}, graph.WithSimWorkers(s.SimWorkers))
+			}, s.Run)
 			if err != nil {
 				return decoderResult{}, err
 			}

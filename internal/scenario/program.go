@@ -64,6 +64,8 @@ func (sp Spec) validateProgramFields() error {
 // and hits. Programs run concurrently, so one is shared across those
 // callers and concurrent jobs. The map is bounded: past the cap it is
 // dropped wholesale (entries are pure caches).
+//
+//lint:allow determinism a compiled program is a pure function of its IR bytes; a hit runs exactly as a fresh compile would
 var progCache struct {
 	sync.Mutex
 	m map[[sha256.Size]byte]progMemo
@@ -168,11 +170,7 @@ func programPlan(sp Spec, s harness.Suite) (plan[programPoint], error) {
 		points: len(depths),
 		group:  1,
 		point: func(i int) (programPoint, error) {
-			sess, err := prog.Run(
-				graph.WithSimWorkers(s.SimWorkers),
-				graph.WithSeed(s.Seed),
-				graph.WithChannelDepth(depths[i]),
-			)
+			sess, err := s.Run(prog, graph.WithSeed(s.Seed), graph.WithChannelDepth(depths[i]))
 			if err != nil {
 				return programPoint{}, fmt.Errorf("scenario %s: depth %d: %w", sp.ID, depths[i], err)
 			}

@@ -85,7 +85,7 @@ func moeTilingPlan(sp Spec, s harness.Suite) (plan[TilingPoint], error) {
 			if err != nil {
 				return TilingPoint{}, err
 			}
-			sess, err := l.Program.Run(graph.WithSimWorkers(s.SimWorkers), graph.WithSeed(s.Seed))
+			sess, err := s.Run(l.Program, graph.WithSeed(s.Seed))
 			if err != nil {
 				return TilingPoint{}, err
 			}

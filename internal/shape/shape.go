@@ -2,13 +2,13 @@
 // Appendix B.1). A rank-N stream has a shape [D_N, …, D_1, D_0] whose
 // dimensions may be static-regular, dynamic-regular, or ragged. Ragged
 // dimensions "absorb" in products: any shape equation containing a ragged
-// dimension becomes a fresh ragged dimension.
+// dimension becomes a new ragged dimension, named by the operator that
+// introduces it.
 package shape
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"step/internal/symbolic"
 )
@@ -23,7 +23,8 @@ const (
 	// represented symbolically.
 	DynamicRegular
 	// Ragged dimensions take varying sizes across the stream; their extent
-	// is a fresh symbol and absorbs in shape equations.
+	// is a symbol named by the operator that introduces it, and it absorbs
+	// in shape equations.
 	Ragged
 )
 
@@ -59,18 +60,9 @@ func Dynamic(size symbolic.Expr) Dim {
 	return Dim{Kind: DynamicRegular, Size: size}
 }
 
-// raggedCounter numbers freshly introduced ragged symbols (D'0, D'1, …).
-var raggedCounter atomic.Int64
-
-// FreshRagged returns a ragged dimension with a fresh symbol derived from
-// the given base name.
-func FreshRagged(base string) Dim {
-	n := raggedCounter.Add(1)
-	return Dim{Kind: Ragged, Size: symbolic.Sym(fmt.Sprintf("%s'%d", base, n))}
-}
-
 // NamedRagged returns a ragged dimension with an explicit symbol name.
-// Use it when the caller wants stable symbol names in reports.
+// Every ragged symbol is named by its caller, so a program's shapes and
+// equations are a function of its structure alone.
 func NamedRagged(name string) Dim {
 	return Dim{Kind: Ragged, Size: symbolic.Sym(name)}
 }
@@ -165,58 +157,15 @@ func (s Shape) HasDynamic() bool {
 }
 
 // Cardinality returns the symbolic product of all dimension sizes (‖X‖ in
-// §4.2). Per the absorbing rule, if any dimension is ragged the product is
-// itself represented by a fresh ragged symbol UNLESS exact is requested by
-// CardinalityExact (used by the simulator where concrete counts are known).
+// §4.2). A ragged dimension contributes its own symbol: the frontend keeps
+// the product form for readability and defers to the simulator for
+// concrete values (paper §4.2 "Handling data dependencies").
 func (s Shape) Cardinality() symbolic.Expr {
 	factors := make([]symbolic.Expr, 0, len(s.Dims))
-	ragged := false
 	for _, d := range s.Dims {
-		if d.Kind == Ragged {
-			ragged = true
-		}
 		factors = append(factors, d.Size)
-	}
-	if ragged {
-		// The product involving a ragged dimension is a new ragged symbol.
-		// We keep the symbolic product form for readability: the frontend
-		// tracks such operators and defers to the simulator for concrete
-		// values (paper §4.2 "Handling data dependencies").
-		return symbolic.Mul(factors...)
 	}
 	return symbolic.Mul(factors...)
-}
-
-// Product returns the symbolic product of sizes of dims [lo, hi] counted
-// from innermost, applying ragged absorption: if any dimension in range is
-// ragged, the result is a fresh ragged dim.
-func (s Shape) Product(lo, hi int) Dim {
-	if lo < 0 || hi >= s.Rank() || lo > hi {
-		panic(fmt.Sprintf("shape: bad product range [%d,%d] for rank %d", lo, hi, s.Rank()))
-	}
-	ragged := false
-	anyDynamic := false
-	factors := make([]symbolic.Expr, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		d := s.Dim(i)
-		if d.Kind == Ragged {
-			ragged = true
-		}
-		if d.Kind != StaticRegular {
-			anyDynamic = true
-		}
-		factors = append(factors, d.Size)
-	}
-	if ragged {
-		// Absorbing property (example 1 in §3.1): result is a fresh ragged
-		// dimension rather than an explicit product.
-		return FreshRagged("D")
-	}
-	size := symbolic.Mul(factors...)
-	if anyDynamic {
-		return Dim{Kind: DynamicRegular, Size: size}
-	}
-	return Dim{Kind: StaticRegular, Size: size}
 }
 
 // Equal reports whether two shapes agree structurally: same rank, same
@@ -272,32 +221,34 @@ func dimCompatible(have, want Dim) bool {
 
 // --- Shape-operator rules (Tables 3–7) ---
 
-// Flatten merges dims [min,max] (innermost-indexed, inclusive) into one,
-// applying ragged absorption.
-func (s Shape) Flatten(min, max int) (Shape, error) {
-	if min < 0 || max >= s.Rank() || min >= max {
-		return Shape{}, fmt.Errorf("shape: flatten range [%d,%d] invalid for rank %d", min, max, s.Rank())
+// Flatten merges dims [lo,hi] (innermost-indexed, inclusive) into one
+// whose size is their product. A ragged dim in range absorbs the product
+// (example 1 in §3.1): the merged dim is then the ragged dim named ragged.
+func (s Shape) Flatten(lo, hi int, ragged string) (Shape, error) {
+	if lo < 0 || hi >= s.Rank() || lo >= hi {
+		return Shape{}, fmt.Errorf("shape: flatten range [%d,%d] invalid for rank %d", lo, hi, s.Rank())
 	}
-	merged := s.Product(min, max)
-	out := make([]Dim, 0, s.Rank()-(max-min))
-	// Dims above max (outermost side).
-	for i := 0; i < s.Rank()-1-max; i++ {
-		out = append(out, s.Dims[i])
+	kind := StaticRegular
+	factors := make([]symbolic.Expr, 0, hi-lo+1)
+	for i := lo; i <= hi; i++ {
+		kind = max(kind, s.Dim(i).Kind)
+		factors = append(factors, s.Dim(i).Size)
 	}
-	out = append(out, merged)
-	// Dims below min.
-	for i := min - 1; i >= 0; i-- {
-		out = append(out, s.Dim(i))
+	merged := Dim{Kind: kind, Size: symbolic.Mul(factors...)}
+	if kind == Ragged {
+		merged = NamedRagged(ragged)
 	}
-	return Shape{Dims: out}, nil
+	out := append(append([]Dim{}, s.Dims[:s.Rank()-1-hi]...), merged)
+	return Shape{Dims: append(out, s.Dims[s.Rank()-lo:]...)}, nil
 }
 
 // Reshape splits dimension b (innermost-indexed) into chunks of chunkSize,
 // producing [… ,⌈D_b/S⌉, S, …]. When b refers to a dimension above the
 // innermost, the dimension must be static and divisible; when it is the
 // innermost, any kind is allowed and padding is implied (handled by the
-// operator at runtime).
-func (s Shape) Reshape(b, chunkSize int) (Shape, error) {
+// operator at runtime). A ragged dim b absorbs its chunk count into the
+// ragged dim named ragged.
+func (s Shape) Reshape(b, chunkSize int, ragged string) (Shape, error) {
 	if b < 0 || b >= s.Rank() {
 		return Shape{}, fmt.Errorf("shape: reshape rank %d out of range for rank %d", b, s.Rank())
 	}
@@ -317,7 +268,7 @@ func (s Shape) Reshape(b, chunkSize int) (Shape, error) {
 	}
 	outer := Dim{Kind: d.Kind, Size: symbolic.CeilDiv(d.Size, symbolic.Const(int64(chunkSize)))}
 	if d.Kind == Ragged {
-		outer = FreshRagged("D")
+		outer = NamedRagged(ragged)
 	}
 	inner := Static(chunkSize)
 	out := make([]Dim, 0, s.Rank()+1)

@@ -1,7 +1,6 @@
 package shape
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,10 +16,8 @@ func TestDimConstructors(t *testing.T) {
 	if _, ok := dy.IsStatic(); ok {
 		t.Fatal("dynamic dim reported static")
 	}
-	r1 := FreshRagged("D")
-	r2 := FreshRagged("D")
-	if symbolic.Equal(r1.Size, r2.Size) {
-		t.Fatal("fresh ragged symbols must be distinct")
+	if r := NamedRagged("R"); r.Kind != Ragged || r.Size.String() != "R" {
+		t.Fatalf("NamedRagged(R) = %v", r)
 	}
 }
 
@@ -46,7 +43,7 @@ func TestDimIndexing(t *testing.T) {
 
 func TestFlattenStatic(t *testing.T) {
 	s := OfInts(4, 3, 2)
-	f, err := s.Flatten(0, 1) // merge inner two: [4,6]
+	f, err := s.Flatten(0, 1, "D'") // merge inner two: [4,6]
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +54,9 @@ func TestFlattenStatic(t *testing.T) {
 
 func TestFlattenRaggedAbsorbs(t *testing.T) {
 	// Example (1) in §3.1: [2,2,D0] with D0 ragged; flattening inner two
-	// gives [2, D'] with a fresh ragged symbol, not [2, 2*D0].
+	// gives [2, D'] with the ragged symbol the caller names, not [2, 2*D0].
 	s := New(Static(2), Static(2), NamedRagged("D0"))
-	f, err := s.Flatten(0, 1)
+	f, err := s.Flatten(0, 1, "D'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +66,17 @@ func TestFlattenRaggedAbsorbs(t *testing.T) {
 	if f.Dim(0).Kind != Ragged {
 		t.Fatalf("inner dim should be ragged, got %v", f.Dim(0))
 	}
-	if strings.Contains(f.Dim(0).Size.String(), "*") {
-		t.Fatalf("ragged product must absorb, got %s", f.Dim(0).Size)
+	if got := f.Dim(0).Size.String(); got != "D'" {
+		t.Fatalf("ragged product must absorb into D', got %s", got)
 	}
 }
 
 func TestFlattenErrors(t *testing.T) {
 	s := OfInts(4, 3)
-	if _, err := s.Flatten(1, 1); err == nil {
+	if _, err := s.Flatten(1, 1, "D'"); err == nil {
 		t.Error("expected error for empty range")
 	}
-	if _, err := s.Flatten(0, 5); err == nil {
+	if _, err := s.Flatten(0, 5, "D'"); err == nil {
 		t.Error("expected error for out-of-range")
 	}
 }
@@ -88,7 +85,7 @@ func TestReshapeInnermostDynamic(t *testing.T) {
 	// [D2,1] reshaped at rank 0... the MoE example reshapes stream [D2]
 	// into [ceil(D2/4), 4].
 	s := New(Dynamic(symbolic.Sym("D2")))
-	r, err := s.Reshape(0, 4)
+	r, err := s.Reshape(0, 4, "D'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +102,10 @@ func TestReshapeInnermostDynamic(t *testing.T) {
 
 func TestReshapeNonInnermostNeedsStaticDivisible(t *testing.T) {
 	s := New(Static(8), Static(3))
-	if _, err := s.Reshape(1, 5); err == nil {
+	if _, err := s.Reshape(1, 5, "D'"); err == nil {
 		t.Error("expected divisibility error")
 	}
-	r, err := s.Reshape(1, 4)
+	r, err := s.Reshape(1, 4, "D'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +113,19 @@ func TestReshapeNonInnermostNeedsStaticDivisible(t *testing.T) {
 		t.Errorf("reshape = %s", r)
 	}
 	dyn := New(Dynamic(symbolic.Sym("D")), Static(3))
-	if _, err := dyn.Reshape(1, 2); err == nil {
+	if _, err := dyn.Reshape(1, 2, "D'"); err == nil {
 		t.Error("expected error reshaping dynamic non-innermost dim")
 	}
 }
 
 func TestReshapeRaggedAbsorbs(t *testing.T) {
 	s := New(NamedRagged("R"))
-	r, err := s.Reshape(0, 4)
+	r, err := s.Reshape(0, 4, "R'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Dims[0].Kind != Ragged {
-		t.Errorf("outer should stay ragged: %v", r.Dims[0])
+	if r.Dims[0].Kind != Ragged || r.Dims[0].Size.String() != "R'" {
+		t.Errorf("outer should be the ragged dim R': %v", r.Dims[0])
 	}
 }
 
@@ -233,7 +230,7 @@ func TestQuickFlattenPreservesCardinality(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		da, db, dc := int(a%7)+1, int(b%7)+1, int(c%7)+1
 		s := OfInts(da, db, dc)
-		fl, err := s.Flatten(0, 1)
+		fl, err := s.Flatten(0, 1, "D'")
 		if err != nil {
 			return false
 		}
@@ -252,7 +249,7 @@ func TestQuickReshapeCover(t *testing.T) {
 	f := func(d, s uint8) bool {
 		D, S := int(d%100)+1, int(s%9)+1
 		sh := OfInts(D)
-		r, err := sh.Reshape(0, S)
+		r, err := sh.Reshape(0, S, "D'")
 		if err != nil {
 			return false
 		}

@@ -77,6 +77,14 @@ type DecoderResult struct {
 // RunDecoder simulates the end-to-end decoder under the given schedule,
 // running every sampled layer's programs with opts.
 func RunDecoder(cfg DecoderConfig, opts ...graph.RunOption) (DecoderResult, error) {
+	return RunDecoderWith(cfg, func(p *graph.Program, _ ...graph.RunOption) (*graph.Session, error) {
+		return p.Run(opts...)
+	})
+}
+
+// RunDecoderWith is RunDecoder with each program run by run(program); a
+// sweep passes its harness.Suite's Run, which counts the runs.
+func RunDecoderWith(cfg DecoderConfig, run func(*graph.Program, ...graph.RunOption) (*graph.Session, error)) (DecoderResult, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return DecoderResult{}, err
 	}
@@ -104,7 +112,7 @@ func RunDecoder(cfg DecoderConfig, opts ...graph.RunOption) (DecoderResult, erro
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
-		attnSess, err := attn.Program.Run(opts...)
+		attnSess, err := run(attn.Program)
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
@@ -127,7 +135,7 @@ func RunDecoder(cfg DecoderConfig, opts ...graph.RunOption) (DecoderResult, erro
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
-		moeSess, err := moe.Program.Run(opts...)
+		moeSess, err := run(moe.Program)
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}

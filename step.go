@@ -151,16 +151,7 @@ type (
 	// holds the counters of one run, on either engine. The counters
 	// describe how the engine coordinated, so Result.Equal ignores them.
 	SchedStats = des.SchedStats
-	// SchedCollector aggregates SchedStats across every simulation run in
-	// the process while installed (see SetSchedCollector); tools like
-	// `stepctl exp -schedstats` use it to observe runs constructed deep
-	// inside a harness.
-	SchedCollector = des.SchedCollector
 )
-
-// SetSchedCollector installs (or, with nil, removes) the process-global
-// scheduler-stats collector.
-var SetSchedCollector = des.SetSchedCollector
 
 // NewGraph creates an empty STeP program builder.
 func NewGraph() *Graph { return graph.New() }
