@@ -284,13 +284,20 @@ var flagToSelectorFn = registerFn("flag-to-selector", nil, func(none) MapFn {
 				return nil, 0, fmt.Errorf("expected flag, got %T", v)
 			}
 			if f.B {
-				return element.NewSelector(2, 1), 0, nil
+				return routePadded, 0, nil
 			}
-			return element.NewSelector(2, 0), 0, nil
+			return routeReal, 0, nil
 		},
 		OutType: func(graph.DType) graph.DType { return graph.SelectorType{N: 2} },
 	}
 })
+
+// The two routes flag-to-selector emits, boxed once: the per-element path
+// then allocates nothing. Selectors are never written after construction.
+var (
+	routeReal   element.Value = element.NewSelector(2, 0)
+	routePadded element.Value = element.NewSelector(2, 1)
+)
 
 func tupleFirstTile(in graph.DType) graph.DType {
 	if tt, ok := in.(graph.TupleType); ok {

@@ -86,9 +86,11 @@ type subtree struct {
 // is a maximal run of data elements and stop tokens with level < r,
 // terminated by a stop token of level >= r or by Done. For r == 0 a
 // subtree is a single data element. ok is false when the stream was
-// already exhausted (the first element read is Done and no body).
-func readSubtree(ctx *graph.Ctx, i, r int) (subtree, bool, error) {
-	var st subtree
+// already exhausted (the first element read is Done and no body). The
+// body reuses the caller's *buf, so it is valid until the next read into it.
+func readSubtree(ctx *graph.Ctx, i, r int, buf *[]element.Element) (subtree, bool, error) {
+	st := subtree{body: (*buf)[:0]}
+	defer func() { *buf = st.body }()
 	if r == 0 {
 		e, ok := recvTracked(ctx, i)
 		if !ok {

@@ -54,6 +54,7 @@ func Partition(g *graph.Graph, name string, in, sel *graph.Stream, r, numConsume
 
 func (o *partitionOp) Run(ctx *graph.Ctx) error {
 	defer ctx.CloseOutputs()
+	var body []element.Element
 	for {
 		se, ok := recvTracked(ctx, 1)
 		if !ok {
@@ -82,7 +83,7 @@ func (o *partitionOp) Run(ctx *graph.Ctx) error {
 			if !ok {
 				return fmt.Errorf("%s: selector stream carried %T", o.name, selv)
 			}
-			st, hasBody, err := readSubtree(ctx, 0, o.r)
+			st, hasBody, err := readSubtree(ctx, 0, o.r, &body)
 			if err != nil {
 				return err
 			}
@@ -171,6 +172,9 @@ func (o *reassembleOp) Run(ctx *graph.Ctx) error {
 	nIn := len(ctx.In) - 1
 	selCh := len(ctx.In) - 1
 	w := newStopWriter(ctx, 0)
+	var body []element.Element
+	var remaining []int
+	var sels []des.Selectable
 	for {
 		se, ok := recvTracked(ctx, selCh)
 		if !ok {
@@ -202,16 +206,15 @@ func (o *reassembleOp) Run(ctx *graph.Ctx) error {
 			if len(selector.Indices) == 0 {
 				return fmt.Errorf("%s: empty selector", o.name)
 			}
-			remaining := make([]int, len(selector.Indices))
-			copy(remaining, selector.Indices)
+			remaining = append(remaining[:0], selector.Indices...)
 			for len(remaining) > 0 {
 				// Collect from whichever selected input has data first.
-				sels := make([]des.Selectable, len(remaining))
-				for i, idx := range remaining {
+				sels = sels[:0]
+				for _, idx := range remaining {
 					if idx >= nIn {
 						return fmt.Errorf("%s: selector index %d >= %d inputs", o.name, idx, nIn)
 					}
-					sels[i] = ctx.In[idx]
+					sels = append(sels, ctx.In[idx])
 				}
 				win := des.Select(ctx.P, sels...)
 				if win < 0 {
@@ -219,7 +222,7 @@ func (o *reassembleOp) Run(ctx *graph.Ctx) error {
 				}
 				src := remaining[win]
 				remaining = append(remaining[:win], remaining[win+1:]...)
-				st, hasBody, err := readSubtree(ctx, src, o.a)
+				st, hasBody, err := readSubtree(ctx, src, o.a, &body)
 				if err != nil {
 					return err
 				}
@@ -284,9 +287,11 @@ func (o *eagerMergeOp) Run(ctx *graph.Ctx) error {
 	n := len(ctx.In)
 	done := make([]bool, n)
 	live := n
+	var body []element.Element
+	sels := make([]des.Selectable, 0, n)
+	idxs := make([]int, 0, n)
 	for live > 0 {
-		sels := make([]des.Selectable, 0, live)
-		idxs := make([]int, 0, live)
+		sels, idxs = sels[:0], idxs[:0]
 		for i := 0; i < n; i++ {
 			if !done[i] {
 				sels = append(sels, ctx.In[i])
@@ -298,7 +303,7 @@ func (o *eagerMergeOp) Run(ctx *graph.Ctx) error {
 			break
 		}
 		src := idxs[w]
-		st, hasBody, err := readSubtree(ctx, src, o.a)
+		st, hasBody, err := readSubtree(ctx, src, o.a, &body)
 		if err != nil {
 			return err
 		}

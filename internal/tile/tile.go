@@ -6,11 +6,15 @@
 //
 // Values are held as float32; byte accounting uses a configurable element
 // width so the simulator can model BF16 (2 bytes) as the paper does.
+//
+// Shape-only tiles (see ShapeOnly) are immutable: ShapeOnly shares one
+// tile per shape across the process, so nothing may write to one.
 package tile
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // ElemBytes is the modeled element width in bytes. The paper's hardware
@@ -31,18 +35,35 @@ func New(rows, cols int) *Tile {
 	return &Tile{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// ShapeOnly allocates a tile that carries extents but no element storage.
+// ShapeOnly returns a tile that carries extents but no element storage.
 // The simulator's timing, byte, and FLOP accounting are exact for
 // shape-only tiles, while the arithmetic functions skip element math —
 // this keeps large timing-mode experiments (e.g. batch-1024 MoE sweeps)
 // tractable. Any operation touching a shape-only operand yields a
-// shape-only result.
+// shape-only result. The tile is shared with every other caller asking
+// for the same shape, so it must never be written.
 func ShapeOnly(rows, cols int) *Tile {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tile: negative shape %dx%d", rows, cols))
 	}
-	return &Tile{Rows: rows, Cols: cols}
+	h := (uint64(rows)<<32 ^ uint64(cols)) * 0x9E3779B97F4A7C15
+	slot := &shapeOnlyTiles[h>>(64-shapeOnlyBits)]
+	if t := slot.Load(); t != nil && t.Rows == rows && t.Cols == cols {
+		return t
+	}
+	t := &Tile{Rows: rows, Cols: cols}
+	slot.CompareAndSwap(nil, t)
+	return t
 }
+
+// shapeOnlyTiles interns shape-only tiles by shape: a fixed table of
+// slots, each filled once by the first shape hashed to it. A shape whose
+// slot holds another gets a fresh tile, so the table never grows.
+//
+//lint:allow determinism shape-only tiles are immutable, so a hit equals a fresh allocation
+var shapeOnlyTiles [1 << shapeOnlyBits]atomic.Pointer[Tile]
+
+const shapeOnlyBits = 12
 
 // IsShapeOnly reports whether the tile carries no element storage.
 func (t *Tile) IsShapeOnly() bool { return t.Data == nil && t.Rows*t.Cols > 0 }
@@ -90,10 +111,11 @@ func (t *Tile) Bytes() int64 {
 // Elems returns the element count.
 func (t *Tile) Elems() int { return t.Rows * t.Cols }
 
-// Clone deep-copies the tile (shape-only tiles stay shape-only).
+// Clone deep-copies the tile. A shape-only tile is immutable, so it is
+// its own clone.
 func (t *Tile) Clone() *Tile {
 	if t.IsShapeOnly() {
-		return ShapeOnly(t.Rows, t.Cols)
+		return t
 	}
 	out := New(t.Rows, t.Cols)
 	copy(out.Data, t.Data)
@@ -176,11 +198,15 @@ func Mul(a, b *Tile) *Tile {
 	return out
 }
 
-// AddInto accumulates src into dst in place (shapes must match).
+// AddInto accumulates src into dst in place (shapes must match). A
+// shape-only operand makes dst shape-only; a shape-only dst is not
+// written.
 func AddInto(dst, src *Tile) {
 	mustSameShape("addinto", dst, src)
 	if dst.IsShapeOnly() || src.IsShapeOnly() {
-		dst.Data = nil
+		if dst.Data != nil {
+			dst.Data = nil
+		}
 		return
 	}
 	for i := range dst.Data {

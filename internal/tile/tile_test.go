@@ -209,3 +209,56 @@ func TestQuickMatMulRowBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShapeOnlyTilesAreNeverWritten runs every tile function over
+// shape-only operands. ShapeOnly shares one tile per shape across the
+// process, so no function may change an operand, and every result must be
+// shape-only with the function's output shape.
+func TestShapeOnlyTilesAreNeverWritten(t *testing.T) {
+	s, v := ShapeOnly(3, 3), ShapeOnly(1, 3)
+	if ShapeOnly(3, 3) != s || s.Clone() != s {
+		t.Fatal("ShapeOnly(3, 3) is not interned")
+	}
+	d := Filled(3, 3, 1)
+	acc := Filled(3, 3, 1)
+	AddInto(s, s)
+	AddInto(s, d)
+	AddInto(acc, s)
+	cases := []struct {
+		name       string
+		got        *Tile
+		rows, cols int
+	}{
+		{"MatMul(s, d)", MatMul(s, d), 3, 3},
+		{"MatMul(d, s)", MatMul(d, s), 3, 3},
+		{"Add", Add(s, d), 3, 3},
+		{"Mul", Mul(d, s), 3, 3},
+		{"SiLU", SiLU(s), 3, 3},
+		{"Scale", Scale(s, 2), 3, 3},
+		{"RowSoftmax", RowSoftmax(s), 3, 3},
+		{"RowSum", RowSum(s), 3, 1},
+		{"ConcatRows", ConcatRows(v, s), 4, 3},
+		{"ConcatRows(empty, s)", ConcatRows(New(0, 0), s), 3, 3},
+		{"ConcatCols", ConcatCols(s, d), 3, 6},
+		{"Slice", s.Slice(1, 3, 0, 2), 2, 2},
+		{"PadTo", s.PadTo(4, 4), 4, 4},
+		{"SplitRows", s.SplitRows(2)[1], 1, 3},
+		{"SplitCols", s.SplitCols(2)[1], 3, 1},
+		{"Transpose", v.Transpose(), 3, 1},
+		{"AddInto(data, s)", acc, 3, 3},
+	}
+	for _, c := range cases {
+		if !c.got.IsShapeOnly() || c.got.Rows != c.rows || c.got.Cols != c.cols {
+			t.Errorf("%s = %dx%d (shape-only %v), want shape-only %dx%d",
+				c.name, c.got.Rows, c.got.Cols, c.got.IsShapeOnly(), c.rows, c.cols)
+		}
+	}
+	for _, op := range []struct {
+		t          *Tile
+		rows, cols int
+	}{{s, 3, 3}, {v, 1, 3}} {
+		if op.t.Rows != op.rows || op.t.Cols != op.cols || op.t.Data != nil {
+			t.Errorf("shape-only %dx%d operand changed to %dx%d (data %v)", op.rows, op.cols, op.t.Rows, op.t.Cols, op.t.Data != nil)
+		}
+	}
+}

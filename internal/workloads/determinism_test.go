@@ -4,37 +4,46 @@ import (
 	"testing"
 
 	"step/internal/graph"
+	"step/internal/harness"
 	"step/internal/onchip"
 	"step/internal/trace"
 )
 
 // TestMoESimulationDeterministic checks the repository's reproducibility
-// claim end to end: two runs of an identical MoE configuration yield
+// claim end to end: runs of an identical MoE configuration yield
 // bit-identical cycle counts, traffic, and FLOPs despite thousands of
-// concurrently scheduled dataflow blocks.
+// concurrently scheduled dataflow blocks. The later runs go two at a
+// time through the harness pool, so the race detector sees concurrent
+// simulations share the interned shape-only tiles.
 func TestMoESimulationDeterministic(t *testing.T) {
 	m := Qwen3Config().Scaled(8)
 	routing, err := trace.SampleExpertRouting(64, m.NumExperts, m.TopK, trace.SkewHeavy, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() graph.Result {
+	run := func(int) (graph.Result, error) {
 		l, err := BuildMoELayer(MoELayerConfig{
 			Model: m, Batch: 64, TileSize: 16, Regions: 16,
 			Routing: routing, Seed: 7,
 		})
 		if err != nil {
-			t.Fatal(err)
+			return graph.Result{}, err
 		}
 		sess, err := l.Program.Run()
 		if err != nil {
-			t.Fatal(err)
+			return graph.Result{}, err
 		}
-		return sess.Result
+		return sess.Result, nil
 	}
-	a := run()
-	for i := 0; i < 3; i++ {
-		b := run()
+	a, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := harness.ParMap(harness.Suite{Workers: 2}, 4, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range rs {
 		if a.Cycles != b.Cycles || a.OffchipTrafficBytes != b.OffchipTrafficBytes ||
 			a.TotalFLOPs != b.TotalFLOPs || a.PeakOnchipBytes != b.PeakOnchipBytes {
 			t.Fatalf("nondeterministic run: %+v vs %+v", a, b)
